@@ -1,10 +1,25 @@
 """Package metadata for the ExaDigiT reproduction."""
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+
+def read_version() -> str:
+    """``repro.__version__``, read from the source without importing it."""
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    match = re.search(
+        r'^__version__ = "([^"]+)"', init.read_text(encoding="utf-8"), re.M
+    )
+    if match is None:
+        raise RuntimeError(f"no __version__ in {init}")
+    return match.group(1)
+
 
 setup(
     name="exadigit-repro",
-    version="1.8.0",
+    version=read_version(),
     description=(
         "Digital twin for liquid-cooled supercomputers: a Python "
         "reproduction of the ExaDigiT framework (SC 2024)"

@@ -126,7 +126,7 @@ from repro.workloads import (
     WorkloadGenerator,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "FRONTIER",

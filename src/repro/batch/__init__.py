@@ -7,8 +7,9 @@ contract is the same one the fused kernel established: **bit-identity**
 per lane against the serial engine — batching is an overhead
 eliminator, never a different model.
 
-Layout: :class:`~repro.batch.kernel.BatchedPlantKernel` advances B
-cooling plants per substep call, :class:`~repro.batch.power.BatchedPowerModel`
+Layout: :class:`~repro.batch.kernel.BatchedPlantKernel` holds B
+cooling plants' state in its batch rows for the whole run and advances
+them per substep call, :class:`~repro.batch.power.BatchedPowerModel`
 evaluates the power pipeline for the changed subset of lanes per macro
 step, and :class:`~repro.batch.engine.BatchedEngine` runs whole
 scenarios lane-parallel (scheduling stays per-lane Python, the array

@@ -9,7 +9,9 @@ Python — while the array math is batched across lanes:
   fingerprint changed this quantum, as one
   :class:`~repro.batch.power.BatchedPowerModel` call;
 - the cooling plants advance as one
-  :class:`~repro.batch.kernel.BatchedPlantKernel` macro step;
+  :class:`~repro.batch.kernel.BatchedPlantKernel` macro step, which
+  holds every coupled lane's plant state for the whole run and builds
+  the step's cooling records in batch form;
 - cooling warmup is shared: lanes with the same (spec, wet-bulb,
   warmup) warm once and replicate the warmed snapshot — the warm-cache
   mechanism, applied across lanes, honoring ``twin.warm_cache`` when
@@ -40,7 +42,6 @@ from repro.batch.kernel import BatchedPlantKernel
 from repro.batch.power import BatchedPowerModel
 from repro.cooling.fmu import CoolingFMU
 from repro.core.engine import (
-    DEFAULT_COOLING_RECORD,
     StepState,
     _TracePool,
     collect_steps,
@@ -98,6 +99,10 @@ class _Lane:
             else float(plan.wetbulb)
         )
         self.fmu: CoolingFMU | None = None
+        #: The batched plant kernel holding this lane's plant state and
+        #: the lane's row in it (set once the kernel is built).
+        self.kernel: BatchedPlantKernel | None = None
+        self.row = -1
         if scenario.with_cooling:
             self.fmu = CoolingFMU(
                 spec.cooling, substep_s=COOLING_SUBSTEP_S, backend="fused"
@@ -137,6 +142,9 @@ class _Lane:
             elif event.kind == "cdu-blockage":
                 if self.fmu is not None:
                     self.fmu.set_cdu_blockage(event.cdu_index, event.severity)
+                    self.kernel.set_blockage(
+                        self.row, event.cdu_index, event.severity
+                    )
 
         return apply
 
@@ -276,6 +284,8 @@ class BatchedEngine:
             if coupled
             else None
         )
+        for row, lane in enumerate(coupled):
+            lane.kernel, lane.row = kernel, row
         # One shared substep schedule (mirrors CoolingPlant.step).
         n_sub = max(1, int(np.ceil(self.quanta / COOLING_SUBSTEP_S)))
         h = self.quanta / n_sub
@@ -287,6 +297,8 @@ class BatchedEngine:
         n_cool = len(coupled)
         heat_rows: list[np.ndarray] = []
         wbs: list[float] = []
+        powers: list[float] = []
+        records: list[dict] = []
         reg = get_registry()
         lanes_gauge = (
             reg.gauge("repro_batch_lanes_active") if reg.enabled else None
@@ -344,31 +356,21 @@ class BatchedEngine:
                     lane.last_events, lane.last_cpu, lane.last_gpu = fp
 
             # --- cooling: one batched plant macro step over the active
-            # coupled prefix, then per-lane snapshots (plant.step split
-            # into its batched advance + serial bookkeeping halves).
+            # coupled prefix, then its cooling records in batch form
+            # from the kernel's resident state.
             if n_cool:
                 heat_rows.clear()
                 wbs.clear()
+                powers.clear()
                 for lane in coupled[:n_cool]:
                     heat_rows.append(lane.result.cdu_heat_w)
                     wbs.append(lane.wetbulb_at(t_sample))
+                    powers.append(lane.result.system_power_w)
                 kernel.advance(heat_rows, wbs, h, n_sub, active=n_cool)
+                records = kernel.cooling_records(powers, active=n_cool)
 
             for lane in active:
-                cooling: dict[str, np.ndarray] = {}
-                if lane.fmu is not None:
-                    plant = lane.fmu._plant
-                    plant.time_s += self.quanta
-                    state = plant._snapshot(
-                        lane.result.cdu_heat_w,
-                        lane.result.system_power_w,
-                    )
-                    lane.fmu.last_state = state
-                    lane.fmu._time += self.quanta
-                    cooling = {
-                        key: getattr(state, key)
-                        for key in DEFAULT_COOLING_RECORD
-                    }
+                cooling = records[lane.row] if lane.fmu is not None else {}
                 result = lane.result
                 step = StepState(
                     index=k,
@@ -389,6 +391,19 @@ class BatchedEngine:
                     on_step(lane.index, step)
         for lane in lanes:
             lane.gen.close()
+        if kernel is not None:
+            # Sync the component graphs once; the FMU clock and last
+            # state then read as if every step had gone through do_step
+            # (TRACE_QUANTA_S is integral, so the product is exact).
+            kernel.write_back()
+            for lane in coupled:
+                plant = lane.fmu._plant
+                elapsed = lane.n_steps * self.quanta
+                plant.time_s += elapsed
+                lane.fmu._time += elapsed
+                lane.fmu.last_state = plant._snapshot(
+                    lane.result.cdu_heat_w, lane.result.system_power_w
+                )
         if reg.enabled:
             # Bulk fold at end of sweep; lanes drive the scheduler
             # directly (not iter_steps), so these batch-level counters

@@ -9,6 +9,18 @@ tracking, primary/tower thermal — stays per-lane Python-float state and
 runs through the scalar section methods the fused kernel factored out
 exactly for this purpose.
 
+State residency: the batch rows are the home of every lane's CDU-bank
+state for the whole run, and the per-lane fused kernels hold its
+facility scalars.  Each lane is gathered once, at construction (after
+warmup or a warm-cache restore); :meth:`~BatchedPlantKernel.advance`
+then works on that resident state with no per-step exchange with the
+component graph, and :meth:`~BatchedPlantKernel.cooling_records` builds
+each step's cooling record from it.  The graph is synced on demand
+only: a CDU blockage goes to the row as well as to the graph
+(:meth:`~BatchedPlantKernel.set_blockage`), and
+:meth:`~BatchedPlantKernel.write_back` pushes every lane back once
+when the run ends.
+
 Bit-identity with the serial fused kernel (and hence with the reference
 object graph) rests on three properties:
 
@@ -34,22 +46,63 @@ real-prefix reduction.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from repro.cooling.kernel import FusedPlantKernel, _exp, _expm1, _power
+from repro.cooling.loops.primary import HEADER_STATIC_PA
 from repro.exceptions import CoolingModelError
+
+
+@lru_cache(maxsize=4096)
+def _pump_power(rated_w: float, speed: float) -> float:
+    """:meth:`PumpCurve.power <repro.cooling.components.pump.PumpCurve.power>`
+    for one speed, through the same 0-d array pow as the reference.
+
+    Memoized: a pump pinned at a speed limit (the tower pumps, mostly)
+    repeats its speed step after step.
+    """
+    if speed < 0 or speed > 1.2:
+        raise CoolingModelError("pump speed out of range [0, 1.2]")
+    cube = np.asarray(speed, dtype=np.float64) ** 3
+    # np.maximum(cube, 0.05) without the ufunc call (NaN propagates).
+    return float(rated_w * (0.05 if cube < 0.05 else cube))
+
+
+def _lane_groups(sizes) -> list[tuple[int, np.ndarray]]:
+    """Lane indices grouped by a per-lane width, ascending per group."""
+    groups: dict[int, list[int]] = {}
+    for bi, size in enumerate(sizes):
+        groups.setdefault(int(size), []).append(bi)
+    return [(size, np.array(lanes)) for size, lanes in groups.items()]
+
+
+def _row_sums(rows: np.ndarray, groups, A: int) -> np.ndarray:
+    """Per-lane ``np.sum`` of each lane's real prefix of ``rows``.
+
+    Lanes of one width reduce together as the rows of one contiguous
+    ``(k, width)`` block, so each lane's pairwise-summation tree is the
+    one its own ``(width,)`` vector would get.
+    """
+    out = np.empty(A)
+    for size, lanes in groups:
+        lanes = lanes[:np.searchsorted(lanes, A)]
+        if lanes.size:
+            out[lanes] = np.add.reduce(rows[lanes, :size], axis=1)
+    return out
 
 
 class BatchedPlantKernel:
     """Advance B cooling plants per NumPy call, bit-identical per lane.
 
     ``plants`` are the per-lane :class:`~repro.cooling.plant.CoolingPlant`
-    objects (any backend — the batched kernel builds its own fused
-    mirrors and uses the plants purely as the pull/push state oracle,
-    exactly like ``FusedPlantKernel`` does).  Lanes may have different
-    CDU counts; they are padded to the widest lane.
+    objects (any backend).  The kernel builds its own fused mirrors,
+    gathers every lane's state into its batch rows once, and from then
+    on owns that state: the plants' component graphs are stale until
+    :meth:`write_back`.  Lanes may have different CDU counts; they are
+    padded to the widest lane.
     """
 
     def __init__(self, plants) -> None:
@@ -64,23 +117,33 @@ class BatchedPlantKernel:
         self.batch = B
         self.n_max = n_max
 
-        def col(attr: str) -> np.ndarray:
-            return np.array(
-                [[float(getattr(k, attr))] for k in self.kernels]
-            )
+        def col(values) -> np.ndarray:
+            return np.array([[float(v)] for v in values])
 
         # Per-lane scalar constants as (B, 1) broadcast columns.
-        self.cdu_res_k = col("cdu_res_k")
-        self.cdu_q1 = col("cdu_q1")
-        self.valve_rangeability = col("valve_rangeability")
-        self.hx_ua = col("hx_ua")
-        self.pg_tref = col("pg_tref")
-        self.pg_drho = col("pg_drho")
-        self.pg_rho_ref = col("pg_rho_ref")
-        self.pg_cp = col("pg_cp")
-        self.w_cp = col("w_cp")
-        self.hot_mcp = col("hot_mcp")
-        self.cold_mcp = col("cold_mcp")
+        for attr in (
+            "cdu_res_k", "cdu_q1", "valve_rangeability", "hx_ua",
+            "pg_tref", "pg_drho", "pg_rho_ref", "pg_cp", "w_cp",
+            "hot_mcp", "cold_mcp",
+        ):
+            setattr(self, attr, col(getattr(k, attr) for k in self.kernels))
+        self.cdu_pump_rated = col(
+            p.cdus.pumps.spec.rated_power_w for p in plants
+        )
+        self.cdu_pumps_running = col(p.cdus.pumps.n_running for p in plants)
+        # Facility output constants: rated powers per lane, and lanes
+        # grouped by unit count for the per-unit power vector sums.
+        self.htwp_rated = [p.primary.pumps.spec.rated_power_w for p in plants]
+        self.ctwp_rated = [p.tower.pumps.spec.rated_power_w for p in plants]
+        self.cell_fan_w = [p.tower.farm.spec.fan_power_w for p in plants]
+        htwps = [p.primary.pumps.spec.count for p in plants]
+        ctwps = [p.tower.pumps.spec.count for p in plants]
+        cells = [p.tower.farm.spec.total_cells for p in plants]
+        self.cdu_groups = _lane_groups(k.n for k in self.kernels)
+        self.htwp_groups = _lane_groups(htwps)
+        self.ctwp_groups = _lane_groups(ctwps)
+        self.cell_groups = _lane_groups(cells)
+        self.unit_cols = np.arange(max(htwps + ctwps + cells))
 
         # cv_max is the one constant that must pad to *zero* columns:
         # the valve-flow expression multiplies an r**(x-1) factor that
@@ -95,8 +158,7 @@ class BatchedPlantKernel:
         self.umax50 = np.zeros((B, w))
         self.sign50 = np.ones((B, w))
         for bi, k in enumerate(self.kernels):
-            n = k.n
-            self.cv_max[bi, :n] = k.valve_cv_max
+            self.cv_max[bi, :k.n] = k.valve_cv_max
             for dst, src in (
                 (self.kp50, k.kp50),
                 (self.ki50, k.ki50),
@@ -104,10 +166,9 @@ class BatchedPlantKernel:
                 (self.umax50, k.umax50),
                 (self.sign50, k.sign50),
             ):
-                dst[bi, :n] = src[:n]
-                dst[bi, n_max:n_max + n] = src[n:]
+                self._put50(dst, bi, k.n, src)
 
-        # Batched mutable state.  Pads are inert: blockage 1 and 25 °C
+        # Resident mutable state.  Pads are inert: blockage 1 and 25 °C
         # temperatures stay fixed points of the padded dynamics, flows
         # and heat stay zero (see module docstring).
         self.blockage = np.ones((B, n_max))
@@ -123,11 +184,29 @@ class BatchedPlantKernel:
         self.preve50 = np.zeros((B, w))
         self.sp50 = np.zeros((B, w))
         self.meas50 = np.full((B, w), 25.0)
-
-        # Per-macro-step per-lane columns.
-        self.dp_term = np.zeros((B, 1))
+        # Valve draw at the (constant) header dp; sqrt is correctly
+        # rounded, so math.sqrt == np.sqrt here.
+        self.dp_term = col(
+            sqrt(k.header_dp / k.valve_dp_rated) for k in self.kernels
+        )
         self.htws_col = np.zeros((B, 1))
         self.rho_w_col = np.zeros((B, 1))
+
+        # The one gather: each lane's freshly pulled fused mirror into
+        # its batch row.
+        for bi, k in enumerate(self.kernels):
+            n = k.n
+            self.blockage[bi, :n] = k.blockage
+            self.sec_flow[bi, :n] = k.sec_flow
+            self.pri_flow[bi, :n] = k.pri_flow
+            self.hot_t[bi, :n] = k.hot_t
+            self.cold_t[bi, :n] = k.cold_t
+            self.hx_heat[bi, :n] = k.hx_heat
+            self.pri_return[bi, :n] = k.pri_return
+            self._put50(self.out50, bi, n, k.out50)
+            self._put50(self.integ50, bi, n, k.integ50)
+            self._put50(self.preve50, bi, n, k.preve50)
+            self._put50(self.sp50, bi, n, k.sp50)
 
         # Scratch (one extra f-buffer vs the serial kernel: the batched
         # path materializes c_min_safe instead of a where() temporary).
@@ -142,6 +221,40 @@ class BatchedPlantKernel:
         self.v1 = np.empty((B, n_max))
         self.v2 = np.empty((B, n_max))
         self.mv = np.empty((B, n_max), dtype=bool)
+
+    # -- state exchange ----------------------------------------------------------
+
+    def _put50(self, dst, bi: int, n: int, src) -> None:
+        """Copy a lane's stacked ``(2n,)`` PID vector into row ``bi``."""
+        n_max = self.n_max
+        dst[bi, :n] = src[:n]
+        dst[bi, n_max:n_max + n] = src[n:]
+
+    def set_blockage(self, lane: int, cdu_index: int, severity: float) -> None:
+        """Mirror a CDU blockage already set on lane ``lane``'s graph
+        (:meth:`~repro.cooling.loops.cdu.CduLoopBank.set_blockage`
+        validates it) into the resident row."""
+        self.blockage[lane, cdu_index] = float(severity)
+
+    def write_back(self) -> None:
+        """Push every lane's resident state onto its component graph."""
+        n_max = self.n_max
+        for bi, (k, plant) in enumerate(zip(self.kernels, self.plants)):
+            n = k.n
+            k.sec_flow[:] = self.sec_flow[bi, :n]
+            k.pri_flow[:] = self.pri_flow[bi, :n]
+            k.hot_t[:] = self.hot_t[bi, :n]
+            k.cold_t[:] = self.cold_t[bi, :n]
+            k.hx_heat[:] = self.hx_heat[bi, :n]
+            k.pri_return[:] = self.pri_return[bi, :n]
+            for dst, src in (
+                (k.out50, self.out50),
+                (k.integ50, self.integ50),
+                (k.preve50, self.preve50),
+            ):
+                dst[:n] = src[bi, :n]
+                dst[n:] = src[bi, n_max:n_max + n]
+            k.push(plant)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -172,18 +285,19 @@ class BatchedPlantKernel:
         ``cdu_heat_w`` is a per-lane sequence of ``(n_b,)`` heat arrays,
         ``wetbulb_c`` a per-lane sequence of floats.  Active lanes must
         be a batch prefix (the engine orders lanes longest-first so
-        finished lanes drop off the tail).
+        finished lanes drop off the tail and keep their rows untouched).
         """
         A = self.batch if active is None else int(active)
         if A == 0:
             return
         n_max = self.n_max
         kernels = self.kernels[:A]
-        for bi, k in enumerate(kernels):
-            k.pull(self.plants[bi])
-
-        # -- gather: per-lane flat state into the batch rows ---------------------
         heat = self.heat[:A]
+        for bi, k in enumerate(kernels):
+            heat[bi, :k.n] = cdu_heat_w[bi]
+            k.pump_has_prev = k.valve_has_prev = True
+        alphas = [k._alpha_for(h) for k in kernels]
+
         blockage = self.blockage[:A]
         sec_flow = self.sec_flow[:A]
         pri_flow = self.pri_flow[:A]
@@ -197,26 +311,6 @@ class BatchedPlantKernel:
         sp50 = self.sp50[:A]
         meas50 = self.meas50[:A]
         dp_term = self.dp_term[:A]
-        for bi, k in enumerate(kernels):
-            n = k.n
-            heat[bi, :n] = cdu_heat_w[bi]
-            blockage[bi, :n] = k.blockage
-            sec_flow[bi, :n] = k.sec_flow
-            pri_flow[bi, :n] = k.pri_flow
-            hot_t[bi, :n] = k.hot_t
-            cold_t[bi, :n] = k.cold_t
-            hx_heat[bi, :n] = k.hx_heat
-            pri_return[bi, :n] = k.pri_return
-            out50[bi, :n] = k.out50[:n]
-            out50[bi, n_max:n_max + n] = k.out50[n:]
-            integ50[bi, :n] = k.integ50[:n]
-            integ50[bi, n_max:n_max + n] = k.integ50[n:]
-            sp50[bi, :n] = k.sp50[:n]
-            sp50[bi, n_max:n_max + n] = k.sp50[n:]
-            # sqrt is correctly rounded, so math.sqrt == np.sqrt here.
-            dp_term[bi, 0] = sqrt(k.header_dp / k.valve_dp_rated)
-        alphas = [k._alpha_for(h) for k in kernels]
-
         b = self.b
         b0, b1, b2, b3, b4 = (x[:A] for x in b[:5])
         b5, b6, b7, b8, b9 = (x[:A] for x in b[5:])
@@ -247,7 +341,7 @@ class BatchedPlantKernel:
         pg_cp = self.pg_cp[:A]
         w_cp = self.w_cp[:A]
         mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-        npmax, npmin, nsum = np.maximum, np.minimum, np.sum
+        npmax, npmin, add_reduce = np.maximum, np.minimum, np.add.reduce
         gt, lt, le, absolute = np.greater, np.less, np.less_equal, np.absolute
         clip, neg = np.clip, np.negative
         land, lor, lnot = np.logical_and, np.logical_or, np.logical_not
@@ -283,9 +377,12 @@ class BatchedPlantKernel:
             copyto(integ50, c50a, where=m50a)
             copyto(preve50, e50)
 
-            # --- 2. Tower controls (per-lane scalar state).
+            # --- 2. Tower controls (per-lane scalar state), and the HTW
+            # density at the supply temperature they return.
             for bi, k in enumerate(kernels):
-                htws_col[bi, 0] = k._tower_controls(h, alphas[bi])
+                htws = k._tower_controls(h, alphas[bi])
+                htws_col[bi, 0] = htws
+                rho_w_col[bi, 0] = k.w_rho_ref + k.w_drho * (htws - k.w_tref)
 
             # --- 3. Hydraulics: secondary pump points + valve draws.
             np.sqrt(blockage, out=b0)
@@ -299,7 +396,7 @@ class BatchedPlantKernel:
             # --- 4-5. Primary tracking per lane; real-prefix row sums
             # keep the pairwise-summation tree identical to serial.
             for bi, k in enumerate(kernels):
-                demand = float(nsum(pri_flow[bi, :k.n]))
+                demand = float(add_reduce(pri_flow[bi, :k.n]))
                 demands[bi] = demand
                 k._primary_tracking(demand, h)
 
@@ -324,10 +421,6 @@ class BatchedPlantKernel:
             add(b0, pg_rho_ref, out=b0)
             mul(b0, sec_flow, out=b0)
             mul(b0, pg_cp, out=b0)  # c_hot
-            for bi, k in enumerate(kernels):
-                rho_w_col[bi, 0] = (
-                    k.w_rho_ref + k.w_drho * (htws_col[bi, 0] - k.w_tref)
-                )
             mul(pri_flow, rho_w_col, out=b1)
             mul(b1, w_cp, out=b1)  # c_cold
             npmin(b0, b1, out=b2)  # c_min
@@ -379,31 +472,110 @@ class BatchedPlantKernel:
             for bi, k in enumerate(kernels):
                 demand = demands[bi]
                 if demand > 1e-9:
-                    mix_c = float(nsum(b0[bi, :k.n]) / demand)
+                    mix_c = float(add_reduce(b0[bi, :k.n]) / demand)
                 else:
                     mix_c = k.p_return_t
 
                 # --- 8-9. Primary + tower loop thermal (per-lane scalar).
                 k._facility_thermal(mix_c, wetbulb_c[bi], h)
 
-        # -- scatter: batch rows back into the per-lane kernels + plants ---------
-        for bi, k in enumerate(kernels):
+    # -- outputs -----------------------------------------------------------------
+
+    def _unit_sums(self, groups, running, unit_w, A: int) -> np.ndarray:
+        """Per-lane sums of the reference's per-unit power vectors:
+        ``unit_w[b]`` on the first ``running[b]`` units, 0 elsewhere."""
+        rows = np.where(
+            self.unit_cols < np.array(running)[:, None],
+            np.array(unit_w)[:, None],
+            0.0,
+        )
+        return _row_sums(rows, groups, A)
+
+    def cooling_records(self, system_power_w, active=None) -> list[dict]:
+        """The engine's per-step cooling record for the first ``active``
+        lanes, straight from the resident state.
+
+        Exactly the ``DEFAULT_COOLING_RECORD`` fields of
+        :meth:`CoolingPlant._snapshot
+        <repro.cooling.plant.CoolingPlant._snapshot>` with
+        ``system_power_w[b]`` as lane ``b``'s PUE denominator: the CDU
+        fields as ``(A, n_max)`` ufunc passes sliced per lane, the
+        facility fields from the per-lane kernel scalars with the
+        reference's scalar arithmetic (pump and fan powers included),
+        and the reference's vector sums as width-grouped row sums.
+        Every call returns fresh arrays.
+        """
+        A = self.batch if active is None else int(active)
+        n_max = self.n_max
+        pump_w = self.out50[:A, :n_max].copy()
+        if np.any(pump_w < 0) or np.any(pump_w > 1.2):
+            raise CoolingModelError("pump speed out of range [0, 1.2]")
+        np.power(pump_w, 3, out=pump_w)
+        np.maximum(pump_w, 0.05, out=pump_w)
+        np.multiply(self.cdu_pump_rated[:A], pump_w, out=pump_w)
+        np.multiply(self.cdu_pumps_running[:A], pump_w, out=pump_w)
+        pri_flow = self.pri_flow[:A].copy()
+        pri_return = self.pri_return[:A].copy()
+        cold_t = self.cold_t[:A].copy()
+
+        records = []
+        n_htwp, htwp_w, n_ctwp, ctwp_w, n_cells, fan_w = (
+            [], [], [], [], [], []
+        )
+        for bi, k in enumerate(self.kernels[:A]):
             n = k.n
-            k.sec_flow[:] = sec_flow[bi, :n]
-            k.pri_flow[:] = pri_flow[bi, :n]
-            k.hot_t[:] = hot_t[bi, :n]
-            k.cold_t[:] = cold_t[bi, :n]
-            k.hx_heat[:] = hx_heat[bi, :n]
-            k.pri_return[:] = pri_return[bi, :n]
-            k.out50[:n] = out50[bi, :n]
-            k.out50[n:] = out50[bi, n_max:n_max + n]
-            k.integ50[:n] = integ50[bi, :n]
-            k.integ50[n:] = integ50[bi, n_max:n_max + n]
-            k.preve50[:n] = preve50[bi, :n]
-            k.preve50[n:] = preve50[bi, n_max:n_max + n]
-            k.pump_has_prev = True
-            k.valve_has_prev = True
-            k.push(self.plants[bi])
+            # Primary loop: staged HTWPs and the header pressure.
+            htwps, speed = k.p_n_running, k.p_pump_speed
+            n_htwp.append(htwps)
+            htwp_w.append(
+                _pump_power(self.htwp_rated[bi], speed) if htwps else 0.0
+            )
+            q = k.p_total_flow / max(htwps, 1)
+            head = speed * speed * k.p_h0 - k.p_kp * q * q
+            if head < 0.0:
+                head = 0.0
+            # Tower loop: staged CTWPs and cell fans.
+            ctwps, cells, fan = k.t_n_running, k.cell_stage.count, k.t_fan_speed
+            n_ctwp.append(ctwps)
+            ctwp_w.append(
+                _pump_power(self.ctwp_rated[bi], k.t_pump_speed)
+                if ctwps else 0.0
+            )
+            fan = 0.0 if fan < 0.0 else (1.0 if fan > 1.0 else fan)
+            n_cells.append(cells)
+            fan_w.append(
+                cells * self.cell_fan_w[bi] * max(fan**3, 0.02) / cells
+                if cells else 0.0
+            )
+            records.append({
+                "pue": 0.0,
+                "htw_supply_temp_c": k.p_supply_t,
+                "htw_return_temp_c": k.p_return_t,
+                "htw_supply_pressure_pa": HEADER_STATIC_PA + 0.75 * head,
+                "ctw_supply_temp_c": k.t_supply_t,
+                "num_ct_staged": cells,
+                "num_htwp_staged": htwps,
+                "num_ehx_staged": k.p_n_ehx,
+                "aux_power_w": 0.0,
+                "cdu_primary_flow_m3s": pri_flow[bi, :n],
+                "cdu_primary_return_temp_c": pri_return[bi, :n],
+                "cdu_secondary_supply_temp_c": cold_t[bi, :n],
+                "cdu_pump_power_w": pump_w[bi, :n],
+            })
+
+        # Facility aux power (HTWPs + CTWPs + fans) and PUE, elementwise
+        # over lanes in the reference's operation order.
+        aux_cep_w = self._unit_sums(self.htwp_groups, n_htwp, htwp_w, A)
+        aux_cep_w += self._unit_sums(self.ctwp_groups, n_ctwp, ctwp_w, A)
+        aux_cep_w += self._unit_sums(self.cell_groups, n_cells, fan_w, A)
+        power = np.array(system_power_w, dtype=np.float64)
+        pue = np.ones(A)
+        np.divide(power + aux_cep_w, power, out=pue, where=power > 0)
+        aux_w = aux_cep_w + _row_sums(pump_w, self.cdu_groups, A)
+        for record, p, a in zip(records, pue.tolist(), aux_w.tolist()):
+            record["pue"] = p
+            record["aux_power_w"] = a
+        return records
 
 
 __all__ = ["BatchedPlantKernel"]

@@ -26,6 +26,9 @@ from repro.cooling.control.staging import StagingController
 from repro.cooling.properties import WATER
 from repro.exceptions import CoolingModelError
 
+#: Static pressure of the HTW supply and return headers, Pa.
+HEADER_STATIC_PA = 200.0e3
+
 
 class PrimaryLoop:
     """HTW loop model with pump staging and the EHX bank."""
@@ -131,7 +134,9 @@ class PrimaryLoop:
     def per_pump_power_w(self) -> np.ndarray:
         return self.pumps.per_pump_power(self.pump_speed)
 
-    def header_pressures_pa(self, static_pa: float = 200.0e3) -> tuple[float, float]:
+    def header_pressures_pa(
+        self, static_pa: float = HEADER_STATIC_PA
+    ) -> tuple[float, float]:
         """(supply, return) header pressures.
 
         Supply = static + pump head less supply-side piping loss; return

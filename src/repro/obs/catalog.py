@@ -123,6 +123,12 @@ METRICS: dict[str, dict] = {
         "kind": "counter",
         "help": "Workers respawned after a crash (cap-limited).",
     },
+    "repro_service_persist_errors_total": {
+        "kind": "counter",
+        "help": "Failed store writes (the result stays in the memory "
+                "cache), by site: open, append, record, checkpoint.",
+        "labels": ("site",),
+    },
     "repro_service_requeues_total": {
         "kind": "counter",
         "help": "In-flight jobs requeued after their worker died.",

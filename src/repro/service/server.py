@@ -420,11 +420,19 @@ class TwinServer:
         self._m_admission = m.counter("repro_admission_rejected_total")
         self._m_chaos = m.counter("repro_chaos_injected_total")
         self._m_resumes = m.counter("repro_stream_resumes_total")
+        self._m_persist_errors = m.counter(
+            "repro_service_persist_errors_total"
+        )
         m.gauge("repro_breaker_state", fn=self.breaker.value)
         m.gauge(
             "repro_service_draining",
             fn=lambda: 1.0 if self.draining else 0.0,
         )
+
+    def _persist_error(self, site: str) -> None:
+        """Count a failed store write: ``/healthz`` and ``/metrics``."""
+        self.counters["persist_errors"] += 1
+        self._m_persist_errors.labels(site=site).inc()
 
     def _loop_lag_s(self) -> float:
         """Event-loop scheduling lag seen by the heartbeat probe."""
@@ -938,7 +946,7 @@ class TwinServer:
         try:
             stream = self.store.open_step_stream(job.key)
         except OSError:
-            self.counters["persist_errors"] += 1
+            self._persist_error("open")
             return
         self._live_streams[job.key] = (job.id, stream)
 
@@ -951,7 +959,7 @@ class TwinServer:
         except OSError:
             # Disk trouble mid-stream: drop the writer; _persist falls
             # back to the atomic rewrite (or counts a persist error).
-            self.counters["persist_errors"] += 1
+            self._persist_error("append")
             self._live_streams.pop(job.key, None)
             entry[1].abort()
 
@@ -994,7 +1002,7 @@ class TwinServer:
             except Exception:  # noqa: BLE001 - a store failure (disk
                 # full, permissions, bad doc) must never take down the
                 # serving loop; the result stays in the memory cache.
-                self.counters["persist_errors"] += 1
+                self._persist_error("record")
 
     def _remember_result(
         self, key: str, hit: tuple[dict, list[dict]]
@@ -1324,7 +1332,7 @@ class TwinServer:
         try:
             self.store.save_checkpoint(doc)
         except OSError:
-            self.counters["persist_errors"] += 1
+            self._persist_error("checkpoint")
 
     async def _drain_wait(self) -> None:
         """Grace loop: wait out running jobs, then stop the server."""

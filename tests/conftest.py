@@ -160,6 +160,83 @@ def assert_bitidentical(actual, expected, *, label: str = "result") -> None:
         _assert_step_streams_bitidentical(a, b, label)
 
 
+def assert_same_state(actual, expected, path: str = "state") -> None:
+    """Exact equality of two object trees (plant graphs, PlantStates).
+
+    Recurses through attributes, mappings and sequences; arrays compare
+    with ``np.testing.assert_array_equal`` plus their dtype, everything
+    else with ``==`` and its type.
+    """
+    assert type(actual) is type(expected), (
+        f"{path}: {type(actual).__name__} vs {type(expected).__name__}"
+    )
+    if isinstance(expected, np.ndarray):
+        np.testing.assert_array_equal(actual, expected, err_msg=path)
+        assert actual.dtype == expected.dtype, path
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), path
+        for key in expected:
+            assert_same_state(actual[key], expected[key], f"{path}[{key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), path
+        for i, (a, b) in enumerate(zip(actual, expected)):
+            assert_same_state(a, b, f"{path}[{i}]")
+    elif hasattr(expected, "__dict__"):
+        assert_same_state(vars(actual), vars(expected), path)
+    else:
+        assert actual == expected, f"{path}: {actual!r} != {expected!r}"
+
+
+def batched_lanes(scenarios, twin):
+    """Run laneable ``scenarios`` as one batch; their lanes, in order.
+
+    The lanes keep their FMUs, so a test can read each lane's plant
+    after the batched run ends.
+    """
+    from repro.batch.engine import BatchedEngine, _Lane
+
+    lanes = [
+        _Lane(i, scenario, twin, scenario.plan(twin))
+        for i, scenario in enumerate(scenarios)
+    ]
+    BatchedEngine(scenarios, twin)._run_lanes(list(lanes))
+    return lanes
+
+
+def solo_run(scenario, twin):
+    """The serial engine and its step stream, ``scenario`` run alone."""
+    plan = scenario.plan(twin)
+    engine = scenario.build_engine(twin, plan)
+    steps = list(
+        engine.iter_steps(
+            plan.jobs, plan.duration_s, wetbulb=plan.wetbulb,
+            events=plan.events,
+        )
+    )
+    return engine, steps
+
+
+def assert_lanes_match_solo(lanes, twin) -> None:
+    """Every lane's steps equal its solo run's; every coupled lane's
+    FMU state and plant graph too, once the batched run has ended."""
+    for lane in lanes:
+        engine, steps = solo_run(lane.scenario, twin)
+        label = f"lane {lane.index} ({lane.scenario.name})"
+        assert_bitidentical(lane.steps, steps, label=label)
+        if lane.fmu is None:
+            continue
+        solo = engine.fmu
+        assert lane.fmu.time == solo.time, label
+        assert_same_state(
+            lane.fmu.get_state(), solo.get_state(), f"{label} get_state()"
+        )
+        assert_same_state(
+            lane.fmu._plant.snapshot(),
+            solo._plant.snapshot(),
+            f"{label} snapshot()",
+        )
+
+
 @pytest.fixture(scope="session")
 def assert_steps_bitidentical():
     """The shared exact-equality assertion (see :func:`assert_bitidentical`)."""

@@ -34,7 +34,14 @@ from repro.scenarios.library import (
 from repro.telemetry.synthesis import SyntheticTelemetryGenerator
 from repro.workloads.arrivals import DiurnalWorkload
 from repro.workloads.faults import FaultInjection
-from tests.conftest import assert_bitidentical, make_small_spec
+from repro.config.loader import load_builtin_system
+from repro.service.warmcache import WarmStateCache
+from tests.conftest import (
+    assert_bitidentical,
+    assert_lanes_match_solo,
+    batched_lanes,
+    make_small_spec,
+)
 
 DUR = 600.0
 
@@ -225,6 +232,64 @@ def test_mixed_durations_shrink_the_batch(spec):
         for v in range(4)
     ]
     _compare(scenarios, spec)
+
+
+def test_mid_run_blockage_in_mixed_durations(spec):
+    """B=8 lanes of four lengths; one lane's CDU blocks mid-run.  The
+    blockage reaches that lane's resident kernel row, every lane stays
+    bit-identical, and every plant graph syncs to its solo run's."""
+    scenarios = [
+        SyntheticScenario(
+            name=f"m-{v}",
+            duration_s=150.0 * (1 + v % 4),
+            seed=v,
+            wetbulb_c=12.0 + v,
+        )
+        for v in range(7)
+    ]
+    scenarios.insert(
+        3,
+        GeneratedScenario(
+            name="blocked",
+            duration_s=450.0,
+            workload=DiurnalWorkload(seed=3, mean_arrival_s=60.0),
+            faults=FaultInjection(
+                seed=3,
+                node_mtbf_s=1e9,
+                cdu_blockage_time_s=200.0,
+                cdu_index=1,
+                cdu_blockage_severity=3.0,
+            ),
+            wetbulb_c=15.0,
+        ),
+    )
+    twin = DigitalTwin(spec)
+    lanes = batched_lanes(scenarios, twin)
+    blocked = lanes[3].fmu._plant.cdus.blockage_factor
+    assert blocked.tolist() == [1.0, 3.0]
+    assert_lanes_match_solo(lanes, twin)
+
+
+def test_setonix_b64_matches_solo_runs():
+    """A short B=64 Setonix batch (the what-if campaign's shape): two
+    lanes equal their solo runs bit for bit."""
+    twin = DigitalTwin(
+        load_builtin_system("setonix"), warm_cache=WarmStateCache()
+    )
+    scenarios = [
+        SyntheticScenario(
+            name=f"s-{v}",
+            duration_s=900.0,
+            seed=v,
+            wetbulb_c=(12.0, 16.0, 20.0, 24.0)[v % 4],
+        )
+        for v in range(64)
+    ]
+    batched = run_batched(scenarios, twin)
+    for v in (5, 62):
+        assert_bitidentical(
+            batched[v], scenarios[v].run(twin), label=f"setonix lane {v}"
+        )
 
 
 def test_engine_counters_and_progress(spec):

@@ -25,7 +25,12 @@ from hypothesis import strategies as st
 
 from repro.batch import run_batched
 from repro.scenarios import DigitalTwin, SyntheticScenario
-from tests.conftest import assert_bitidentical, make_small_spec
+from tests.conftest import (
+    assert_bitidentical,
+    assert_lanes_match_solo,
+    batched_lanes,
+    make_small_spec,
+)
 
 _WIDE = make_small_spec()
 _NARROW = make_small_spec(total_nodes=96, num_cdus=1)
@@ -119,3 +124,22 @@ def test_padded_lanes_never_perturb_live_lanes(narrow_seeds, wide_seed):
             _serial_reference(spec, scenario),
             label=f"padded batch: {scenario.name}",
         )
+
+
+@given(
+    steps=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    coupled=st.lists(st.booleans(), min_size=3, max_size=3),
+    seed=st.integers(0, 1_000_000),
+)
+@settings(max_examples=5, deadline=None)
+def test_plant_graphs_sync_at_run_end(steps, coupled, seed):
+    """Lane state lives in the batched kernel during the run; at its
+    end every lane's steps, and every coupled lane's FMU state and
+    plant graph, equal the solo serial run's, whatever the lane lengths
+    and companions."""
+    scenarios = [
+        _scenario(_WIDE, seed + i, 18.0, coupled[i], n)
+        for i, n in enumerate(steps)
+    ]
+    twin = DigitalTwin(_WIDE)
+    assert_lanes_match_solo(batched_lanes(scenarios, twin), twin)

@@ -618,6 +618,33 @@ def test_sigkill_mid_write_heals_and_reruns_bitidentically(spec, tmp_path):
             proc2.wait(timeout=30)
 
 
+# -- failure visibility --------------------------------------------------------
+
+
+def test_store_write_fault_reaches_metrics(spec, tmp_path):
+    # A chaos store-write failure is no silent failure: besides the
+    # legacy /healthz count it lands on /metrics, labelled by site.
+    chaos = ChaosPolicy(
+        0, {site: 0.0 for site in SITES} | {"store_write": 1.0}
+    )
+    with TwinServer(
+        spec, workers=1, store=tmp_path / "store", chaos=chaos
+    ) as srv:
+        client = TwinClient(srv.url, retry=FAST_RETRY)
+        job = client.submit(SCENARIO, use_cache=False)
+        assert client.wait(job["id"])["state"] == "done"
+        body = client.metrics_text()
+        legacy = srv.counters["persist_errors"]
+    sample = 'repro_service_persist_errors_total{site="record"} '
+    counts = [
+        float(line[len(sample):])
+        for line in body.splitlines()
+        if line.startswith(sample)
+    ]
+    assert legacy >= 1
+    assert counts == [legacy], body
+
+
 # -- e2e chaos acceptance ------------------------------------------------------
 
 #: Elevated rates so a short workload exercises every targeted site;
