@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.batch import BatchedEngine, run_batched
+from repro.config.loader import load_builtin_system
 from repro.scenarios import DigitalTwin, SyntheticScenario
 from repro.scenarios.generated import GeneratedScenario
 from repro.scenarios.library import (
@@ -31,11 +32,10 @@ from repro.scenarios.library import (
     VerificationScenario,
     WhatIfScenario,
 )
+from repro.service.warmcache import WarmStateCache
 from repro.telemetry.synthesis import SyntheticTelemetryGenerator
 from repro.workloads.arrivals import DiurnalWorkload
 from repro.workloads.faults import FaultInjection
-from repro.config.loader import load_builtin_system
-from repro.service.warmcache import WarmStateCache
 from tests.conftest import (
     assert_bitidentical,
     assert_lanes_match_solo,
