@@ -7,8 +7,8 @@
 - :mod:`repro.core.physical` — the simulated physical twin used to
   produce "measured" telemetry (see DESIGN.md substitutions),
 - :mod:`repro.core.whatif` — what-if comparison machinery (smart
-  rectifiers, 380 V DC); ``repro.core.scenarios`` is a deprecated alias
-  (the scenario *API* lives in :mod:`repro.scenarios`),
+  rectifiers, 380 V DC; the scenario *API* lives in
+  :mod:`repro.scenarios`),
 - :mod:`repro.core.earlystop` — steady-state / divergence predicates
   for ``engine.run(stop_when=...)`` over :class:`StepState` streams,
 - :mod:`repro.core.profiling` — per-phase wall-time profiling of the

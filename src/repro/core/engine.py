@@ -10,6 +10,10 @@ Couples the scheduler, the vectorized power model, and the cooling FMU:
 - the cooling FMU steps every 15 s with the per-CDU heat (paper: the
   cooling model is called every 15 s during the simulation).
 
+That per-quantum sequence is written once, in :func:`lane_loop`, over an
+active prefix of :class:`Lane`\\ s: :class:`RapsEngine` runs it with one
+lane, :class:`~repro.batch.engine.BatchedEngine` with B.
+
 A 24-hour Frontier replay runs in seconds (the paper's Modelica stack
 takes ~9 minutes with cooling).
 """
@@ -17,12 +21,14 @@ takes ~9 minutes with cooling).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Iterator
 
 import numpy as np
 
 from repro.config.schema import SystemSpec
-from repro.cooling.fmu import CoolingFMU
+from repro.cooling.fmu import CoolingFMU, FmuState
+from repro.core.events import sort_events
 from repro.exceptions import SimulationError
 from repro.obs.registry import get_registry
 from repro.power.system import PowerResult, SystemPowerModel
@@ -218,13 +224,6 @@ class _TracePool:
         slot_gpu = np.where(self.slot_active, self.gpu[np.minimum(flat, max(self.gpu.size - 1, 0))], 0.0) if self.gpu.size else np.zeros_like(flat, dtype=np.float64)
         return slot_cpu, slot_gpu
 
-    def node_utils(
-        self, now: float, slot_of_node: np.ndarray, quanta: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node (cpu, gpu) utilization via two vectorized gathers."""
-        slot_cpu, slot_gpu = self._slot_utils(now, quanta)
-        return self.node_utils_from(slot_cpu, slot_gpu, slot_of_node)
-
     def node_utils_from(
         self,
         slot_cpu: np.ndarray,
@@ -312,25 +311,31 @@ def drive_schedule(
     quanta: float,
     *,
     events=(),
-    on_event=None,
+    on_blockage=None,
 ) -> Iterator[tuple[int, float]]:
     """Advance scheduling quantum by quantum, yielding ``(k, t_sample)``.
 
-    The event-driven half of Algorithm 1, factored out of
-    :class:`RapsEngine` so alternative physics backends (the fast-path
-    :class:`~repro.fastpath.engine.SurrogateEngine`) reuse the *same*
-    arrival/dispatch/completion ordering bit for bit.  ``jobs`` must be
-    sorted by ``(submit_time, job_id)`` and ``pool`` built from the same
-    list; after each yield the scheduler and pool reflect the state at
-    the end of quantum ``k`` and ``t_sample = k * quanta`` is the
-    sampling instant for that quantum's physics.
+    The event-driven half of Algorithm 1, shared by the full-fidelity
+    lane loop (:func:`lane_loop`) and the fast-path
+    :class:`~repro.fastpath.engine.SurrogateEngine`, so every backend
+    reuses the *same* arrival/dispatch/completion ordering bit for bit.
+    ``jobs`` must be sorted by ``(submit_time, job_id)`` and ``pool``
+    built from the same list; after each yield the scheduler and pool
+    reflect the state at the end of quantum ``k`` and
+    ``t_sample = k * quanta`` is the sampling instant for that
+    quantum's physics.
 
-    ``events`` is an optional time-sorted stream of
-    :class:`~repro.core.events.FaultEvent`\\ s; each is handed to
-    ``on_event(event, t)`` at the start of the quantum containing it,
-    *before* that quantum's scheduling — so every backend applying the
-    same stream sees identical scheduling.
+    ``events`` is an optional stream of
+    :class:`~repro.core.events.FaultEvent`\\ s, applied in
+    :func:`~repro.core.events.sort_events` order at the start of the
+    quantum containing each, *before* that quantum's scheduling — so
+    every backend applying the same stream sees identical scheduling.
+    Node outages are applied here (jobs killed on failed nodes leave the
+    pool like completions); a ``cdu-blockage`` goes to
+    ``on_blockage(cdu_index, severity)``, which backends without a
+    transient plant leave unset.
     """
+    events = sort_events(events) if events else ()
     arrival_ptr = 0
     event_ptr = 0
     now = 0.0
@@ -338,9 +343,18 @@ def drive_schedule(
         q_end = (k + 1) * quanta
         # --- fault events quantized to this quantum, before scheduling.
         while event_ptr < len(events) and events[event_ptr].time_s < q_end:
-            if on_event is not None:
-                on_event(events[event_ptr], k * quanta)
+            event = events[event_ptr]
             event_ptr += 1
+            nodes = np.asarray(event.nodes, dtype=np.int64)
+            if event.kind == "node-down":
+                for job in scheduler.fail_nodes(
+                    nodes, k * quanta, kill_running=event.kill_running
+                ):
+                    pool.stop(job)
+            elif event.kind == "node-up":
+                scheduler.restore_nodes(nodes)
+            elif on_blockage is not None:
+                on_blockage(event.cdu_index, event.severity)
         # --- event-driven scheduling inside the quantum (1 s grain).
         while True:
             next_arrival = (
@@ -454,7 +468,278 @@ def collect_steps(
     )
 
 
-class RapsEngine:
+class Lane:
+    """One run's state in the Algorithm-1 loop (:func:`lane_loop`).
+
+    Holds the scheduler the run drives, its trace pool and the
+    :func:`drive_schedule` generator over both, the wet-bulb input, the
+    power change-detection fields, and the run's latest
+    :class:`StepState`.  ``row`` indexes the lane's record in what the
+    loop's cooling section returns (-1: the lane is uncoupled).
+    """
+
+    def __init__(
+        self,
+        scheduler: SchedulerEngine,
+        jobs: list[Job],
+        duration_s: float,
+        wetbulb: TimeSeries | float = 15.0,
+        events=(),
+        on_blockage=None,
+    ) -> None:
+        if duration_s <= 0:
+            raise SimulationError("duration must be positive")
+        self.scheduler = scheduler
+        self.jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+        self.n_steps = int(np.ceil(duration_s / TRACE_QUANTA_S))
+        self.pool = _TracePool(self.jobs)
+        self.slot_of_node = scheduler.allocator.slot_of_node
+        self.gen = drive_schedule(
+            scheduler,
+            self.pool,
+            self.jobs,
+            self.n_steps,
+            TRACE_QUANTA_S,
+            events=events,
+            on_blockage=on_blockage,
+        )
+        self.wb_cursor = None
+        if isinstance(wetbulb, TimeSeries):
+            self.wb_cursor = ReplayCursor(wetbulb, method="linear")
+            self.wb0 = float(wetbulb.values[0])
+        else:
+            self.wb0 = float(wetbulb)
+        self.row = -1
+        # Change detection: the latest PowerResult and the fingerprint
+        # (slot events + gathered per-slot traces) it was computed from.
+        self.result: PowerResult | None = None
+        self.last_events = -1
+        self.last_cpu: np.ndarray | None = None
+        self.last_gpu: np.ndarray | None = None
+        self.power_evals = 0
+        self.power_reuses = 0
+        self.step: StepState | None = None
+
+    def wetbulb_at(self, t_sample: float) -> float:
+        if self.wb_cursor is None:
+            return self.wb0
+        return float(np.asarray(self.wb_cursor.value(t_sample)))
+
+
+def lane_loop(
+    lanes: list[Lane],
+    evaluate,
+    cool=None,
+    *,
+    detect: bool = True,
+    profiler=None,
+) -> Iterator[list[Lane]]:
+    """Algorithm 1's per-quantum sequence, written once for B lanes.
+
+    Each quantum it advances every active lane's schedule, fingerprints
+    the lane's trace pool and either reuses its previous power result or
+    evaluates it — the changed lanes in one
+    ``evaluate(ids, cpu_rows, gpu_rows)`` call, ``ids`` being positions
+    in ``lanes`` — then steps cooling with one ``cool(t_sample, active)``
+    call returning the records the coupled lanes index by ``row``, sets
+    each active lane's ``step`` and yields the active lanes.
+
+    ``lanes`` are ordered longest-first so the lanes still running are
+    always a prefix (the batched plant kernel requires it).  One lane is
+    :class:`RapsEngine`; B lanes are
+    :class:`~repro.batch.engine.BatchedEngine`.  ``detect=False``
+    evaluates every quantum (the change-detection oracle); a
+    ``profiler`` accumulates the schedule / power / cooling / collect
+    phases.
+    """
+    quanta = TRACE_QUANTA_S
+    prof = profiler
+    records = ()
+    n_active = len(lanes)
+    for k in range(lanes[0].n_steps):
+        while lanes[n_active - 1].n_steps <= k:
+            n_active -= 1
+        active = lanes[:n_active]
+        t_sample = k * quanta
+        t0 = perf_counter() if prof is not None else 0.0
+        for lane in active:
+            next(lane.gen)
+        if prof is not None:
+            prof.add("schedule", perf_counter() - t0)
+            t0 = perf_counter()
+
+        # --- power at the quantum boundary (vectorized over nodes),
+        # reusing a lane's previous result when nothing in its trace
+        # pool changed.
+        changed: list[int] = []
+        cpu_rows: list[np.ndarray] = []
+        gpu_rows: list[np.ndarray] = []
+        for pid, lane in enumerate(active):
+            events, slot_cpu, slot_gpu = lane.pool.slot_fingerprint(
+                t_sample, quanta
+            )
+            if (
+                detect
+                and lane.result is not None
+                and events == lane.last_events
+                and np.array_equal(slot_cpu, lane.last_cpu)
+                and np.array_equal(slot_gpu, lane.last_gpu)
+            ):
+                lane.power_reuses += 1
+                continue
+            node_cpu, node_gpu = lane.pool.node_utils_from(
+                slot_cpu, slot_gpu, lane.slot_of_node
+            )
+            changed.append(pid)
+            cpu_rows.append(node_cpu)
+            gpu_rows.append(node_gpu)
+            lane.last_events = events
+            lane.last_cpu = slot_cpu
+            lane.last_gpu = slot_gpu
+        if changed:
+            results = evaluate(changed, cpu_rows, gpu_rows)
+            for pid, result in zip(changed, results):
+                lanes[pid].result = result
+                lanes[pid].power_evals += 1
+        if prof is not None:
+            prof.add("power", perf_counter() - t0)
+            t0 = perf_counter()
+
+        # --- cooling step (15 s coupling, Algorithm 1 line 23).
+        if cool is not None:
+            records = cool(t_sample, active)
+            if prof is not None:
+                prof.add("cooling", perf_counter() - t0)
+
+        for lane in active:
+            result = lane.result
+            lane.step = StepState(
+                index=k,
+                time_s=t_sample,
+                system_power_w=result.system_power_w,
+                loss_w=result.loss_w,
+                sivoc_loss_w=result.sivoc_loss_w,
+                rectifier_loss_w=result.rectifier_loss_w,
+                chain_efficiency=result.chain_efficiency,
+                utilization=lane.scheduler.utilization,
+                num_running=lane.scheduler.num_running,
+                cdu_power_w=result.cdu_power_w,
+                cdu_heat_w=result.cdu_heat_w,
+                cooling=records[lane.row] if lane.row >= 0 else {},
+            )
+        if prof is None:
+            yield active
+        else:
+            t0 = perf_counter()
+            yield active
+            prof.add("collect", perf_counter() - t0)
+    # Release the suspended schedule generators: a batched lane's
+    # blockage callback refers back to the lane, so an open generator
+    # would keep every lane (and its recorded steps) alive in a cycle.
+    for lane in lanes:
+        lane.gen.close()
+
+
+def warm_cooling(
+    fmu: CoolingFMU,
+    spec: SystemSpec,
+    wb0: float,
+    warmup_s: float,
+    idle,
+    *,
+    cache=None,
+    replicas=(),
+) -> None:
+    """Pre-condition ``fmu``'s plant at the idle-load heat.
+
+    Warmup is deterministic — idle heat is a pure function of the spec
+    and the plant steps are pure functions of state — so a warmed
+    snapshot stands in for the stepping loop bit for bit.  With a
+    ``cache`` (duck-typed like
+    :class:`~repro.service.warmcache.WarmStateCache`) a snapshot cached
+    for (spec, wet-bulb, warmup, substep) is restored instead of
+    stepping, and a miss stores the freshly warmed state.  ``replicas``
+    are further FMUs of the same spec and wet-bulb that receive the same
+    warmed state.  ``idle()`` returns the idle :class:`PowerResult` and
+    is called only when the plant is stepped.  Every warmed FMU's clock
+    is re-anchored so recorded outputs start at t=0.
+    """
+    if warmup_s <= 0:
+        return
+    snapshot = None
+    if cache is not None:
+        snapshot = cache.lookup(spec, wb0, warmup_s, fmu.substep_s)
+    if snapshot is None:
+        power = idle()
+        fmu.set_cdu_heat(power.cdu_heat_w)
+        fmu.set_wetbulb(wb0)
+        fmu.set_system_power(power.system_power_w)
+        for _ in range(int(warmup_s / TRACE_QUANTA_S)):
+            fmu.do_step(fmu.time, TRACE_QUANTA_S)
+        fmu._time = 0.0
+        fmu._plant.time_s = 0.0
+        if cache is None and not replicas:
+            return
+        snapshot = fmu.get_fmu_state()
+        if cache is not None:
+            cache.store(spec, wb0, warmup_s, fmu.substep_s, snapshot)
+    else:
+        replicas = (fmu, *replicas)
+    for replica in replicas:
+        replica.set_fmu_state(snapshot)
+        replica._time = 0.0
+        replica._plant.time_s = 0.0
+
+
+class StreamingEngine:
+    """The streaming engine protocol every fidelity implements.
+
+    A subclass provides ``spec``, ``scheduler`` and an ``iter_steps``
+    yielding one :class:`StepState` per trace quantum; :meth:`run`
+    buffers that stream through :func:`collect_steps`, so every fidelity
+    returns a shape-identical :class:`SimulationResult`.
+    """
+
+    def run(
+        self,
+        jobs: list[Job],
+        duration_s: float,
+        *,
+        wetbulb: TimeSeries | float = 15.0,
+        cooling_record: tuple[str, ...] = DEFAULT_COOLING_RECORD,
+        warmup_cooling_s: float = 1800.0,
+        events=(),
+        progress=None,
+        stop_when=None,
+    ) -> SimulationResult:
+        """Run the simulation for ``duration_s`` seconds and collect.
+
+        A thin collector over :meth:`iter_steps` — same semantics, whole
+        run buffered into a :class:`SimulationResult`.  ``progress`` is
+        an optional per-step callback receiving each :class:`StepState`;
+        ``stop_when`` is an optional early-stop predicate on the step
+        (the step that triggers it is still recorded, then the run ends).
+        """
+        jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+        steps = self.iter_steps(
+            jobs,
+            duration_s,
+            wetbulb=wetbulb,
+            cooling_record=cooling_record,
+            warmup_cooling_s=warmup_cooling_s,
+            events=events,
+        )
+        return collect_steps(
+            steps,
+            jobs=jobs,
+            num_cdus=self.spec.cooling.num_cdus,
+            scheduler_stats=self.scheduler.stats,
+            progress=progress,
+            stop_when=stop_when,
+        )
+
+
+class RapsEngine(StreamingEngine):
     """Algorithm 1: RUNSIMULATION / TICK / SCHEDULEJOBS.
 
     This is the low-level loop; most callers should describe their
@@ -536,7 +821,7 @@ class RapsEngine:
         #: cost one O(slots) comparison instead of an O(nodes) pipeline).
         #: Flip off to force a fresh evaluation every quantum.
         self.power_change_detection = True
-        #: Per-run counters (reset by each iter_steps call).
+        #: Per-run counters (set as each iter_steps run ends).
         self.power_evals = 0
         self.power_reuses = 0
         # The idle PowerResult that seeds every cooling warmup is a pure
@@ -571,164 +856,69 @@ class RapsEngine:
         cold-start initialization.  ``events`` is an optional stream of
         :class:`~repro.core.events.FaultEvent`\\ s (node outages, CDU
         blockages) applied while the run advances.
+
+        The run is the one-lane case of :func:`lane_loop`: power through
+        :class:`~repro.power.system.SystemPowerModel`, cooling through
+        the FMU's ``do_step`` / ``get_state``.
         """
-        jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        return self._iter_steps_sorted(
+        fmu = self.fmu
+        lane = Lane(
+            self.scheduler,
             jobs,
             duration_s,
-            wetbulb=wetbulb,
-            cooling_record=cooling_record,
-            warmup_cooling_s=warmup_cooling_s,
-            events=events,
-        )
-
-    def _iter_steps_sorted(
-        self,
-        jobs: list[Job],
-        duration_s: float,
-        *,
-        wetbulb: TimeSeries | float = 15.0,
-        cooling_record: tuple[str, ...] = DEFAULT_COOLING_RECORD,
-        warmup_cooling_s: float = 1800.0,
-        events=(),
-    ) -> Iterator[StepState]:
-        """:meth:`iter_steps` body for an already-sorted job list."""
-        if duration_s <= 0:
-            raise SimulationError("duration must be positive")
-        from time import perf_counter
-
-        n_steps = int(np.ceil(duration_s / self.quanta))
-        pool = _TracePool(jobs)
-        wb_cursor = (
-            ReplayCursor(wetbulb, method="linear")
-            if isinstance(wetbulb, TimeSeries)
-            else None
+            wetbulb,
+            events,
+            on_blockage=None if fmu is None else fmu.set_cdu_blockage,
         )
         prof = self.profiler
         if prof is not None:
             prof.begin_run()
-
-        if self.fmu is not None:
-            from repro.cooling.fmu import FmuState
-
-            if self.fmu.state is not FmuState.INSTANTIATED:
-                self.fmu.reset()  # allow repeated runs on one engine
-            self.fmu.setup_experiment(start_time=0.0)
+        cool = None
+        if fmu is not None:
+            if fmu.state is not FmuState.INSTANTIATED:
+                fmu.reset()  # allow repeated runs on one engine
+            fmu.setup_experiment(start_time=0.0)
             t0 = perf_counter() if prof is not None else 0.0
-            self._warmup_cooling(jobs, wetbulb, warmup_cooling_s)
+            warm_cooling(
+                fmu,
+                self.spec,
+                lane.wb0,
+                warmup_cooling_s,
+                self._idle,
+                cache=self.warm_cache,
+            )
             if prof is not None:
                 prof.add("warmup", perf_counter() - t0)
+            lane.row = 0
 
-        # Change-detection state: the previous quantum's PowerResult and
-        # the fingerprint (slot events + gathered per-slot traces) it
-        # was computed from.
-        self.power_evals = 0
-        self.power_reuses = 0
-        last_result: PowerResult | None = None
-        last_events = -1
-        last_cpu: np.ndarray | None = None
-        last_gpu: np.ndarray | None = None
-        slot_of_node = self.scheduler.allocator.slot_of_node
+            def cool(t_sample: float, active: list[Lane]) -> tuple[dict]:
+                fmu.set_cdu_heat(lane.result.cdu_heat_w)
+                fmu.set_wetbulb(lane.wetbulb_at(t_sample))
+                fmu.set_system_power(lane.result.system_power_w)
+                fmu.do_step(fmu.time, TRACE_QUANTA_S)
+                state = fmu.get_state()
+                # PlantState fields are freshly allocated by each plant
+                # step, so recording can alias them directly instead of
+                # copying every array every quantum.
+                return ({key: getattr(state, key) for key in cooling_record},)
 
-        if events:
-            from repro.core.events import sort_events
-
-            events = sort_events(events)
-        sched = drive_schedule(
-            self.scheduler,
-            pool,
-            jobs,
-            n_steps,
-            self.quanta,
-            events=events,
-            on_event=self._fault_handler(pool) if events else None,
+        loop = lane_loop(
+            [lane],
+            lambda ids, cpu_rows, gpu_rows: (
+                self.power.evaluate(cpu_rows[0], gpu_rows[0]),
+            ),
+            cool,
+            detect=self.power_change_detection,
+            profiler=prof,
         )
-        steps_done = 0
         try:
-            while True:
-                t0 = perf_counter() if prof is not None else 0.0
-                try:
-                    k, t_sample = next(sched)
-                except StopIteration:
-                    break
-                if prof is not None:
-                    prof.add("schedule", perf_counter() - t0)
-                    t0 = perf_counter()
-
-                # --- power at the quantum boundary (vectorized over
-                # nodes), reusing the previous result when nothing in
-                # the trace pool changed.
-                events, slot_cpu, slot_gpu = pool.slot_fingerprint(
-                    t_sample, self.quanta
-                )
-                if (
-                    self.power_change_detection
-                    and last_result is not None
-                    and events == last_events
-                    and np.array_equal(slot_cpu, last_cpu)
-                    and np.array_equal(slot_gpu, last_gpu)
-                ):
-                    result = last_result
-                    self.power_reuses += 1
-                else:
-                    node_cpu, node_gpu = pool.node_utils_from(
-                        slot_cpu, slot_gpu, slot_of_node
-                    )
-                    result = self.power.evaluate(node_cpu, node_gpu)
-                    self.power_evals += 1
-                    last_result = result
-                    last_events = events
-                    last_cpu = slot_cpu
-                    last_gpu = slot_gpu
-                if prof is not None:
-                    prof.add("power", perf_counter() - t0)
-                    t0 = perf_counter()
-
-                # --- cooling FMU step (15 s coupling, Algorithm 1
-                # line 23).
-                cooling: dict[str, np.ndarray] = {}
-                if self.fmu is not None:
-                    wb = (
-                        float(np.asarray(wb_cursor.value(t_sample)))
-                        if wb_cursor is not None
-                        else float(wetbulb)
-                    )
-                    self.fmu.set_cdu_heat(result.cdu_heat_w)
-                    self.fmu.set_wetbulb(wb)
-                    self.fmu.set_system_power(result.system_power_w)
-                    self.fmu.do_step(self.fmu.time, self.quanta)
-                    state = self.fmu.get_state()
-                    # PlantState fields are freshly allocated by each
-                    # plant step, so recording can alias them directly
-                    # instead of copying every array every quantum.
-                    cooling = {
-                        key: getattr(state, key) for key in cooling_record
-                    }
-                    if prof is not None:
-                        prof.add("cooling", perf_counter() - t0)
-
-                step = StepState(
-                    index=k,
-                    time_s=t_sample,
-                    system_power_w=result.system_power_w,
-                    loss_w=result.loss_w,
-                    sivoc_loss_w=result.sivoc_loss_w,
-                    rectifier_loss_w=result.rectifier_loss_w,
-                    chain_efficiency=result.chain_efficiency,
-                    utilization=self.scheduler.utilization,
-                    num_running=self.scheduler.num_running,
-                    cdu_power_w=result.cdu_power_w,
-                    cdu_heat_w=result.cdu_heat_w,
-                    cooling=cooling,
-                )
-                steps_done += 1
-                if prof is None:
-                    yield step
-                else:
-                    t0 = perf_counter()
-                    yield step
-                    prof.add("collect", perf_counter() - t0)
+            for _ in loop:
+                yield lane.step
         finally:
+            loop.close()
+            self.power_evals = lane.power_evals
+            self.power_reuses = lane.power_reuses
+            steps_done = 0 if lane.step is None else lane.step.index + 1
             if prof is not None:
                 prof.end_run(
                     steps_done,
@@ -753,146 +943,27 @@ class RapsEngine:
                     for phase, secs in prof.last_run["phases"].items():
                         fam.labels(phase=phase).inc(secs)
 
-    def run(
-        self,
-        jobs: list[Job],
-        duration_s: float,
-        *,
-        wetbulb: TimeSeries | float = 15.0,
-        cooling_record: tuple[str, ...] = DEFAULT_COOLING_RECORD,
-        warmup_cooling_s: float = 1800.0,
-        events=(),
-        progress=None,
-        stop_when=None,
-    ) -> SimulationResult:
-        """Run the simulation for ``duration_s`` seconds and collect.
-
-        A thin collector over :meth:`iter_steps` — same semantics, whole
-        run buffered into a :class:`SimulationResult`.  ``progress`` is
-        an optional per-step callback receiving each :class:`StepState`;
-        ``stop_when`` is an optional early-stop predicate on the step
-        (the step that triggers it is still recorded, then the run ends).
-        """
-        jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        steps = self._iter_steps_sorted(
-            jobs,
-            duration_s,
-            wetbulb=wetbulb,
-            cooling_record=cooling_record,
-            warmup_cooling_s=warmup_cooling_s,
-            events=events,
-        )
-        return self.collect(
-            steps,
-            jobs=jobs,
-            progress=progress,
-            stop_when=stop_when,
-        )
-
-    def collect(
-        self,
-        steps: Iterator[StepState],
-        *,
-        jobs: list[Job],
-        progress=None,
-        stop_when=None,
-    ) -> SimulationResult:
-        """Assemble streamed :class:`StepState`\\ s into a result."""
-        return collect_steps(
-            steps,
-            jobs=jobs,
-            num_cdus=self.spec.cooling.num_cdus,
-            scheduler_stats=self.scheduler.stats,
-            progress=progress,
-            stop_when=stop_when,
-        )
-
     # -- helpers ------------------------------------------------------------------
 
-    def _fault_handler(self, pool: _TracePool):
-        """Event applicator closure for :func:`drive_schedule`.
-
-        Node outages go to the scheduler (killed jobs are mirrored into
-        the trace pool, exactly like completions); CDU blockages go to
-        the plant's blockage input.  Both cooling backends honor a
-        runtime blockage change identically — the fused kernel pulls
-        ``blockage_factor`` from the plant at every macro step.
-        """
-
-        def apply(event, now: float) -> None:
-            if event.kind == "node-down":
-                nodes = np.asarray(event.nodes, dtype=np.int64)
-                for job in self.scheduler.fail_nodes(
-                    nodes, now, kill_running=event.kill_running
-                ):
-                    pool.stop(job)
-            elif event.kind == "node-up":
-                self.scheduler.restore_nodes(
-                    np.asarray(event.nodes, dtype=np.int64)
-                )
-            elif event.kind == "cdu-blockage":
-                if self.fmu is not None:
-                    self.fmu.set_cdu_blockage(event.cdu_index, event.severity)
-
-        return apply
-
-    def _warmup_cooling(
-        self, jobs: list[Job], wetbulb, warmup_s: float
-    ) -> None:
-        """Pre-condition the plant at the initial idle-load heat.
-
-        Warmup is deterministic — idle heat is a pure function of the
-        spec and the plant steps are pure functions of state — so when
-        a ``warm_cache`` is attached, a cached snapshot for this
-        (spec, wet-bulb, warmup, substep) is restored in place of the
-        stepping loop and the run proceeds bit-identically; a miss
-        stores the freshly warmed state for subsequent runs.
-        """
-        if self.fmu is None or warmup_s <= 0:
-            return
-        wb0 = (
-            float(wetbulb.values[0])
-            if isinstance(wetbulb, TimeSeries)
-            else float(wetbulb)
-        )
-        cache = self.warm_cache
-        if cache is not None:
-            snapshot = cache.lookup(
-                self.spec, wb0, warmup_s, self.fmu.substep_s
-            )
-            if snapshot is not None:
-                self.fmu.set_fmu_state(snapshot)
-                self.fmu._time = 0.0
-                self.fmu._plant.time_s = 0.0
-                return
+    def _idle(self) -> PowerResult:
+        """The idle PowerResult seeding every cooling warmup: a pure
+        function of the spec/chain, computed once per engine and reused
+        across runs."""
         if self._idle_power is None:
             n = self.power.nodes.total_nodes
             self._idle_power = self.power.evaluate(np.zeros(n), np.zeros(n))
-        idle = self._idle_power
-        steps = int(warmup_s / self.quanta)
-        self.fmu.set_cdu_heat(idle.cdu_heat_w)
-        self.fmu.set_wetbulb(wb0)
-        self.fmu.set_system_power(idle.system_power_w)
-        for _ in range(steps):
-            self.fmu.do_step(self.fmu.time, self.quanta)
-        # Re-anchor the clock so recorded outputs start at t=0.
-        self.fmu._time = 0.0
-        self.fmu._plant.time_s = 0.0
-        if cache is not None:
-            cache.store(
-                self.spec,
-                wb0,
-                warmup_s,
-                self.fmu.substep_s,
-                self.fmu.get_fmu_state(),
-            )
+        return self._idle_power
 
 
 __all__ = [
     "RapsEngine",
+    "StreamingEngine",
     "SimulationResult",
     "StepState",
     "DEFAULT_COOLING_RECORD",
+    "Lane",
     "drive_schedule",
+    "lane_loop",
     "collect_steps",
+    "warm_cooling",
 ]

@@ -1,15 +1,16 @@
 """Timed fault events injected into a simulation run.
 
-A :class:`FaultEvent` is a declarative "at time T, do X" record the
-engines apply while driving the scheduler: node outages (down/up,
-optionally killing the jobs caught on the failed nodes), and CDU
-blockages routed to the cooling plant's existing
+A :class:`FaultEvent` is a declarative "at time T, do X" record applied
+while :func:`repro.core.engine.drive_schedule` drives the scheduler:
+node outages (down/up, optionally killing the jobs caught on the failed
+nodes) are applied there, and CDU blockages go to the engine's
+``on_blockage`` callback, which routes them to the cooling plant's
 :meth:`~repro.cooling.loops.cdu.CduLoopBank.set_blockage` input.
 
 Events are quantized to the engine quantum containing them and applied
-*before* that quantum's scheduling pass, so the full and surrogate
-engines — which share :func:`repro.core.engine.drive_schedule` — see
-bit-identical scheduling under the same event stream.
+*before* that quantum's scheduling pass, so every engine — serial,
+batched and surrogate all share ``drive_schedule`` — sees bit-identical
+scheduling under the same event stream.
 """
 
 from __future__ import annotations

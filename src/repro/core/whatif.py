@@ -6,13 +6,9 @@ custom conversion chain), then reports the efficiency delta, annualized
 cost savings, and carbon-footprint reduction — the virtual-modification
 methodology of the paper's two counterfactual studies.
 
-.. note::
-   This module was historically named ``repro.core.scenarios``, which
-   collided confusingly with the declarative scenario package
-   :mod:`repro.scenarios` (whose :class:`~repro.scenarios.library.WhatIfScenario`
-   is the preferred front door to these comparisons).  It now lives at
-   ``repro.core.whatif``; ``repro.core.scenarios`` remains as a
-   deprecated re-export shim.
+The scenario package :mod:`repro.scenarios` holds the declarative
+front door to these comparisons,
+:class:`~repro.scenarios.library.WhatIfScenario`.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """The surrogate-backed execution engine (the L3 fast path).
 
 :class:`SurrogateEngine` is a drop-in execution backend for the
-streaming engine protocol — the same ``iter_steps()`` →
-:class:`~repro.core.engine.StepState` stream and ``run()`` →
-:class:`~repro.core.engine.SimulationResult` collector as
-:class:`~repro.core.engine.RapsEngine` — that replaces the two
-expensive physics models with trained surrogates:
+streaming engine protocol (:class:`~repro.core.engine.StreamingEngine`)
+— the same ``iter_steps()`` → :class:`~repro.core.engine.StepState`
+stream and ``run()`` → :class:`~repro.core.engine.SimulationResult`
+collector as :class:`~repro.core.engine.RapsEngine` — that replaces the
+two expensive physics models with trained surrogates:
 
-- *scheduling stays full fidelity*: the event-driven Algorithm 1 loop
-  (:func:`~repro.core.engine.drive_schedule`) runs bit-identically, so
-  queue dynamics, placements, and utilization are exact;
+- *scheduling stays full fidelity*: the event-driven half of
+  Algorithm 1 (:func:`~repro.core.engine.drive_schedule`, node-outage
+  events included) runs bit-identically, so queue dynamics, placements,
+  and utilization are exact;
 - *power is predicted, not aggregated*: per quantum the trace pool
   reduces to three slot-level features (active fraction, mean CPU/GPU
   utilization) — O(running jobs), never O(nodes) — and a single
@@ -39,11 +40,9 @@ import numpy as np
 from repro.config.schema import SystemSpec
 from repro.core.engine import (
     DEFAULT_COOLING_RECORD,
-    SimulationResult,
+    Lane,
     StepState,
-    _TracePool,
-    collect_steps,
-    drive_schedule,
+    StreamingEngine,
 )
 from repro.exceptions import SimulationError
 from repro.fastpath.bundle import SurrogateBundle
@@ -56,7 +55,7 @@ from repro.telemetry.schema import TRACE_QUANTA_S
 SURROGATE_COOLING_OUTPUTS = ("pue", "htw_supply_temp_c")
 
 
-class SurrogateEngine:
+class SurrogateEngine(StreamingEngine):
     """Surrogate-backed implementation of the streaming engine protocol.
 
     Parameters mirror :class:`~repro.core.engine.RapsEngine` where they
@@ -130,33 +129,17 @@ class SurrogateEngine:
         events are ignored: the steady-state cooling surrogate has no
         transient plant to block (a documented screening approximation).
         """
-        if duration_s <= 0:
-            raise SimulationError("duration must be positive")
-        n_steps = int(np.ceil(duration_s / self.quanta))
-        jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        pool = _TracePool(jobs)
-        total_nodes = self.spec.total_nodes
-
         # --- pass 1: exact scheduling, O(slots) feature extraction.
+        lane = Lane(self.scheduler, jobs, duration_s, events=events)
+        n_steps = lane.n_steps
+        total_nodes = self.spec.total_nodes
         fracs = np.empty(n_steps)
         cpus = np.empty(n_steps)
         gpus = np.empty(n_steps)
         utils = np.empty(n_steps)
         nrun = np.empty(n_steps, dtype=np.int64)
-        if events:
-            from repro.core.events import sort_events
-
-            events = sort_events(events)
-        for k, t_sample in drive_schedule(
-            self.scheduler,
-            pool,
-            jobs,
-            n_steps,
-            self.quanta,
-            events=events,
-            on_event=self._fault_handler(pool) if events else None,
-        ):
-            fracs[k], cpus[k], gpus[k] = pool.active_aggregates(
+        for k, t_sample in lane.gen:
+            fracs[k], cpus[k], gpus[k] = lane.pool.active_aggregates(
                 t_sample, self.quanta, total_nodes
             )
             utils[k] = self.scheduler.utilization
@@ -214,61 +197,7 @@ class SurrogateEngine:
                 },
             )
 
-    def run(
-        self,
-        jobs: list[Job],
-        duration_s: float,
-        *,
-        wetbulb: TimeSeries | float = 15.0,
-        cooling_record: tuple[str, ...] = DEFAULT_COOLING_RECORD,
-        warmup_cooling_s: float = 1800.0,
-        events=(),
-        progress=None,
-        stop_when=None,
-    ) -> SimulationResult:
-        """Run and collect — same contract as :meth:`RapsEngine.run
-        <repro.core.engine.RapsEngine.run>`, same collector, so the
-        result is shape-identical to a full-fidelity one."""
-        steps = self.iter_steps(
-            jobs,
-            duration_s,
-            wetbulb=wetbulb,
-            cooling_record=cooling_record,
-            warmup_cooling_s=warmup_cooling_s,
-            events=events,
-        )
-        return collect_steps(
-            steps,
-            jobs=sorted(jobs, key=lambda j: (j.submit_time, j.job_id)),
-            num_cdus=self.spec.cooling.num_cdus,
-            scheduler_stats=self.scheduler.stats,
-            progress=progress,
-            stop_when=stop_when,
-        )
-
     # -- helpers ---------------------------------------------------------------
-
-    def _fault_handler(self, pool: _TracePool):
-        """Node-outage applicator (scheduling is exact at this fidelity).
-
-        Mirrors :meth:`RapsEngine._fault_handler
-        <repro.core.engine.RapsEngine._fault_handler>` for node events;
-        ``cdu-blockage`` is a no-op here (no transient plant).
-        """
-
-        def apply(event, now: float) -> None:
-            if event.kind == "node-down":
-                nodes = np.asarray(event.nodes, dtype=np.int64)
-                for job in self.scheduler.fail_nodes(
-                    nodes, now, kill_running=event.kill_running
-                ):
-                    pool.stop(job)
-            elif event.kind == "node-up":
-                self.scheduler.restore_nodes(
-                    np.asarray(event.nodes, dtype=np.int64)
-                )
-
-        return apply
 
     def _static_overhead_w(self) -> float:
         """Switch + CDU-pump power: the non-chain share of system power."""

@@ -39,9 +39,8 @@ def _process_warm_cache():
     Pool workers are reused across scenarios, so one cache per worker
     process lets every coupled scenario after the first skip the 1800 s
     cooling warmup.  Warmup is deterministic (see
-    :meth:`RapsEngine._warmup_cooling
-    <repro.core.engine.RapsEngine._warmup_cooling>`), so cached runs
-    stay bit-identical to serial execution.
+    :func:`~repro.core.engine.warm_cooling`), so cached runs stay
+    bit-identical to serial execution.
     """
     global _WORKER_WARM_CACHE
     if _WORKER_WARM_CACHE is None:

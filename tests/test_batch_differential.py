@@ -292,6 +292,44 @@ def test_setonix_b64_matches_solo_runs():
         )
 
 
+
+@pytest.mark.parametrize(
+    "serial_first",
+    [True, False],
+    ids=["serial-then-batched", "batched-then-serial"],
+)
+def test_warm_cache_shared_across_engines(spec, serial_first):
+    """One warm cache behind both engines: whichever engine runs second
+    restores the plant the first one warmed (a cache hit), and both
+    step streams equal a cold run's bit for bit."""
+    scenario = SyntheticScenario(
+        name="warm", duration_s=DUR, seed=4, wetbulb_c=18.0
+    )
+    cold = list(scenario.iter_steps(DigitalTwin(spec)))
+    cache = WarmStateCache()
+    twin = DigitalTwin(spec, warm_cache=cache)
+
+    def serial():
+        return list(scenario.iter_steps(twin))
+
+    def batched():
+        steps = []
+        BatchedEngine([scenario], twin).run(
+            on_step=lambda index, step: steps.append(step)
+        )
+        return steps
+
+    runs = [("serial", serial), ("batched", batched)]
+    if not serial_first:
+        runs.reverse()
+    (first_name, first), (second_name, second) = runs
+    first_steps = first()
+    assert (cache.hits, cache.misses) == (0, 1)
+    second_steps = second()
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert_bitidentical(first_steps, cold, label=f"{first_name} (miss)")
+    assert_bitidentical(second_steps, cold, label=f"{second_name} (hit)")
+
 def test_engine_counters_and_progress(spec):
     """The batched engine exposes change-detection counters and fires
     the (done, total) progress callback once per scenario."""

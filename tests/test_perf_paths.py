@@ -2,8 +2,8 @@
 
 Covers the engine's change-detecting power evaluation (reuse the
 previous ``PowerResult`` when the trace-pool fingerprint is unchanged),
-the per-engine idle-power memo behind the cooling warmup, the
-process-local warm-plant cache suite workers attach by default, and the
+the per-engine idle-power memo behind the cooling warmup, the release
+of batched lanes when their run ends, the process-local warm-plant cache suite workers attach by default, and the
 :class:`~repro.core.profiling.PhaseProfiler` + ``repro profile`` verb.
 Every optimization is asserted *behaviorally* (counters moved) and
 *semantically* (results bit-identical with the optimization disabled).
@@ -11,7 +11,9 @@ Every optimization is asserted *behaviorally* (counters moved) and
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +91,33 @@ class TestIdlePowerMemo:
         r2 = engine.run([], 600.0)
         assert_bitidentical(r1, r2, label="engine reuse")
 
+
+
+class TestLaneRelease:
+    def test_batched_lanes_freed_by_refcount(self, small_spec):
+        """A coupled lane's blockage callback refers back to the lane
+        from inside its schedule generator; the loop closes those
+        generators when the run ends, so plain reference counting frees
+        every lane and its recorded steps."""
+        from repro.batch.engine import BatchedEngine, _Lane
+
+        twin = DigitalTwin(small_spec)
+        scenarios = [
+            SyntheticScenario(duration_s=300.0, seed=seed)
+            for seed in (0, 1)
+        ]
+        gc.disable()
+        try:
+            lanes = [
+                _Lane(i, scenario, twin, scenario.plan(twin))
+                for i, scenario in enumerate(scenarios)
+            ]
+            BatchedEngine(scenarios, twin)._run_lanes(list(lanes))
+            refs = [weakref.ref(lane) for lane in lanes]
+            del lanes
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 class TestSuiteWarmCache:
     def test_worker_entry_point_shares_process_cache(self, small_spec):
