@@ -8,11 +8,11 @@ fresh evaluation each quantum, and only those pay for the pipeline.
 Bit-identity per lane comes from the same properties the batched
 cooling kernel relies on:
 
-- Eq. 3, the SIVOC/rectifier curves (``np.interp``), and every
-  division are elementwise, so evaluating a lane as one row of a
-  ``(K, N)`` array reproduces the serial ``(N,)`` bits, and the
-  ``(N,)`` coefficient rows broadcast against ``(K, N)`` through the
-  same inner loops as the serial call.
+- Each lane's node powers come from the serial Eq. 3 slot table
+  (:meth:`~repro.power.components.NodePowerModel.slot_power_w`), staged
+  as one row of a ``(K, N)`` array; the SIVOC/rectifier curves
+  (``np.interp``) and every division are elementwise, so each row
+  reproduces the serial ``(N,)`` bits.
 - The scatter-adds become **lane-offset bincounts**: each lane's bins
   live in a disjoint ``[k * C, (k + 1) * C)`` range of one flat
   bincount, and ``np.bincount`` accumulates weights in input order, so
@@ -50,8 +50,7 @@ class _PowerGroup:
         self._chassis_flat = t.chassis_of_node[None, :] + lane * t.num_chassis
         self._rack_flat = t.rack_of_chassis[None, :] + lane * t.num_racks
         self._cdu_flat = t.cdu_of_rack[None, :] + lane * t.num_cdus
-        self.cpu = np.empty((capacity, t.num_nodes))
-        self.gpu = np.empty((capacity, t.num_nodes))
+        self.node_w = np.empty((capacity, t.num_nodes))
         self._idle: PowerResult | None = None
 
     def idle_power(self) -> PowerResult:
@@ -62,31 +61,11 @@ class _PowerGroup:
         return self._idle
 
     def evaluate_batch(self, K: int) -> list[PowerResult]:
-        """Evaluate rows ``[0:K]`` of the staged cpu/gpu batch."""
+        """Evaluate rows ``[0:K]`` of the staged node-power batch."""
         model = self.model
         t = model.topology
-        nodes = model.nodes
         chain = model.chain
-        cpu = self.cpu[:K]
-        gpu = self.gpu[:K]
-        # Eq. 3, broadcast over lanes (same expression order as
-        # NodePowerModel.node_power_w, validation included).
-        if (
-            cpu.min(initial=0.0) < 0.0
-            or cpu.max(initial=0.0) > 1.0
-            or gpu.min(initial=0.0) < 0.0
-            or gpu.max(initial=0.0) > 1.0
-        ):
-            from repro.exceptions import PowerModelError
-
-            raise PowerModelError("utilization values must lie in [0, 1]")
-        node_w = (
-            nodes._cpu_idle
-            + nodes._cpu_span * cpu
-            + nodes._gpu_idle
-            + nodes._gpu_span * gpu
-            + nodes._static
-        )
+        node_w = self.node_w[:K]
         # Conversion chain (ConversionChain.convert, lane-batched).
         sivoc_curve = chain.sivocs.curve
         sivoc_in = node_w / np.interp(
@@ -168,11 +147,14 @@ class BatchedPowerModel:
     def num_cdus(self, lane: int) -> int:
         return self.lane_group[lane].model.topology.num_cdus
 
-    def evaluate(self, lanes, cpu_rows, gpu_rows) -> list[PowerResult]:
+    def evaluate(
+        self, lanes, cpu_rows, gpu_rows, slot_maps
+    ) -> list[PowerResult]:
         """Evaluate the pipeline for the given (changed) lanes.
 
         ``lanes`` are lane indices; ``cpu_rows`` / ``gpu_rows`` the
-        matching per-node utilization arrays.  Returns one
+        matching per-slot utilization arrays and ``slot_maps`` each
+        lane's node-to-slot map (-1: idle).  Returns one
         :class:`PowerResult` per requested lane, in order.
         """
         out: list[PowerResult | None] = [None] * len(lanes)
@@ -181,9 +163,11 @@ class BatchedPowerModel:
             group = self.lane_group[lane]
             by_group.setdefault(id(group), (group, []))[1].append(pos)
         for group, positions in by_group.values():
+            nodes = group.model.nodes
             for row, pos in enumerate(positions):
-                group.cpu[row, :] = cpu_rows[pos]
-                group.gpu[row, :] = gpu_rows[pos]
+                group.node_w[row] = nodes.slot_power_w(
+                    cpu_rows[pos], gpu_rows[pos], slot_maps[pos]
+                )
             results = group.evaluate_batch(len(positions))
             for row, pos in enumerate(positions):
                 out[pos] = results[row]

@@ -3,10 +3,12 @@
 Couples the scheduler, the vectorized power model, and the cooling FMU:
 
 - scheduling events (arrivals, dispatches, completions) are processed at
-  1 s resolution, event-driven so quiet seconds cost nothing;
-- power is evaluated every trace quantum (15 s) over all nodes at once,
-  using a pooled utilization-trace buffer so the per-quantum work is a
-  handful of NumPy gathers regardless of how many jobs are running;
+  1 s resolution, event-driven so quiet seconds cost nothing, and a
+  tick that could start, complete and admit nothing is skipped;
+- power is evaluated every trace quantum (15 s) over all nodes at once:
+  a pooled utilization-trace buffer yields per-slot utilizations, Eq. 3
+  runs once per (partition, slot) and one gather through the
+  allocator's slot map fills the nodes;
 - the cooling FMU steps every 15 s with the per-CDU heat (paper: the
   cooling model is called every 15 s during the simulation).
 
@@ -157,9 +159,9 @@ class _TracePool:
 
     ``event_count`` increments on every slot start/stop, so the engine
     can fingerprint a quantum as (event count, gathered per-slot trace
-    values): if neither changed since the previous quantum, the
-    node-level gather — and the whole power pipeline behind it — would
-    reproduce the previous result exactly and can be skipped.
+    values): if neither changed since the previous quantum, the power
+    pipeline would reproduce the previous result exactly and can be
+    skipped.
     """
 
     def __init__(self, jobs: list[Job]) -> None:
@@ -179,13 +181,6 @@ class _TracePool:
         self.slot_start = np.zeros(cap, dtype=np.float64)
         self.slot_active = np.zeros(cap, dtype=bool)
         self.slot_nodes = np.zeros(cap, dtype=np.int64)
-        # Node-level gather scratch (lazily sized; reused every quantum
-        # so the steady-state per-quantum path allocates nothing
-        # proportional to the node count).
-        self._node_occ: np.ndarray | None = None
-        self._node_slot: np.ndarray | None = None
-        self._node_cpu: np.ndarray | None = None
-        self._node_gpu: np.ndarray | None = None
 
     def _ensure(self, slot: int) -> None:
         while slot >= self.slot_offset.size:
@@ -223,35 +218,6 @@ class _TracePool:
         slot_cpu = np.where(self.slot_active, self.cpu[np.minimum(flat, max(self.cpu.size - 1, 0))], 0.0) if self.cpu.size else np.zeros_like(flat, dtype=np.float64)
         slot_gpu = np.where(self.slot_active, self.gpu[np.minimum(flat, max(self.gpu.size - 1, 0))], 0.0) if self.gpu.size else np.zeros_like(flat, dtype=np.float64)
         return slot_cpu, slot_gpu
-
-    def node_utils_from(
-        self,
-        slot_cpu: np.ndarray,
-        slot_gpu: np.ndarray,
-        slot_of_node: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather node utilizations from precomputed per-slot values.
-
-        Runs entirely in reused node-sized scratch buffers: unoccupied
-        nodes gather slot 0 through a masked index and are then zeroed
-        by a mask multiply (identical values to the ``np.where``
-        formulation for the finite trace data involved).  The returned
-        arrays are owned by the pool and overwritten on the next call.
-        """
-        nn = slot_of_node.size
-        if self._node_cpu is None or self._node_cpu.size != nn:
-            self._node_occ = np.empty(nn, dtype=bool)
-            self._node_slot = np.empty(nn, dtype=np.int64)
-            self._node_cpu = np.empty(nn)
-            self._node_gpu = np.empty(nn)
-        occ, safe = self._node_occ, self._node_slot
-        np.greater_equal(slot_of_node, 0, out=occ)
-        np.multiply(slot_of_node, occ, out=safe)
-        np.take(slot_cpu, safe, out=self._node_cpu)
-        np.multiply(self._node_cpu, occ, out=self._node_cpu)
-        np.take(slot_gpu, safe, out=self._node_gpu)
-        np.multiply(self._node_gpu, occ, out=self._node_gpu)
-        return self._node_cpu, self._node_gpu
 
     def slot_fingerprint(
         self, now: float, quanta: float
@@ -370,6 +336,11 @@ def drive_schedule(
                 break
             tick_t = float(np.floor(min(t_event, q_end - 1.0)))
             tick_t = max(tick_t, now)
+            # Skip a tick that would start, complete and admit nothing
+            # (it would end the loop anyway): no arrival or completion
+            # by tick_t and no queued job startable then.
+            if t_event > tick_t and not scheduler.startable(tick_t):
+                break
             arrivals: list[Job] = []
             while (
                 arrival_ptr < len(jobs)
@@ -539,10 +510,12 @@ def lane_loop(
     Each quantum it advances every active lane's schedule, fingerprints
     the lane's trace pool and either reuses its previous power result or
     evaluates it — the changed lanes in one
-    ``evaluate(ids, cpu_rows, gpu_rows)`` call, ``ids`` being positions
-    in ``lanes`` — then steps cooling with one ``cool(t_sample, active)``
-    call returning the records the coupled lanes index by ``row``, sets
-    each active lane's ``step`` and yields the active lanes.
+    ``evaluate(ids, cpu_rows, gpu_rows, slot_maps)`` call, ``ids`` being
+    positions in ``lanes``, the rows per-slot utilizations and the maps
+    each lane's node-to-slot map — then steps cooling with one
+    ``cool(t_sample, active)`` call returning the records the coupled
+    lanes index by ``row``, sets each active lane's ``step`` and yields
+    the active lanes.
 
     ``lanes`` are ordered longest-first so the lanes still running are
     always a prefix (the batched plant kernel requires it).  One lane is
@@ -574,6 +547,7 @@ def lane_loop(
         changed: list[int] = []
         cpu_rows: list[np.ndarray] = []
         gpu_rows: list[np.ndarray] = []
+        slot_maps: list[np.ndarray] = []
         for pid, lane in enumerate(active):
             events, slot_cpu, slot_gpu = lane.pool.slot_fingerprint(
                 t_sample, quanta
@@ -587,17 +561,15 @@ def lane_loop(
             ):
                 lane.power_reuses += 1
                 continue
-            node_cpu, node_gpu = lane.pool.node_utils_from(
-                slot_cpu, slot_gpu, lane.slot_of_node
-            )
             changed.append(pid)
-            cpu_rows.append(node_cpu)
-            gpu_rows.append(node_gpu)
+            cpu_rows.append(slot_cpu)
+            gpu_rows.append(slot_gpu)
+            slot_maps.append(lane.slot_of_node)
             lane.last_events = events
             lane.last_cpu = slot_cpu
             lane.last_gpu = slot_gpu
         if changed:
-            results = evaluate(changed, cpu_rows, gpu_rows)
+            results = evaluate(changed, cpu_rows, gpu_rows, slot_maps)
             for pid, result in zip(changed, results):
                 lanes[pid].result = result
                 lanes[pid].power_evals += 1
@@ -904,8 +876,8 @@ class RapsEngine(StreamingEngine):
 
         loop = lane_loop(
             [lane],
-            lambda ids, cpu_rows, gpu_rows: (
-                self.power.evaluate(cpu_rows[0], gpu_rows[0]),
+            lambda ids, cpu_rows, gpu_rows, slot_maps: (
+                self.power.evaluate(cpu_rows[0], gpu_rows[0], slot_maps[0]),
             ),
             cool,
             detect=self.power_change_detection,

@@ -192,11 +192,23 @@ class SystemPowerModel:
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(
-        self, cpu_util: np.ndarray, gpu_util: np.ndarray
+        self,
+        cpu_util: np.ndarray,
+        gpu_util: np.ndarray,
+        slot_of_node: np.ndarray | None = None,
     ) -> PowerResult:
-        """Full pipeline for one instant of per-node utilizations."""
+        """Full pipeline for one instant of per-node utilizations.
+
+        With ``slot_of_node`` the utilizations are per running-job slot
+        and node ``n`` runs at slot ``slot_of_node[n]`` (-1: idle); Eq. 3
+        then runs once per (partition, slot), bit-identical to passing
+        the gathered per-node arrays.
+        """
         t = self.topology
-        node_w = self.nodes.node_power_w(cpu_util, gpu_util)
+        if slot_of_node is None:
+            node_w = self.nodes.node_power_w(cpu_util, gpu_util)
+        else:
+            node_w = self.nodes.slot_power_w(cpu_util, gpu_util, slot_of_node)
         chassis_ac, sivoc_loss, rect_loss = self.chain.convert(node_w)
         rack_w = np.bincount(
             t.rack_of_chassis, weights=chassis_ac, minlength=t.num_racks

@@ -3,7 +3,8 @@
 Maintains a boolean free mask over all nodes plus a per-node slot map
 (which running-job slot occupies each node; -1 when idle).  The slot map
 is what the vectorized power model consumes, so allocation is the single
-writer of node-occupancy state.
+writer of node-occupancy state.  Free and down node counts are kept as
+integers beside the masks, so every count query is O(1).
 """
 
 from __future__ import annotations
@@ -54,16 +55,18 @@ class NodeAllocator:
                 raise SchedulingError("down_nodes index out of range")
             self._down[down_nodes] = True
             self._free[down_nodes] = False
+        self._num_down = int(np.count_nonzero(self._down))
+        self._num_free = self.total_nodes - self._num_down
 
     # -- queries ---------------------------------------------------------------
 
     @property
     def num_free(self) -> int:
-        return int(np.count_nonzero(self._free))
+        return self._num_free
 
     @property
     def num_down(self) -> int:
-        return int(np.count_nonzero(self._down))
+        return self._num_down
 
     @property
     def num_allocated(self) -> int:
@@ -91,6 +94,16 @@ class NodeAllocator:
         nodes = np.asarray(nodes, dtype=np.int64)
         return nodes[self._down[nodes]]
 
+    def check_counts(self) -> None:
+        """Raise if the free/down counters disagree with the masks."""
+        free = int(np.count_nonzero(self._free))
+        down = int(np.count_nonzero(self._down))
+        if (self._num_free, self._num_down) != (free, down):
+            raise SchedulingError(
+                f"allocator counters drifted: free/down "
+                f"{self._num_free}/{self._num_down}, masks {free}/{down}"
+            )
+
     # -- mutation ---------------------------------------------------------------
 
     def allocate(self, count: int, slot: int) -> np.ndarray:
@@ -103,17 +116,18 @@ class NodeAllocator:
             raise SchedulingError("cannot allocate < 1 node")
         if slot < 0:
             raise SchedulingError("slot must be >= 0")
-        free_idx = np.flatnonzero(self._free)
-        if free_idx.size < count:
+        if self._num_free < count:
             raise SchedulingError(
-                f"requested {count} nodes, only {free_idx.size} free"
+                f"requested {count} nodes, only {self._num_free} free"
             )
+        free_idx = np.flatnonzero(self._free)
         if self.policy == "contiguous":
             nodes = self._pick_contiguous(free_idx, count)
         else:
             nodes = free_idx[:count]
         self._free[nodes] = False
         self.slot_of_node[nodes] = slot
+        self._num_free -= count
         return nodes
 
     def _pick_contiguous(self, free_idx: np.ndarray, count: int) -> np.ndarray:
@@ -138,29 +152,34 @@ class NodeAllocator:
 
     def release(self, nodes: np.ndarray) -> None:
         """Return nodes to the free pool (must currently be allocated)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         if np.any(self._free[nodes]):
             raise SchedulingError("releasing nodes that are already free")
         if np.any(self._down[nodes]):
             raise SchedulingError("releasing nodes that are marked down")
         self._free[nodes] = True
         self.slot_of_node[nodes] = -1
+        self._num_free += nodes.size
 
     def mark_down(self, nodes: np.ndarray) -> None:
         """Take currently-free nodes out of service."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         if np.any(~self._free[nodes]):
             raise SchedulingError("can only mark free nodes down")
         self._free[nodes] = False
         self._down[nodes] = True
+        self._num_free -= nodes.size
+        self._num_down += nodes.size
 
     def mark_up(self, nodes: np.ndarray) -> None:
         """Return down nodes to service."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         if np.any(~self._down[nodes]):
             raise SchedulingError("can only mark down nodes up")
         self._down[nodes] = False
         self._free[nodes] = True
+        self._num_free += nodes.size
+        self._num_down -= nodes.size
 
 
 __all__ = ["NodeAllocator"]

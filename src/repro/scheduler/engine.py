@@ -240,6 +240,27 @@ class SchedulerEngine:
                     started.append(job)
         return started, completed
 
+    def startable(self, now: float) -> bool:
+        """Whether a tick at ``now`` may start a queued job, absent
+        arrivals and completions; False means it would start none.
+
+        In replay mode a job starts only if its recorded start has come
+        and it fits the free nodes, so the queue is scanned for one.  A
+        policy's choice costs about what such a scan costs, so policy
+        mode only rules out an empty queue or a full machine.
+        """
+        free = self.allocator.num_free
+        if not self.honor_recorded_starts:
+            return free > 0 and len(self.queue) > 0
+        for job in self.queue:
+            if (
+                job.nodes_required <= free
+                and job.recorded_start is not None
+                and job.recorded_start <= now
+            ):
+                return True
+        return False
+
     # -- introspection -------------------------------------------------------------------
 
     @property
@@ -265,6 +286,7 @@ class SchedulerEngine:
 
     def drain_check(self) -> None:
         """Assert internal consistency (used by property tests)."""
+        self.allocator.check_counts()
         allocated = sum(j.nodes_required for j in self.running.values())
         if allocated != self.allocator.num_allocated:
             raise SchedulingError(

@@ -84,3 +84,44 @@ class TestMultiPartition:
     def test_idle_max_properties(self, model):
         assert model.idle_node_power_w[0] == pytest.approx(626.0)
         assert model.max_node_power_w[0] == pytest.approx(2704.0)
+
+
+class TestNanGuard:
+    """NaN compares False both ways, so a min/max bound test must be
+    written to fail on it; every Eq. 3 form shares that one check."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        from repro.power.system import SystemPowerModel
+
+        return SystemPowerModel(frontier_spec())
+
+    def test_node_form_rejects_nan(self, system):
+        n = system.nodes.total_nodes
+        cpu = np.zeros(n)
+        cpu[17] = np.nan
+        with pytest.raises(PowerModelError, match="\\[0, 1\\]"):
+            system.evaluate(cpu, np.zeros(n))
+
+    def test_slot_form_rejects_nan(self, system):
+        slot_of_node = np.full(system.nodes.total_nodes, -1, dtype=np.int64)
+        slot_of_node[:8] = 1
+        slot_gpu = np.array([0.2, np.nan, 0.0])
+        with pytest.raises(PowerModelError, match="\\[0, 1\\]"):
+            system.evaluate(np.zeros(3), slot_gpu, slot_of_node)
+
+    def test_batched_lane_rejects_nan(self):
+        from repro.batch.power import BatchedPowerModel
+
+        spec = frontier_spec()
+        power = BatchedPowerModel([spec, spec])
+        n = power.lane_group[0].model.nodes.total_nodes
+        slot_of_node = np.zeros(n, dtype=np.int64)
+        ok = np.array([0.5])
+        with pytest.raises(PowerModelError, match="\\[0, 1\\]"):
+            power.evaluate(
+                [0, 1],
+                [ok, np.array([np.nan])],
+                [ok, ok],
+                [slot_of_node, slot_of_node],
+            )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import SchedulingError
 from repro.scheduler.engine import SchedulerEngine
 from repro.scheduler.job import Job, JobState
 
@@ -124,3 +125,54 @@ def test_allocator_roundtrip_property(count, slots):
     alloc.release(nodes)
     assert alloc.num_free == TOTAL_NODES
     assert np.all(alloc.slot_of_node == -1)
+
+
+def _assert_counts_match_masks(alloc):
+    assert alloc.num_free == int(np.count_nonzero(alloc._free))
+    assert alloc.num_down == int(np.count_nonzero(alloc._down))
+    assert alloc.num_allocated == TOTAL_NODES - alloc.num_free - alloc.num_down
+
+
+node_lists = st.lists(st.integers(0, TOTAL_NODES - 1), min_size=0, max_size=12)
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("allocate"), st.integers(1, TOTAL_NODES // 2)),
+            st.tuples(st.just("release"), st.integers(0, 10**6)),
+            st.tuples(st.just("fail"), node_lists, st.booleans()),
+            st.tuples(st.just("restore"), node_lists),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_allocator_counters_track_masks(ops):
+    """The O(1) free/down counters equal the mask counts after every
+    allocate, release, node failure and restore — including node lists
+    with duplicates, nodes already down and nodes that are busy."""
+    engine = SchedulerEngine(TOTAL_NODES)
+    alloc = engine.allocator
+    held: dict[int, np.ndarray] = {}
+    for op in ops:
+        if op[0] == "allocate":
+            if alloc.can_allocate(op[1]):
+                slot = len(held) + 1000 * len(ops)
+                held[slot] = alloc.allocate(op[1], slot)
+            else:
+                with pytest.raises(SchedulingError):
+                    alloc.allocate(op[1], 0)
+        elif op[0] == "release" and held:
+            slot = sorted(held)[op[1] % len(held)]
+            alloc.release(held.pop(slot))
+        elif op[0] == "fail":
+            # No running jobs are registered, so held nodes stay held.
+            engine.fail_nodes(np.array(op[1], dtype=np.int64), 0.0,
+                              kill_running=op[2])
+        elif op[0] == "restore":
+            engine.restore_nodes(np.array(op[1], dtype=np.int64))
+        _assert_counts_match_masks(alloc)
+        alloc.check_counts()
+        assert alloc.can_allocate(alloc.num_free) == (alloc.num_free > 0)
+        assert not alloc.can_allocate(alloc.num_free + 1)
