@@ -126,7 +126,7 @@ from repro.workloads import (
     WorkloadGenerator,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "FRONTIER",

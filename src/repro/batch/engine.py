@@ -12,10 +12,11 @@ batched half:
 - power: the lanes whose trace-pool fingerprint changed this quantum are
   evaluated in one :class:`~repro.batch.power.BatchedPowerModel` call;
 - cooling: the coupled plants advance as one
-  :class:`~repro.batch.kernel.BatchedPlantKernel` macro step, which
-  holds every coupled lane's plant state for the whole run, builds each
-  step's cooling records in batch form and writes the state back onto
-  the component graphs when the run ends;
+  :class:`~repro.batch.kernel.BatchedPlantKernel` macro step through
+  :func:`~repro.core.engine.resident_cooling` (the serial engine's
+  cooling path too), which holds every coupled lane's plant state for
+  the whole run, builds each step's cooling records in batch form and
+  writes the state back onto the component graphs when the run ends;
 - warmup: lanes with the same (spec, wet-bulb) warm once through
   :func:`~repro.core.engine.warm_cooling` and replicate the warmed
   snapshot, honoring ``twin.warm_cache`` when one is attached.
@@ -35,9 +36,6 @@ results, in the caller's order.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.batch.kernel import BatchedPlantKernel
 from repro.batch.power import BatchedPowerModel
 from repro.cooling.fmu import CoolingFMU
 from repro.core.engine import (
@@ -45,6 +43,7 @@ from repro.core.engine import (
     StepState,
     collect_steps,
     lane_loop,
+    resident_cooling,
     warm_cooling,
 )
 from repro.obs.registry import get_registry
@@ -52,7 +51,6 @@ from repro.scenarios.base import RunPlan, Scenario
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.twin import DigitalTwin, as_twin
 from repro.scheduler.engine import SchedulerEngine
-from repro.telemetry.schema import TRACE_QUANTA_S
 
 #: The plant integration substep every batched lane runs at (the
 #: engine-wide default; lanes in one batch share the substep loop).
@@ -70,15 +68,12 @@ class _Lane(Lane):
         self.twin = twin
         spec = twin.spec
         self.spec = spec
-        self.fmu: CoolingFMU | None = None
-        #: The batched plant kernel holding this lane's plant state (set
-        #: once the kernel is built; ``row`` is the lane's row in it).
-        self.kernel: BatchedPlantKernel | None = None
+        fmu = None
         if scenario.with_cooling:
-            self.fmu = CoolingFMU(
+            fmu = CoolingFMU(
                 spec.cooling, substep_s=COOLING_SUBSTEP_S, backend="fused"
             )
-            self.fmu.setup_experiment(start_time=0.0)
+            fmu.setup_experiment(start_time=0.0)
         super().__init__(
             SchedulerEngine(
                 spec.total_nodes,
@@ -92,13 +87,9 @@ class _Lane(Lane):
             plan.duration_s,
             plan.wetbulb,
             plan.events,
-            on_blockage=self._block if self.fmu is not None else None,
+            fmu,
         )
         self.steps: list[StepState] = []
-
-    def _block(self, cdu_index: int, severity: float) -> None:
-        self.fmu.set_cdu_blockage(cdu_index, severity)
-        self.kernel.set_blockage(self.row, cdu_index, severity)
 
 
 def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
@@ -154,7 +145,6 @@ class BatchedEngine:
             if len(self.twins) != len(self.scenarios):
                 raise ValueError("twins must align with scenarios")
         self.warmup_cooling_s = float(warmup_cooling_s)
-        self.quanta = TRACE_QUANTA_S
         #: Per-run counters, aggregated over lanes (bench observability).
         self.power_evals = 0
         self.power_reuses = 0
@@ -226,41 +216,14 @@ class BatchedEngine:
         power = BatchedPowerModel([lane.spec for lane in lanes])
         self._warmup(lanes, power)
         coupled = [lane for lane in lanes if lane.fmu is not None]
-        kernel = None
+        cool = finish = None
         if coupled:
-            kernel = BatchedPlantKernel([lane.fmu._plant for lane in coupled])
-            for row, lane in enumerate(coupled):
-                lane.kernel, lane.row = kernel, row
-        # One shared substep schedule (mirrors CoolingPlant.step).
-        n_sub = max(1, int(np.ceil(self.quanta / COOLING_SUBSTEP_S)))
-        h = self.quanta / n_sub
-
-        def cool(t_sample: float, active: list[_Lane]) -> list[dict]:
-            # One batched plant macro step over the active coupled
-            # prefix, then its cooling records in batch form from the
-            # kernel's resident state.
-            rows = [lane for lane in active if lane.row >= 0]
-            if not rows:
-                return []
-            kernel.advance(
-                [lane.result.cdu_heat_w for lane in rows],
-                [lane.wetbulb_at(t_sample) for lane in rows],
-                h,
-                n_sub,
-                active=len(rows),
-            )
-            return kernel.cooling_records(
-                [lane.result.system_power_w for lane in rows],
-                active=len(rows),
-            )
-
+            cool, finish = resident_cooling(coupled)
         reg = get_registry()
         lanes_gauge = (
             reg.gauge("repro_batch_lanes_active") if reg.enabled else None
         )
-        for active in lane_loop(
-            lanes, power.evaluate, cool if kernel is not None else None
-        ):
+        for active in lane_loop(lanes, power.evaluate, cool):
             if lanes_gauge is not None:
                 lanes_gauge.set(len(active))
             for lane in active:
@@ -269,19 +232,8 @@ class BatchedEngine:
                     on_step(lane.index, lane.step)
         self.power_evals = sum(lane.power_evals for lane in lanes)
         self.power_reuses = sum(lane.power_reuses for lane in lanes)
-        if kernel is not None:
-            # Sync the component graphs once; the FMU clock and last
-            # state then read as if every step had gone through do_step
-            # (TRACE_QUANTA_S is integral, so the product is exact).
-            kernel.write_back()
-            for lane in coupled:
-                plant = lane.fmu._plant
-                elapsed = lane.n_steps * self.quanta
-                plant.time_s += elapsed
-                lane.fmu._time += elapsed
-                lane.fmu.last_state = plant._snapshot(
-                    lane.result.cdu_heat_w, lane.result.system_power_w
-                )
+        if finish is not None:
+            finish()
         if reg.enabled:
             # Bulk fold at end of sweep; lanes bypass RapsEngine, so
             # these batch-level counters are the only registry traffic

@@ -1,40 +1,45 @@
-"""Batched cooling-plant kernel: B plants per substep, bit-identical lanes.
+"""The plant kernel: B cooling plants per substep, bit-identical lanes.
 
-:class:`BatchedPlantKernel` stacks B :class:`FusedPlantKernel
-<repro.cooling.kernel.FusedPlantKernel>` instances and advances them
+:class:`BatchedPlantKernel` is the one implementation of the fused
+plant backend's macro step.  It stacks B :class:`FusedPlantKernel
+<repro.cooling.kernel.FusedPlantKernel>` mirrors and advances them
 together: the CDU-bank array sections (PID bank, hydraulics, CDU
 thermal, return mix) run as ``(B, n_max)`` / ``(B, 2 * n_max)`` ufunc
 calls, while the facility half of a substep — tower controls, primary
 tracking, primary/tower thermal — stays per-lane Python-float state and
-runs through the scalar section methods the fused kernel factored out
-exactly for this purpose.
+runs through the mirrors' scalar section methods.  A plant stepped on
+its own is the one-lane case.
 
-State residency: the batch rows are the home of every lane's CDU-bank
-state for the whole run, and the per-lane fused kernels hold its
-facility scalars.  Each lane is gathered once, at construction (after
-warmup or a warm-cache restore); :meth:`~BatchedPlantKernel.advance`
-then works on that resident state with no per-step exchange with the
-component graph, and :meth:`~BatchedPlantKernel.cooling_records` builds
-each step's cooling record from it.  The graph is synced on demand
-only: a CDU blockage goes to the row as well as to the graph
-(:meth:`~BatchedPlantKernel.set_blockage`), and
-:meth:`~BatchedPlantKernel.write_back` pushes every lane back once
-when the run ends.
+Each way of stepping a plant picks one of two sync rules:
 
-Bit-identity with the serial fused kernel (and hence with the reference
-object graph) rests on three properties:
+- **Sync every step.** :meth:`CoolingPlant.step
+  <repro.cooling.plant.CoolingPlant.step>` (and so
+  :meth:`CoolingFMU.do_step <repro.cooling.fmu.CoolingFMU.do_step>`)
+  drives a one-lane kernel: :meth:`~BatchedPlantKernel.gather` pulls
+  the component graph into the row, :meth:`~BatchedPlantKernel.advance`
+  runs the substeps, and :meth:`~BatchedPlantKernel.write_back` pushes
+  the row back.  Setpoint tuning, ``restore`` and CDU blockages on the
+  graph therefore reach the next step.
+- **Resident lanes.** The engines (the serial one with one lane, the
+  batched one with B) gather every lane once, after warmup or a
+  warm-cache restore, and then keep its CDU-bank state in the batch rows
+  and its facility scalars in its mirror for the whole run.
+  :meth:`~BatchedPlantKernel.cooling_records` builds each step's
+  cooling record from that state, a CDU blockage goes to the row as
+  well as to the graph (:meth:`~BatchedPlantKernel.set_blockage`), and
+  :meth:`~BatchedPlantKernel.write_back` syncs the graphs once when the
+  run ends.
+
+Bit-identity with the reference object graph rests on two properties:
 
 - NumPy's elementwise ufuncs are position-independent: running the
-  serial ``(n,)`` op as one row of a ``(B, n_max)`` op produces the
-  same bits per element, and broadcasting a ``(B, 1)`` per-lane
+  reference's ``(n,)`` op as one row of a ``(B, n_max)`` op produces
+  the same bits per element, and broadcasting a ``(B, 1)`` per-lane
   constant against ``(B, n_max)`` goes through the same inner loop as
-  the serial scalar operand.
+  the reference's scalar operand.
 - Reductions are **never** padded: every per-lane sum slices the real
   prefix ``row[:n_b]`` (a contiguous view, so the pairwise summation
-  tree matches the serial ``(n,)`` sum exactly).
-- The serial kernel's ``.all()`` / ``.any()`` fast-path branches are
-  pure optimizations; the batched kernel always takes the general
-  masked path, which computes identical values.
+  tree matches the reference's ``(n,)`` sum exactly).
 
 Lane padding: lanes with fewer CDUs than ``n_max`` occupy the prefix of
 their row; padded tail columns hold inert values (blockage 1, flows 0,
@@ -51,7 +56,7 @@ from math import sqrt
 
 import numpy as np
 
-from repro.cooling.kernel import FusedPlantKernel, _exp, _expm1, _power
+from repro.cooling.kernel import FusedPlantKernel
 from repro.cooling.loops.primary import HEADER_STATIC_PA
 from repro.exceptions import CoolingModelError
 
@@ -98,18 +103,19 @@ class BatchedPlantKernel:
     """Advance B cooling plants per NumPy call, bit-identical per lane.
 
     ``plants`` are the per-lane :class:`~repro.cooling.plant.CoolingPlant`
-    objects (any backend).  The kernel builds its own fused mirrors,
-    gathers every lane's state into its batch rows once, and from then
-    on owns that state: the plants' component graphs are stale until
-    :meth:`write_back`.  Lanes may have different CDU counts; they are
-    padded to the widest lane.
+    objects (any backend).  The kernel builds their fused mirrors and
+    gathers every lane into its batch row; from then on the rows hold
+    the state, and a plant's component graph is stale until
+    :meth:`write_back` (see the module docstring for when each caller
+    syncs).  The kernel keeps no reference to the plants, so a plant
+    can own its one-lane kernel without a reference cycle.  Lanes may
+    have different CDU counts; they are padded to the widest lane.
     """
 
     def __init__(self, plants) -> None:
         plants = list(plants)
         if not plants:
             raise CoolingModelError("batched kernel needs at least one lane")
-        self.plants = plants
         self.kernels = [FusedPlantKernel(p) for p in plants]
         B = len(self.kernels)
         n_max = max(k.n for k in self.kernels)
@@ -184,32 +190,13 @@ class BatchedPlantKernel:
         self.preve50 = np.zeros((B, w))
         self.sp50 = np.zeros((B, w))
         self.meas50 = np.full((B, w), 25.0)
-        # Valve draw at the (constant) header dp; sqrt is correctly
-        # rounded, so math.sqrt == np.sqrt here.
-        self.dp_term = col(
-            sqrt(k.header_dp / k.valve_dp_rated) for k in self.kernels
-        )
+        self.dp_term = np.empty((B, 1))
         self.htws_col = np.zeros((B, 1))
         self.rho_w_col = np.zeros((B, 1))
+        for bi, plant in enumerate(plants):
+            self.gather(bi, plant)
 
-        # The one gather: each lane's freshly pulled fused mirror into
-        # its batch row.
-        for bi, k in enumerate(self.kernels):
-            n = k.n
-            self.blockage[bi, :n] = k.blockage
-            self.sec_flow[bi, :n] = k.sec_flow
-            self.pri_flow[bi, :n] = k.pri_flow
-            self.hot_t[bi, :n] = k.hot_t
-            self.cold_t[bi, :n] = k.cold_t
-            self.hx_heat[bi, :n] = k.hx_heat
-            self.pri_return[bi, :n] = k.pri_return
-            self._put50(self.out50, bi, n, k.out50)
-            self._put50(self.integ50, bi, n, k.integ50)
-            self._put50(self.preve50, bi, n, k.preve50)
-            self._put50(self.sp50, bi, n, k.sp50)
-
-        # Scratch (one extra f-buffer vs the serial kernel: the batched
-        # path materializes c_min_safe instead of a where() temporary).
+        # Scratch buffers, sized once and reused every substep.
         self.e50 = np.empty((B, w))
         self.c50a = np.empty((B, w))
         self.c50b = np.empty((B, w))
@@ -218,6 +205,8 @@ class BatchedPlantKernel:
         self.m50c = np.empty((B, w), dtype=bool)
         self.b = [np.empty((B, n_max)) for _ in range(10)]
         self.mb = [np.empty((B, n_max), dtype=bool) for _ in range(3)]
+        # Dedicated volume-advance scratch (may not alias the b pool:
+        # volume inputs can be views of it).
         self.v1 = np.empty((B, n_max))
         self.v2 = np.empty((B, n_max))
         self.mv = np.empty((B, n_max), dtype=bool)
@@ -230,16 +219,39 @@ class BatchedPlantKernel:
         dst[bi, :n] = src[:n]
         dst[bi, n_max:n_max + n] = src[n:]
 
+    def gather(self, bi: int, plant) -> None:
+        """Pull lane ``bi``'s component graph (``plant``'s) into its
+        mirror and its batch row: the state, the CDU setpoints and the
+        valve draw term (the header dp may have been retuned)."""
+        k = self.kernels[bi]
+        k.pull(plant)
+        n = k.n
+        self.blockage[bi, :n] = k.blockage
+        self.sec_flow[bi, :n] = k.sec_flow
+        self.pri_flow[bi, :n] = k.pri_flow
+        self.hot_t[bi, :n] = k.hot_t
+        self.cold_t[bi, :n] = k.cold_t
+        self.hx_heat[bi, :n] = k.hx_heat
+        self.pri_return[bi, :n] = k.pri_return
+        self._put50(self.out50, bi, n, k.out50)
+        self._put50(self.integ50, bi, n, k.integ50)
+        self._put50(self.preve50, bi, n, k.preve50)
+        self._put50(self.sp50, bi, n, k.sp50)
+        # Valve draw at the header dp; sqrt is correctly rounded, so
+        # math.sqrt == np.sqrt here.
+        self.dp_term[bi, 0] = sqrt(k.header_dp / k.valve_dp_rated)
+
     def set_blockage(self, lane: int, cdu_index: int, severity: float) -> None:
         """Mirror a CDU blockage already set on lane ``lane``'s graph
         (:meth:`~repro.cooling.loops.cdu.CduLoopBank.set_blockage`
         validates it) into the resident row."""
         self.blockage[lane, cdu_index] = float(severity)
 
-    def write_back(self) -> None:
-        """Push every lane's resident state onto its component graph."""
+    def write_back(self, plants) -> None:
+        """Push every lane's resident state onto its component graph
+        (``plants`` in lane order)."""
         n_max = self.n_max
-        for bi, (k, plant) in enumerate(zip(self.kernels, self.plants)):
+        for bi, (k, plant) in enumerate(zip(self.kernels, plants)):
             n = k.n
             k.sec_flow[:] = self.sec_flow[bi, :n]
             k.pri_flow[:] = self.pri_flow[bi, :n]
@@ -259,7 +271,12 @@ class BatchedPlantKernel:
     # -- helpers -----------------------------------------------------------------
 
     def _advance_volume_bank(self, temp, t_in, flow, h, mass_cp, A) -> None:
-        """Batched mirror of ``FusedPlantKernel._advance_volume_bank``."""
+        """ThermalVolume.advance for the width-n PG25 volume banks.
+
+        Zero heat injection (plant volumes always receive heat through
+        their inlet temperature), so the stagnant branch keeps the old
+        temperature exactly.
+        """
         v1, v2, mv = self.v1[:A], self.v2[:A], self.mv[:A]
         np.subtract(temp, self.pg_tref[:A], out=v1)
         np.multiply(v1, self.pg_drho[:A], out=v1)
@@ -270,7 +287,7 @@ class BatchedPlantKernel:
         np.maximum(v1, 1e-12, out=v2)
         np.divide(mass_cp[:A], v2, out=v2)  # tau
         np.divide(-h, v2, out=v2)
-        _expm1(v2, out=v2)
+        np.expm1(v2, out=v2)
         np.negative(v2, out=v2)  # relax
         np.subtract(t_in, temp, out=v1)
         np.multiply(v1, v2, out=v1)
@@ -340,13 +357,15 @@ class BatchedPlantKernel:
         pg_rho_ref = self.pg_rho_ref[:A]
         pg_cp = self.pg_cp[:A]
         w_cp = self.w_cp[:A]
+        # Ufunc locals: the loop below issues a few hundred tiny calls
+        # per macro step, so attribute lookups are measurable.
         mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
         npmax, npmin, add_reduce = np.maximum, np.minimum, np.add.reduce
         gt, lt, le, absolute = np.greater, np.less, np.less_equal, np.absolute
         clip, neg = np.clip, np.negative
         land, lor, lnot = np.logical_and, np.logical_or, np.logical_not
         copyto = np.copyto
-        exp = _exp
+        exp = np.exp
         advance_bank = self._advance_volume_bank
         demands = [0.0] * A
 
@@ -388,13 +407,15 @@ class BatchedPlantKernel:
             np.sqrt(blockage, out=b0)
             mul(pump_speed, cdu_q1, out=sec_flow)
             div(sec_flow, b0, out=sec_flow)
+            # The valve PID clamps its output to [0.05, 1], so the
+            # reference's re-clip in flow_fraction is an exact identity.
             sub(valve_opening, 1.0, out=b0)
-            _power(rangeability, b0, out=b0)
+            np.power(rangeability, b0, out=b0)
             mul(b0, cv_max, out=pri_flow)
             mul(pri_flow, dp_term, out=pri_flow)
 
             # --- 4-5. Primary tracking per lane; real-prefix row sums
-            # keep the pairwise-summation tree identical to serial.
+            # keep the pairwise-summation tree of the reference's sum.
             for bi, k in enumerate(kernels):
                 demand = float(add_reduce(pri_flow[bi, :k.n]))
                 demands[bi] = demand
@@ -410,8 +431,8 @@ class BatchedPlantKernel:
             div(heat, b1, out=b1)
             gt(b0, 1e-9, out=mb0)
             # where(mb0, b1, 0.0) as a mask multiply (finite b1, so
-            # identical values — the serial kernel uses the same trick
-            # for dead HX channels).
+            # identical values; dead HX channels below use the same
+            # trick).
             mul(b1, mb0, out=b1)
             add(cold_t, b1, out=b1)  # rack outlet temperature
             advance_bank(hot_t, b1, sec_flow, h, self.hot_mcp, A)

@@ -5,7 +5,8 @@ and dashboard, wired through the declarative scenario API:
 
 - ``run`` — synthetic-workload simulation with the end-of-run report
   (``--live`` streams per-quantum status lines while it runs;
-  ``--cooling-backend`` picks the fused kernel or the reference oracle),
+  ``--cooling-backend`` picks the fused backend — the plant held in the
+  batched plant kernel — or the reference component-graph oracle),
 - ``profile`` — per-phase wall-time profile of the engine hot path
   (schedule / power / cooling / collect), emitted as JSON,
 - ``verify`` — the Table III verification points (an experiment suite),

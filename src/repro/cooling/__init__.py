@@ -12,11 +12,13 @@ Fig. 5 and wrapped in an FMI-like stepping interface
 Inputs per 15 s step: heat extracted per CDU (W, 25 values) and wet-bulb
 temperature; outputs: the 317 quantities enumerated in section III-C4.
 
-Two interchangeable stepping backends share one state representation:
-the default ``backend="fused"`` flat-array kernel
-(:class:`repro.cooling.kernel.FusedPlantKernel`, several times faster)
-and the ``backend="reference"`` component object graph it mirrors bit
-for bit (kept as the oracle).
+Two interchangeable stepping backends share one state representation,
+the component object graph: the default ``backend="fused"`` steps it
+through a one-lane :class:`repro.batch.kernel.BatchedPlantKernel` (the
+one plant kernel, built from the per-lane
+:class:`repro.cooling.kernel.FusedPlantKernel` mirror; several times
+faster), and ``backend="reference"`` walks the graph itself (kept as the
+oracle the fused backend equals bit for bit).
 """
 
 from repro.cooling.properties import CoolantProperties, WATER

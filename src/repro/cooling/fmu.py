@@ -51,6 +51,14 @@ class FmuStateSnapshot:
     lifecycle: "FmuState"
 
 
+def check_wetbulb(wetbulb_c: float) -> float:
+    """``wetbulb_c`` as a float, or :class:`FMUError` when it is outside
+    the plausible -40..45 degC range (NaN included)."""
+    if not -40.0 <= wetbulb_c <= 45.0:
+        raise FMUError(f"implausible wet-bulb {wetbulb_c} degC")
+    return float(wetbulb_c)
+
+
 class FmuState(enum.Enum):
     """FMI co-simulation lifecycle states."""
 
@@ -173,21 +181,19 @@ class CoolingFMU:
             raise FMUError(
                 f"cdu_heat must have shape ({self._cooling.num_cdus},)"
             )
-        if np.any(heat_w < 0):
+        if not (heat_w >= 0).all():
             raise FMUError("cdu_heat must be non-negative")
         self._cdu_heat = heat_w
 
     def set_wetbulb(self, wetbulb_c: float) -> None:
         """Set the outdoor wet-bulb temperature, degC."""
         self._check_running("set_wetbulb")
-        if not -40.0 <= wetbulb_c <= 45.0:
-            raise FMUError(f"implausible wet-bulb {wetbulb_c} degC")
-        self._wetbulb_c = float(wetbulb_c)
+        self._wetbulb_c = check_wetbulb(wetbulb_c)
 
     def set_system_power(self, power_w: float | None) -> None:
         """Set total system power for the PUE denominator (optional)."""
         self._check_running("set_system_power")
-        if power_w is not None and power_w < 0:
+        if power_w is not None and not power_w >= 0:
             raise FMUError("system power must be non-negative")
         self._system_power_w = power_w
 
@@ -196,8 +202,10 @@ class CoolingFMU:
 
         Routes to :meth:`~repro.cooling.loops.cdu.CduLoopBank.set_blockage`
         on the live plant; both stepping backends honor the change from
-        the next step (the fused kernel re-pulls ``blockage_factor``
-        every macro step).
+        the next :meth:`do_step` (the fused backend gathers
+        ``blockage_factor`` from the graph every step).  An engine that
+        holds the plant resident in a batched kernel mirrors the change
+        into its row as well.
         """
         self._check_running("set_cdu_blockage")
         self._plant.cdus.set_blockage(int(cdu_index), float(severity))
@@ -273,4 +281,4 @@ class CoolingFMU:
         return self.last_state
 
 
-__all__ = ["CoolingFMU", "FmuState", "FmuStateSnapshot"]
+__all__ = ["CoolingFMU", "FmuState", "FmuStateSnapshot", "check_wetbulb"]

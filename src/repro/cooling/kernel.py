@@ -1,4 +1,4 @@
-"""Fused cooling-plant kernel: the whole plant in flat arrays.
+"""Fused cooling-plant kernel: one plant's state as flat arrays and floats.
 
 The reference :class:`~repro.cooling.plant.CoolingPlant` advances each
 3 s substep by walking a deep object graph (`CduLoopBank` →
@@ -7,33 +7,29 @@ The reference :class:`~repro.cooling.plant.CoolingPlant` advances each
 overhead — method dispatch, ``asarray``/``broadcast_to`` validation,
 ``errstate`` contexts, temporaries — dominates every coupled run.
 
-:class:`FusedPlantKernel` flattens the plant's mutable state into a
-small set of preallocated arrays plus Python floats and advances *all*
-substeps of a macro step in one call.  It is an overhead eliminator,
-not a different model: every arithmetic operation mirrors the
-reference's, in the same order, using the same NumPy ufuncs on the
-same-shaped data wherever transcendental functions are involved
-(``np.exp``/``np.expm1``/``np.power`` results can differ from ``libm``
-at the ULP level, so the kernel never substitutes ``math`` equivalents
-for them), and plain Python floats only for IEEE-exact operations
-(``+ - * /``, comparisons, ``sqrt``).  The fused trajectory is
-therefore *bit-identical* to the reference object graph, which stays
-in the tree as the oracle (``CoolingPlant(backend="reference")``) and
-as the snapshot interchange format.
+:class:`FusedPlantKernel` is the per-lane mirror of that graph which the
+one plant kernel, :class:`~repro.batch.kernel.BatchedPlantKernel`, is
+built from.  It holds:
 
-Protocol with :class:`~repro.cooling.plant.CoolingPlant`:
+- the plant's constants, derived from its freshly built component
+  objects (one source of truth — pump curves, resistances, HX UA
+  values, PID gains, staging thresholds);
+- :meth:`~FusedPlantKernel.pull` and :meth:`~FusedPlantKernel.push`,
+  which copy the mutable state from and onto the component graph;
+- the facility half of a substep (tower controls, primary tracking,
+  primary and tower thermal) as pure Python-float sections, which the
+  batched kernel runs per lane while it advances the CDU-bank arrays
+  of all lanes together.
 
-- the kernel derives all constants from the plant's freshly built
-  component objects (one source of truth — pump curves, resistances,
-  HX UA values, PID gains, staging thresholds);
-- each macro step, :meth:`advance` *pulls* the mutable state from the
-  component objects into the flat buffers, runs the fused substep loop,
-  and *pushes* the state back, so external mutation
-  (:meth:`~repro.cooling.loops.cdu.CduLoopBank.set_blockage`, setpoint
-  tuning, :meth:`~repro.cooling.plant.CoolingPlant.restore`) and
-  external observation (tests, :class:`PlantSnapshot
-  <repro.cooling.plant.PlantSnapshot>` capture, the shared
-  ``_snapshot`` output builder) work unchanged on both backends.
+Every operation mirrors the reference's, in the same order, using the
+same NumPy ufuncs wherever transcendental functions are involved
+(``np.exp``/``np.expm1`` results can differ from ``libm`` at the ULP
+level, so the mirror never substitutes ``math`` equivalents for them),
+and plain Python floats only for IEEE-exact operations (``+ - * /``,
+comparisons, ``sqrt``).  The fused backend is therefore *bit-identical*
+to the reference object graph, which stays in the tree as the oracle
+(``CoolingPlant(backend="reference")``) and as the snapshot interchange
+format.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from repro.exceptions import CoolingModelError
 
 _exp = np.exp
 _expm1 = np.expm1
-_power = np.power
 
 
 class _StageState:
@@ -154,11 +149,11 @@ class _ScalarPid:
 
 
 class FusedPlantKernel:
-    """Allocation-light fused backend for one :class:`CoolingPlant`.
+    """Flat mirror of one :class:`CoolingPlant`: constants, state, and
+    the facility substep sections.
 
-    Built once per plant from its component objects; see the module
-    docstring for the pull/advance/push protocol and the bit-identity
-    contract.
+    Built once per plant from its component objects and pulled from
+    them on construction; see the module docstring.
     """
 
     def __init__(self, plant) -> None:
@@ -249,7 +244,6 @@ class FusedPlantKernel:
         self.integ50 = np.empty(w)
         self.preve50 = np.empty(w)
         self.sp50 = np.empty(w)
-        self.meas50 = np.empty(w)
         self.pump_has_prev = False
         self.valve_has_prev = False
         self.fan_pid = _ScalarPid(tower.fan_pid)
@@ -257,21 +251,6 @@ class FusedPlantKernel:
         self.p_stage = _StageState(primary.pump_staging)
         self.t_stage = _StageState(tower.pump_staging)
         self.cell_stage = _StageState(tower.cell_staging)
-
-        # --- scratch buffers (sized once, reused every substep) -----------------
-        self.e50 = np.empty(w)
-        self.c50a = np.empty(w)
-        self.c50b = np.empty(w)
-        self.m50a = np.empty(w, dtype=bool)
-        self.m50b = np.empty(w, dtype=bool)
-        self.m50c = np.empty(w, dtype=bool)
-        self.b = [np.empty(n) for _ in range(9)]
-        self.mb = [np.empty(n, dtype=bool) for _ in range(3)]
-        # Dedicated volume-advance scratch (may not alias the b pool:
-        # volume inputs can be views of it).
-        self.v1 = np.empty(n)
-        self.v2 = np.empty(n)
-        self.mv = np.empty(n, dtype=bool)
 
         self.pull(plant)
 
@@ -284,8 +263,8 @@ class FusedPlantKernel:
         self.header_dp = float(plant.primary_header_dp_pa)
         if self.header_dp < 0:
             raise CoolingModelError("header dp must be non-negative")
-        # Setpoints are pulled every macro step: runtime tuning (the
-        # setpoint optimizer) must reach the fused loop.
+        # Setpoints are pulled on every direct plant step: runtime
+        # tuning (the setpoint optimizer) must reach the kernel.
         self.sp50[:n] = cdus.dp_setpoint_pa
         self.sp50[n:] = cdus.supply_setpoint_c
         self.p_supply_sp = float(primary.supply_setpoint_c)
@@ -374,33 +353,6 @@ class FusedPlantKernel:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _advance_volume_bank(self, temp, t_in, flow, h, mass_cp):
-        """Fused ThermalVolume.advance for the width-n PG25 volumes.
-
-        Zero heat injection (plant volumes always receive heat through
-        their inlet temperature), so the stagnant branch keeps the old
-        temperature exactly.
-        """
-        v1, v2, mv = self.v1, self.v2, self.mv
-        np.subtract(temp, self.pg_tref, out=v1)
-        np.multiply(v1, self.pg_drho, out=v1)
-        np.add(v1, self.pg_rho_ref, out=v1)
-        np.multiply(v1, flow, out=v1)
-        np.multiply(v1, self.pg_cp, out=v1)  # heat-capacity rate
-        np.greater(flow, 1e-9, out=mv)
-        np.maximum(v1, 1e-12, out=v2)
-        np.divide(mass_cp, v2, out=v2)  # tau
-        np.divide(-h, v2, out=v2)
-        _expm1(v2, out=v2)
-        np.negative(v2, out=v2)  # relax
-        np.subtract(t_in, temp, out=v1)
-        np.multiply(v1, v2, out=v1)
-        np.add(temp, v1, out=v1)
-        if mv.all():
-            temp[:] = v1
-        else:
-            np.copyto(temp, v1, where=mv)
-
     def _advance_volume_scalar(self, temp, t_in, flow, h, mass_cp):
         """Scalar ThermalVolume.advance mirror (facility water volumes)."""
         if flow > 1e-9:
@@ -477,10 +429,9 @@ class FusedPlantKernel:
 
     # -- scalar substep sections -------------------------------------------------
     #
-    # The facility half of a substep is pure Python-float state: these
-    # three sections are factored into methods so the batched kernel
-    # (:class:`repro.batch.kernel.BatchedPlantKernel`) can run them per
-    # lane while vectorizing the CDU-bank array sections across lanes.
+    # The facility half of a substep is pure Python-float state: the
+    # batched kernel (:class:`repro.batch.kernel.BatchedPlantKernel`)
+    # runs these sections per lane between its CDU-bank array sections.
 
     def _alpha_for(self, h: float) -> float:
         """The HTWS delay filter coefficient for substep ``h`` (memoized)."""
@@ -572,189 +523,6 @@ class FusedPlantKernel:
         self.t_supply_t = self._advance_volume_scalar(
             self.t_supply_t, t_ct_out, self.t_total_flow, h, self.t_mcp
         )
-
-    # -- the fused macro step ----------------------------------------------------
-
-    def advance(self, plant, cdu_heat_w, wetbulb_c, h, n_sub: int) -> None:
-        """Advance ``n_sub`` substeps of size ``h`` (one macro step)."""
-        self.pull(plant)
-        n = self.n
-        b = self.b
-        mb0, mb1, mb2 = self.mb
-        blockage = self.blockage
-        sec_flow = self.sec_flow
-        pri_flow = self.pri_flow
-        hot_t = self.hot_t
-        cold_t = self.cold_t
-        pri_return = self.pri_return
-        hx_heat = self.hx_heat
-        out50 = self.out50
-        integ50 = self.integ50
-        sp50 = self.sp50
-        meas50 = self.meas50
-        e50 = self.e50
-        c50a = self.c50a
-        c50b = self.c50b
-        m50a = self.m50a
-        m50b = self.m50b
-        m50c = self.m50c
-        pump_speed = out50[:n]
-        valve_opening = out50[n:]
-        cdu_res_k = self.cdu_res_k
-        hx_ua = self.hx_ua
-        pg_tref, pg_drho, pg_rho_ref, pg_cp = (
-            self.pg_tref, self.pg_drho, self.pg_rho_ref, self.pg_cp
-        )
-        heat = cdu_heat_w
-        # Ufunc locals: the loop below issues a few hundred tiny calls
-        # per macro step, so attribute lookups are measurable.
-        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-        npmax, npmin, nsum = np.maximum, np.minimum, np.sum
-        gt, lt, le, absolute = np.greater, np.less, np.less_equal, np.absolute
-        where, clip, neg = np.where, np.clip, np.negative
-        land, lor, lnot = np.logical_and, np.logical_or, np.logical_not
-        copyto = np.copyto
-        exp = _exp
-        advance_bank = self._advance_volume_bank
-        # Equal-percentage valve flow at the (constant) header dp.
-        dp_term = float(np.sqrt(self.header_dp / self.valve_dp_rated))
-        alpha = self._alpha_for(h)
-
-        for _ in range(n_sub):
-            # --- 1. CDU controls: the stacked pump-speed + valve PID bank.
-            absolute(sec_flow, out=b[0])
-            mul(sec_flow, cdu_res_k, out=b[1])
-            mul(b[1], b[0], out=b[1])
-            mul(b[1], blockage, out=b[1])  # measured loop dp
-            meas50[:n] = b[1]
-            meas50[n:] = cold_t
-            sub(sp50, meas50, out=e50)
-            mul(e50, self.sign50, out=e50)
-            mul(e50, h, out=c50a)
-            add(integ50, c50a, out=c50a)  # candidate integral
-            mul(self.kp50, e50, out=c50b)
-            mul(self.ki50, c50a, out=out50)
-            add(c50b, out50, out=c50b)  # unclamped output
-            clip(c50b, self.umin50, self.umax50, out=out50)
-            gt(c50b, self.umax50, out=m50a)
-            gt(e50, 0.0, out=m50b)
-            land(m50a, m50b, out=m50a)
-            lt(c50b, self.umin50, out=m50b)
-            lt(e50, 0.0, out=m50c)
-            land(m50b, m50c, out=m50b)
-            lor(m50a, m50b, out=m50a)
-            lnot(m50a, out=m50a)  # integrator keep mask
-            copyto(integ50, c50a, where=m50a)
-            copyto(self.preve50, e50)
-            self.pump_has_prev = True
-            self.valve_has_prev = True
-
-            # --- 2. Tower controls (all scalar state).
-            htws = self._tower_controls(h, alpha)
-
-            # --- 3. Hydraulics: secondary pump points + valve draws.
-            np.sqrt(blockage, out=b[0])
-            mul(pump_speed, self.cdu_q1, out=sec_flow)
-            div(sec_flow, b[0], out=sec_flow)
-            # The valve PID clamps its output to [0.05, 1], so the
-            # reference's re-clip in flow_fraction is an exact identity.
-            sub(valve_opening, 1.0, out=b[0])
-            _power(self.valve_rangeability, b[0], out=b[0])
-            mul(b[0], self.valve_cv_max, out=pri_flow)
-            mul(pri_flow, dp_term, out=pri_flow)
-
-            # --- 4-5. Primary loop tracks the total valve demand; EHX
-            # staging follows the tower-cell count.
-            demand = float(nsum(pri_flow))
-            self._primary_tracking(demand, h)
-
-            # --- 6. CDU thermal: racks -> hot volume -> HEX-1600 -> cold.
-            sub(cold_t, pg_tref, out=b[0])
-            mul(b[0], pg_drho, out=b[0])
-            add(b[0], pg_rho_ref, out=b[0])
-            mul(b[0], sec_flow, out=b[0])
-            mul(b[0], pg_cp, out=b[0])  # secondary cap rate
-            npmax(b[0], 1e-12, out=b[1])
-            div(heat, b[1], out=b[1])
-            gt(b[0], 1e-9, out=mb0)
-            if mb0.all():
-                add(cold_t, b[1], out=b[1])  # rack outlet temperature
-            else:
-                rise = where(mb0, b[1], 0.0)
-                add(cold_t, rise, out=b[1])
-            advance_bank(hot_t, b[1], sec_flow, h, self.hot_mcp)
-            # HEX-1600 bank: secondary hot side -> primary cold side.
-            sub(hot_t, pg_tref, out=b[0])
-            mul(b[0], pg_drho, out=b[0])
-            add(b[0], pg_rho_ref, out=b[0])
-            mul(b[0], sec_flow, out=b[0])
-            mul(b[0], pg_cp, out=b[0])  # c_hot
-            rho_w = self.w_rho_ref + self.w_drho * (htws - self.w_tref)
-            mul(pri_flow, rho_w, out=b[1])
-            mul(b[1], self.w_cp, out=b[1])  # c_cold
-            npmin(b[0], b[1], out=b[2])  # c_min
-            npmax(b[0], b[1], out=b[3])  # c_max
-            le(b[2], 1e-9, out=mb0)  # dead channels
-            npmax(b[3], 1e-12, out=b[4])
-            div(b[2], b[4], out=b[4])
-            if mb0.any():
-                dead_any = True
-                cr = where(mb0, 0.0, b[4])
-                c_min_safe = where(mb0, 1.0, b[2])
-            else:
-                dead_any = False
-                cr = b[4]
-                c_min_safe = b[2]
-            div(hx_ua, c_min_safe, out=b[3])  # ntu (c_max retired)
-            sub(1.0, cr, out=b[5])
-            absolute(b[5], out=b[6])
-            lt(b[6], 1e-6, out=mb1)  # near-unity Cr
-            mul(b[3], b[5], out=b[6])
-            neg(b[6], out=b[6])
-            exp(b[6], out=b[6])  # e
-            sub(1.0, b[6], out=b[5])
-            mul(cr, b[6], out=b[7])
-            sub(1.0, b[7], out=b[7])
-            npmax(b[7], 1e-12, out=b[7])
-            div(b[5], b[7], out=b[5])  # general effectiveness
-            add(b[3], 1.0, out=b[7])
-            div(b[3], b[7], out=b[7])  # balanced effectiveness
-            eps = where(mb1, b[7], b[5]) if mb1.any() else b[5]
-            clip(eps, 0.0, 1.0, out=eps)
-            if dead_any:
-                mul(eps, ~mb0, out=eps)  # dead channels: eps = 0
-            sub(hot_t, htws, out=b[6])
-            mul(eps, b[2], out=b[4])
-            mul(b[4], b[6], out=b[4])  # q
-            hx_heat[:] = b[4]
-            npmax(b[0], 1e-12, out=b[7])
-            div(b[4], b[7], out=b[7])
-            sub(hot_t, b[7], out=b[7])
-            gt(b[0], 1e-9, out=mb1)
-            t_hot_out = b[7] if mb1.all() else where(mb1, b[7], hot_t)
-            npmax(b[1], 1e-12, out=b[8])
-            div(b[4], b[8], out=b[8])
-            add(b[8], htws, out=b[8])
-            gt(b[1], 1e-9, out=mb2)
-            if mb2.all():
-                pri_return[:] = b[8]
-            else:
-                pri_return[:] = where(mb2, b[8], htws)
-            advance_bank(cold_t, t_hot_out, sec_flow, h, self.cold_mcp)
-
-            # --- 7. Flow-weighted CDU return mix into the HTW header.
-            # pri_flow is unchanged since step 4, so its sum is reused.
-            if demand > 1e-9:
-                mul(pri_flow, pri_return, out=b[0])
-                mix_c = float(nsum(b[0]) / demand)
-            else:
-                mix_c = self.p_return_t
-
-            # --- 8-9. Primary + tower loop thermal (all scalar).
-            self._facility_thermal(mix_c, wetbulb_c, h)
-
-        self.push(plant)
-
 
 
 __all__ = ["FusedPlantKernel"]

@@ -178,12 +178,14 @@ class CoolingPlant:
         into ceil(dt / substep_s) substeps.
     backend:
         ``"fused"`` (default) advances all substeps of a macro step in
-        one :class:`~repro.cooling.kernel.FusedPlantKernel` call over
-        flat preallocated arrays; ``"reference"`` walks the original
-        component object graph substep by substep.  The two are
-        bit-identical (the fused kernel mirrors the reference
-        arithmetic operation for operation); the reference backend is
-        kept as the oracle the equivalence tests check against.
+        one call of a one-lane
+        :class:`~repro.batch.kernel.BatchedPlantKernel` over flat
+        preallocated arrays, syncing it with the component graph every
+        step; ``"reference"`` walks the component object graph substep
+        by substep.  The two are bit-identical (the kernel mirrors the
+        reference arithmetic operation for operation); the reference
+        backend is kept as the oracle the equivalence tests check
+        against.
     """
 
     #: Static reference pressure for the secondary loops, Pa.
@@ -213,9 +215,9 @@ class CoolingPlant:
         self.primary_header_dp_pa = 0.7 * cooling.primary_loop.design_dp_pa
         self._kernel = None
         if backend == "fused":
-            from repro.cooling.kernel import FusedPlantKernel
+            from repro.batch.kernel import BatchedPlantKernel
 
-            self._kernel = FusedPlantKernel(self)
+            self._kernel = BatchedPlantKernel([self])
 
     # -- stepping --------------------------------------------------------------
 
@@ -243,12 +245,15 @@ class CoolingPlant:
             raise CoolingModelError(
                 f"cdu_heat_w must have shape ({self.spec.num_cdus},)"
             )
-        if np.any(cdu_heat_w < 0):
+        if not (cdu_heat_w >= 0).all():
             raise CoolingModelError("heat must be non-negative")
         n_sub = max(1, int(np.ceil(dt / self.substep_s)))
         h = dt / n_sub
-        if self._kernel is not None:
-            self._kernel.advance(self, cdu_heat_w, float(wetbulb_c), h, n_sub)
+        kernel = self._kernel
+        if kernel is not None:
+            kernel.gather(0, self)
+            kernel.advance([cdu_heat_w], [float(wetbulb_c)], h, n_sub)
+            kernel.write_back([self])
         else:
             for _ in range(n_sub):
                 self._substep(cdu_heat_w, float(wetbulb_c), h)

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.config.schema import SystemSpec
-from repro.cooling.fmu import CoolingFMU, FmuState
+from repro.cooling.fmu import CoolingFMU, FmuState, check_wetbulb
 from repro.core.events import sort_events
 from repro.exceptions import SimulationError
 from repro.obs.registry import get_registry
@@ -445,7 +445,9 @@ class Lane:
     Holds the scheduler the run drives, its trace pool and the
     :func:`drive_schedule` generator over both, the wet-bulb input, the
     power change-detection fields, and the run's latest
-    :class:`StepState`.  ``row`` indexes the lane's record in what the
+    :class:`StepState`.  A coupled lane holds its cooling ``fmu``, and
+    while :func:`resident_cooling` keeps its plant resident, the
+    ``kernel`` holding it; ``row`` indexes the lane's record in what the
     loop's cooling section returns (-1: the lane is uncoupled).
     """
 
@@ -456,7 +458,7 @@ class Lane:
         duration_s: float,
         wetbulb: TimeSeries | float = 15.0,
         events=(),
-        on_blockage=None,
+        fmu: CoolingFMU | None = None,
     ) -> None:
         if duration_s <= 0:
             raise SimulationError("duration must be positive")
@@ -472,14 +474,18 @@ class Lane:
             self.n_steps,
             TRACE_QUANTA_S,
             events=events,
-            on_blockage=on_blockage,
+            on_blockage=None if fmu is None else self._block,
         )
+        self.fmu = fmu
+        self.kernel = None
         self.wb_cursor = None
         if isinstance(wetbulb, TimeSeries):
             self.wb_cursor = ReplayCursor(wetbulb, method="linear")
             self.wb0 = float(wetbulb.values[0])
         else:
             self.wb0 = float(wetbulb)
+        #: The wet-bulb the resident kernel last stepped this lane at.
+        self.wetbulb_c = self.wb0
         self.row = -1
         # Change detection: the latest PowerResult and the fingerprint
         # (slot events + gathered per-slot traces) it was computed from.
@@ -495,6 +501,11 @@ class Lane:
         if self.wb_cursor is None:
             return self.wb0
         return float(np.asarray(self.wb_cursor.value(t_sample)))
+
+    def _block(self, cdu_index: int, severity: float) -> None:
+        self.fmu.set_cdu_blockage(cdu_index, severity)
+        if self.kernel is not None:
+            self.kernel.set_blockage(self.row, cdu_index, severity)
 
 
 def lane_loop(
@@ -663,6 +674,70 @@ def warm_cooling(
         replica._plant.time_s = 0.0
 
 
+def resident_cooling(lanes: list[Lane]):
+    """Hold the coupled ``lanes``' warmed plants resident in one kernel.
+
+    The cooling half of both engines: the lanes' plants are gathered
+    into one :class:`~repro.batch.kernel.BatchedPlantKernel` (row = lane
+    order, so the active coupled lanes stay a kernel prefix) and stay
+    there for the run.  Returns ``(cool, finish)``: ``cool`` is
+    :func:`lane_loop`'s cooling section — it checks each active lane's
+    wet-bulb as :meth:`CoolingFMU.set_wetbulb
+    <repro.cooling.fmu.CoolingFMU.set_wetbulb>` would, advances the
+    kernel one macro step and returns its cooling records — and
+    ``finish()`` writes every lane back onto its component graph and
+    leaves its FMU (clocks, inputs, outputs, ``last_state``) as if each
+    step had gone through ``do_step``.
+    """
+    from repro.batch.kernel import BatchedPlantKernel
+
+    plants = [lane.fmu._plant for lane in lanes]
+    kernel = BatchedPlantKernel(plants)
+    for row, lane in enumerate(lanes):
+        lane.kernel, lane.row = kernel, row
+    # The substep schedule of CoolingPlant.step (lanes share a substep).
+    n_sub = max(1, int(np.ceil(TRACE_QUANTA_S / lanes[0].fmu.substep_s)))
+    h = TRACE_QUANTA_S / n_sub
+
+    def cool(t_sample: float, active: list[Lane]) -> list[dict]:
+        rows = [lane for lane in active if lane.row >= 0]
+        if not rows:
+            return []
+        for lane in rows:
+            lane.wetbulb_c = check_wetbulb(lane.wetbulb_at(t_sample))
+        kernel.advance(
+            [lane.result.cdu_heat_w for lane in rows],
+            [lane.wetbulb_c for lane in rows],
+            h,
+            n_sub,
+            active=len(rows),
+        )
+        return kernel.cooling_records(
+            [lane.result.system_power_w for lane in rows], active=len(rows)
+        )
+
+    def finish() -> None:
+        kernel.write_back(plants)
+        for lane, plant in zip(lanes, plants):
+            step, fmu = lane.step, lane.fmu
+            if step is None:
+                continue
+            # TRACE_QUANTA_S is integral, so the product is exact.
+            elapsed = (step.index + 1) * TRACE_QUANTA_S
+            plant.time_s += elapsed
+            fmu._time += elapsed
+            fmu.set_cdu_heat(step.cdu_heat_w)
+            fmu.set_wetbulb(lane.wetbulb_c)
+            fmu.set_system_power(step.system_power_w)
+            fmu.last_state = plant._snapshot(
+                step.cdu_heat_w, step.system_power_w
+            )
+            fmu._outputs = fmu.last_state.as_output_vector()
+            fmu.state = FmuState.STEPPING
+
+    return cool, finish
+
+
 class StreamingEngine:
     """The streaming engine protocol every fidelity implements.
 
@@ -678,7 +753,6 @@ class StreamingEngine:
         duration_s: float,
         *,
         wetbulb: TimeSeries | float = 15.0,
-        cooling_record: tuple[str, ...] = DEFAULT_COOLING_RECORD,
         warmup_cooling_s: float = 1800.0,
         events=(),
         progress=None,
@@ -697,7 +771,6 @@ class StreamingEngine:
             jobs,
             duration_s,
             wetbulb=wetbulb,
-            cooling_record=cooling_record,
             warmup_cooling_s=warmup_cooling_s,
             events=events,
         )
@@ -809,7 +882,6 @@ class RapsEngine(StreamingEngine):
         duration_s: float,
         *,
         wetbulb: TimeSeries | float = 15.0,
-        cooling_record: tuple[str, ...] = DEFAULT_COOLING_RECORD,
         warmup_cooling_s: float = 1800.0,
         events=(),
     ) -> Iterator[StepState]:
@@ -830,22 +902,18 @@ class RapsEngine(StreamingEngine):
         blockages) applied while the run advances.
 
         The run is the one-lane case of :func:`lane_loop`: power through
-        :class:`~repro.power.system.SystemPowerModel`, cooling through
-        the FMU's ``do_step`` / ``get_state``.
+        :class:`~repro.power.system.SystemPowerModel`; cooling, on the
+        fused backend, through :func:`resident_cooling` as in
+        :class:`~repro.batch.engine.BatchedEngine` (the FMU is synced
+        when the run ends, early close included), and on the reference
+        backend through the FMU's ``do_step`` / ``get_state``.
         """
         fmu = self.fmu
-        lane = Lane(
-            self.scheduler,
-            jobs,
-            duration_s,
-            wetbulb,
-            events,
-            on_blockage=None if fmu is None else fmu.set_cdu_blockage,
-        )
+        lane = Lane(self.scheduler, jobs, duration_s, wetbulb, events, fmu)
         prof = self.profiler
         if prof is not None:
             prof.begin_run()
-        cool = None
+        cool = finish = None
         if fmu is not None:
             if fmu.state is not FmuState.INSTANTIATED:
                 fmu.reset()  # allow repeated runs on one engine
@@ -859,20 +927,25 @@ class RapsEngine(StreamingEngine):
                 self._idle,
                 cache=self.warm_cache,
             )
+            if fmu.backend == "fused":
+                cool, finish = resident_cooling([lane])
+            else:
+                lane.row = 0
+
+                def cool(t_sample: float, active: list[Lane]) -> tuple[dict]:
+                    fmu.set_cdu_heat(lane.result.cdu_heat_w)
+                    fmu.set_wetbulb(lane.wetbulb_at(t_sample))
+                    fmu.set_system_power(lane.result.system_power_w)
+                    fmu.do_step(fmu.time, TRACE_QUANTA_S)
+                    state = fmu.get_state()
+                    # PlantState fields are freshly allocated by each
+                    # plant step, so recording can alias them directly.
+                    return (
+                        {key: getattr(state, key)
+                         for key in DEFAULT_COOLING_RECORD},
+                    )
             if prof is not None:
                 prof.add("warmup", perf_counter() - t0)
-            lane.row = 0
-
-            def cool(t_sample: float, active: list[Lane]) -> tuple[dict]:
-                fmu.set_cdu_heat(lane.result.cdu_heat_w)
-                fmu.set_wetbulb(lane.wetbulb_at(t_sample))
-                fmu.set_system_power(lane.result.system_power_w)
-                fmu.do_step(fmu.time, TRACE_QUANTA_S)
-                state = fmu.get_state()
-                # PlantState fields are freshly allocated by each plant
-                # step, so recording can alias them directly instead of
-                # copying every array every quantum.
-                return ({key: getattr(state, key) for key in cooling_record},)
 
         loop = lane_loop(
             [lane],
@@ -888,6 +961,11 @@ class RapsEngine(StreamingEngine):
                 yield lane.step
         finally:
             loop.close()
+            # An early close leaves the schedule generator suspended, and
+            # its blockage callback refers back to the lane.
+            lane.gen.close()
+            if finish is not None:
+                finish()
             self.power_evals = lane.power_evals
             self.power_reuses = lane.power_reuses
             steps_done = 0 if lane.step is None else lane.step.index + 1
@@ -935,6 +1013,7 @@ __all__ = [
     "DEFAULT_COOLING_RECORD",
     "Lane",
     "drive_schedule",
+    "resident_cooling",
     "lane_loop",
     "collect_steps",
     "warm_cooling",

@@ -104,7 +104,6 @@ class SurrogateEngine(StreamingEngine):
         duration_s: float,
         *,
         wetbulb: TimeSeries | float = 15.0,
-        cooling_record: tuple[str, ...] = DEFAULT_COOLING_RECORD,
         warmup_cooling_s: float = 1800.0,
         events=(),
     ) -> Iterator[StepState]:
@@ -120,8 +119,9 @@ class SurrogateEngine(StreamingEngine):
         compatibility and ignored: the cooling surrogate predicts the
         *steady-state* response, which is its own warmup.
 
-        ``cooling_record`` is intersected with what the surrogate can
-        produce (:data:`SURROGATE_COOLING_OUTPUTS`).
+        Cooling records hold the fields of
+        :data:`~repro.core.engine.DEFAULT_COOLING_RECORD` the surrogate
+        can produce (:data:`SURROGATE_COOLING_OUTPUTS`).
 
         ``events`` (:class:`~repro.core.events.FaultEvent` stream) is
         honored for node outages — scheduling is exact, so node-down/up
@@ -173,7 +173,7 @@ class SurrogateEngine(StreamingEngine):
             predicted = self.bundle.predict_cooling(sys_w, wb)
             record = [
                 name
-                for name in cooling_record
+                for name in DEFAULT_COOLING_RECORD
                 if name in SURROGATE_COOLING_OUTPUTS
             ]
             cooling_series = {name: predicted[name] for name in record}

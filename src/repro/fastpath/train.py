@@ -198,8 +198,9 @@ def cooling_rows_from_store(
         raise ExaDigiTError(
             f"campaign {store.path} has {pue_cells_without_temp} coupled "
             "PUE cells but none recorded cooling.htw_supply_temp_c; "
-            "re-run the campaign with the default cooling_record (the "
-            "cooling surrogate trains both its PUE and HTW-supply heads)"
+            "re-run the campaign with the current full-fidelity engine, "
+            "whose cooling records include it (the cooling surrogate "
+            "trains both its PUE and HTW-supply heads)"
         )
     return (
         np.asarray(powers),

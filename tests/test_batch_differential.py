@@ -17,10 +17,12 @@ same trivial reason the laneable kinds must be exact for a deep one.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.batch import BatchedEngine, run_batched
 from repro.config.loader import load_builtin_system
+from repro.exceptions import FMUError
 from repro.scenarios import DigitalTwin, SyntheticScenario
 from repro.scenarios.generated import GeneratedScenario
 from repro.scenarios.library import (
@@ -33,6 +35,7 @@ from repro.scenarios.library import (
     WhatIfScenario,
 )
 from repro.service.warmcache import WarmStateCache
+from repro.telemetry.dataset import TimeSeries
 from repro.telemetry.synthesis import SyntheticTelemetryGenerator
 from repro.workloads.arrivals import DiurnalWorkload
 from repro.workloads.faults import FaultInjection
@@ -268,6 +271,28 @@ def test_mid_run_blockage_in_mixed_durations(spec):
     blocked = lanes[3].fmu._plant.cdus.blockage_factor
     assert blocked.tolist() == [1.0, 3.0]
     assert_lanes_match_solo(lanes, twin)
+
+
+def test_lane_rejects_implausible_wetbulb(spec, tmp_path):
+    """A replay whose wet-bulb climbs 20 -> 60 degC after 300 s: the
+    solo run stops at the first implausible sample, and so does the
+    batch holding it as a lane."""
+    day = SyntheticTelemetryGenerator(spec, seed=11).day(0)
+    day.series["wetbulb_temperature"] = TimeSeries(
+        np.array([0.0, 300.0, 600.0]), np.array([20.0, 20.0, 60.0]), "degC"
+    )
+    day.save(tmp_path / "heatwave")
+    scenario = ReplayScenario(
+        name="heatwave", dataset_path=str(tmp_path / "heatwave"),
+        duration_s=DUR,
+    )
+    twin = DigitalTwin(spec)
+    with pytest.raises(FMUError, match=r"implausible wet-bulb 46\.0 degC"):
+        scenario.run(twin)
+    with pytest.raises(FMUError, match=r"implausible wet-bulb 46\.0 degC"):
+        run_batched(
+            [SyntheticScenario(name="mild", duration_s=DUR), scenario], twin
+        )
 
 
 def test_setonix_b64_matches_solo_runs():

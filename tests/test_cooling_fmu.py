@@ -5,7 +5,8 @@ import pytest
 
 from repro.config.frontier import frontier_spec
 from repro.cooling.fmu import CoolingFMU, FmuState
-from repro.exceptions import FMUError
+from repro.cooling.plant import CoolingPlant
+from repro.exceptions import CoolingModelError, FMUError
 
 
 @pytest.fixture()
@@ -115,6 +116,31 @@ class TestInputValidation:
         fmu.setup_experiment()
         with pytest.raises(FMUError):
             fmu.set_system_power(-1.0)
+
+    @pytest.mark.parametrize("where", [0, 24, slice(None)])
+    def test_nan_heat(self, fmu, where):
+        fmu.setup_experiment()
+        heat = np.full(25, 4e5)
+        heat[where] = np.nan
+        with pytest.raises(FMUError, match="non-negative"):
+            fmu.set_cdu_heat(heat)
+
+    def test_nan_system_power(self, fmu):
+        fmu.setup_experiment()
+        with pytest.raises(FMUError, match="non-negative"):
+            fmu.set_system_power(float("nan"))
+
+    def test_nan_wetbulb(self, fmu):
+        fmu.setup_experiment()
+        with pytest.raises(FMUError, match="implausible"):
+            fmu.set_wetbulb(float("nan"))
+
+    def test_plant_rejects_nan_heat(self):
+        plant = CoolingPlant(frontier_spec().cooling)
+        heat = np.full(25, 4e5)
+        heat[7] = np.nan
+        with pytest.raises(CoolingModelError, match="non-negative"):
+            plant.step(heat, 15.0)
 
     def test_get_state_before_step(self, fmu):
         fmu.setup_experiment()
