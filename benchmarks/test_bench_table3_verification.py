@@ -11,15 +11,18 @@ RAPS predictions and its telemetry values:
 
 The repro must match the paper's RAPS column tightly and stay within a
 few percent of the paper's telemetry column (the paper reports 2.1 to
-4.7 % errors).  The timed kernel is the HPL-point evaluation.
+4.7 % errors).  The three points run serially through ``scenario.run``
+and as three lanes of one batched run; both executions must predict the
+same powers.  The timed kernel is the HPL-point evaluation.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.simulation import Simulation
+from repro.batch import run_batched
 from repro.core.validate import percent_error
+from repro.scenarios import DigitalTwin, VerificationScenario
 
 PAPER_ROWS = {
     # name: (nodes, telemetry_mw, raps_paper_mw)
@@ -31,21 +34,36 @@ PAPER_ROWS = {
 
 @pytest.fixture(scope="module")
 def predictions(frontier):
-    sim = Simulation(frontier, with_cooling=False)
-    out = {}
-    for point in PAPER_ROWS:
-        result = sim.run_verification(point, 600.0)
-        out[point] = result.mean_power_w / 1e6
-    return out
+    """Mean power (MW) per point under each execution."""
+    twin = DigitalTwin(frontier)
+    scenarios = [
+        VerificationScenario(point=point, duration_s=600.0, with_cooling=False)
+        for point in PAPER_ROWS
+    ]
+    runs = {
+        "serial": [scenario.run(twin) for scenario in scenarios],
+        "batched": run_batched(scenarios, twin),
+    }
+    return {
+        execution: {
+            point: outcome.result.mean_power_w / 1e6
+            for point, outcome in zip(PAPER_ROWS, outcomes)
+        }
+        for execution, outcomes in runs.items()
+    }
 
 
-def test_table3_reproduction(predictions, benchmark):
+@pytest.mark.parametrize("execution", ["serial", "batched"])
+def test_table3_reproduction(execution, predictions, benchmark):
+    # Both executions must predict the same powers.
+    powers = predictions[execution]
+    assert powers == predictions["serial"]
     lines = [
         f"{'Test':12s} {'Nodes':>6s} {'Telemetry':>10s} "
         f"{'RAPS paper':>11s} {'RAPS repro':>11s} {'% err vs tel':>13s}"
     ]
     for point, (nodes, tel, paper) in PAPER_ROWS.items():
-        got = predictions[point]
+        got = powers[point]
         err = percent_error(got, tel)
         lines.append(
             f"{point:12s} {nodes:6d} {tel:9.1f}M {paper:10.2f}M "
@@ -55,10 +73,13 @@ def test_table3_reproduction(predictions, benchmark):
         assert got == pytest.approx(paper, abs=0.15), point
         # ...and telemetry-level agreement comparable to the paper's.
         assert err < 6.0, point
-    emit("Table III - RAPS power verification tests", "\n".join(lines))
+    emit(
+        f"Table III - RAPS power verification tests ({execution})",
+        "\n".join(lines),
+    )
 
     # Ordering shape: idle < HPL < peak.
-    assert predictions["idle"] < predictions["hpl"] < predictions["peak"]
+    assert powers["idle"] < powers["hpl"] < powers["peak"]
 
     # Timed kernel: the HPL operating-point evaluation.
     from repro.power.system import SystemPowerModel

@@ -8,14 +8,19 @@ savings of $542k per year, while also reducing the carbon footprint by
 
 Shape assertions: baseline chain efficiency ~93 %, DC chain ~97.3 %,
 annualized savings in the published magnitude class, CO2 reduction
-~8 %.  The timed kernel is the DC conversion of one full-system state.
+~8 %.  The study runs twice — serially through ``scenario.run`` and as
+two lanes of a batched run replaying the saved day — and both
+executions must give the same comparison.  The timed kernel is the DC
+conversion of one full-system state.
 """
+
+import dataclasses
 
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.replay import replay_dataset
-from repro.core.whatif import run_whatif
+from repro.batch import run_batched
+from repro.scenarios import DigitalTwin, WhatIfScenario
 from repro.telemetry.synthesis import (
     SyntheticTelemetryGenerator,
     WorkloadDayParams,
@@ -25,22 +30,34 @@ HOURS = 4.0
 
 
 @pytest.fixture(scope="module")
-def comparison(frontier):
+def comparisons(frontier, tmp_path_factory):
+    """The study's comparison under each execution."""
     gen = SyntheticTelemetryGenerator(frontier, seed=542)
     params = WorkloadDayParams(
         mean_arrival_s=45.0, mean_nodes_per_job=300.0, mean_runtime_s=2400.0,
         mean_gpu_util=0.7,
     )
     day = gen.day(0, params=params)
-    baseline = replay_dataset(frontier, day, HOURS * 3600.0, with_cooling=False)
-    return run_whatif(
-        frontier, day, HOURS * 3600.0, "direct-dc", baseline_result=baseline
+    path = tmp_path_factory.mktemp("whatif-dc") / "day"
+    day.save(path)
+    twin = DigitalTwin(frontier)
+    scenario = WhatIfScenario(
+        modification="direct-dc", duration_s=HOURS * 3600.0
     )
+    serial = scenario.run(twin, dataset=day)
+    (batched,) = run_batched(
+        [dataclasses.replace(scenario, dataset_path=str(path))], twin
+    )
+    return {"serial": serial.comparison, "batched": batched.comparison}
 
 
-def test_whatif_direct_dc(comparison, benchmark, frontier):
-    emit("What-if #2 - Direct 380 V DC distribution (paper IV-3)",
-         comparison.report())
+@pytest.mark.parametrize("execution", ["serial", "batched"])
+def test_whatif_direct_dc(execution, comparisons, benchmark, frontier):
+    comparison = comparisons[execution]
+    emit(f"What-if #2 - Direct 380 V DC distribution (paper IV-3, "
+         f"{execution})", comparison.report())
+    # Both executions replay the same day: the same comparison.
+    assert comparison == comparisons["serial"]
 
     # Paper: 93.3 % -> 97.3 %.
     assert comparison.baseline_efficiency == pytest.approx(0.933, abs=0.01)

@@ -7,18 +7,22 @@ yearly cost savings of approximately $120k."
 
 Shape assertions: the gain is positive but small (well under 1 pp at
 productive load), grows toward idle (where the stock curve droops), and
-annualizes to five-to-low-six-figure savings.  The timed kernel is the
-staged conversion of one full-system power state.
+annualizes to five-to-low-six-figure savings.  The study runs twice —
+serially through ``scenario.run`` and as two lanes of a batched run
+replaying the saved day — and both executions must give the same
+comparison.  The timed kernel is the staged conversion of one
+full-system power state.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.replay import replay_dataset
-from repro.core.whatif import run_whatif
+from repro.batch import run_batched
 from repro.power.smart_rectifier import SmartRectifierChain
 from repro.power.system import SystemPowerModel
+from repro.scenarios import DigitalTwin, WhatIfScenario
 from repro.telemetry.synthesis import (
     SyntheticTelemetryGenerator,
     WorkloadDayParams,
@@ -28,23 +32,34 @@ HOURS = 4.0
 
 
 @pytest.fixture(scope="module")
-def comparison(frontier):
+def comparisons(frontier, tmp_path_factory):
+    """The study's comparison under each execution."""
     gen = SyntheticTelemetryGenerator(frontier, seed=120)
     params = WorkloadDayParams(
         mean_arrival_s=45.0, mean_nodes_per_job=300.0, mean_runtime_s=2400.0,
         mean_gpu_util=0.7,
     )
     day = gen.day(0, params=params)
-    baseline = replay_dataset(frontier, day, HOURS * 3600.0, with_cooling=False)
-    return run_whatif(
-        frontier, day, HOURS * 3600.0, "smart-rectifier",
-        baseline_result=baseline,
+    path = tmp_path_factory.mktemp("whatif-rectifier") / "day"
+    day.save(path)
+    twin = DigitalTwin(frontier)
+    scenario = WhatIfScenario(
+        modification="smart-rectifier", duration_s=HOURS * 3600.0
     )
+    serial = scenario.run(twin, dataset=day)
+    (batched,) = run_batched(
+        [dataclasses.replace(scenario, dataset_path=str(path))], twin
+    )
+    return {"serial": serial.comparison, "batched": batched.comparison}
 
 
-def test_whatif_smart_rectifier(comparison, benchmark, frontier):
-    emit("What-if #1 - Smart load-sharing rectifiers (paper IV-3)",
-         comparison.report())
+@pytest.mark.parametrize("execution", ["serial", "batched"])
+def test_whatif_smart_rectifier(execution, comparisons, benchmark, frontier):
+    comparison = comparisons[execution]
+    emit(f"What-if #1 - Smart load-sharing rectifiers (paper IV-3, "
+         f"{execution})", comparison.report())
+    # Both executions replay the same day: the same comparison.
+    assert comparison == comparisons["serial"]
 
     # Modest positive gain, same order as the paper's 0.1 %.
     assert 0.0 <= comparison.efficiency_gain_percent < 1.0

@@ -7,7 +7,9 @@ models with AutoCSM, builds their descriptive-twin scene graphs, and
 runs a short simulation on each — no code changes per machine.
 """
 
-from repro import Simulation, load_builtin_system
+import numpy as np
+
+from repro import DigitalTwin, SyntheticScenario, load_builtin_system
 from repro.config import builtin_system_names
 from repro.cooling.autocsm import autocsm_report
 from repro.viz.scene import build_scene
@@ -32,13 +34,15 @@ def main() -> None:
             f"({w:.0f} x {d:.0f} m floor)"
         )
 
-        sim = Simulation(spec, with_cooling=True, seed=7)
-        result = sim.run_synthetic(1800.0)
-        stats = sim.statistics()
+        outcome = SyntheticScenario(duration_s=1800.0, seed=7).run(
+            DigitalTwin(spec)
+        )
+        stats = outcome.statistics
+        pue = float(np.mean(outcome.result.cooling["pue"]))
         print(
             f"30 min synthetic run: {stats.jobs_completed} jobs done, "
             f"{stats.mean_power_mw:.2f} MW avg, "
-            f"PUE {sim.mean_pue():.3f}"
+            f"PUE {pue:.3f}"
         )
         if len(spec.partitions) > 1:
             print(

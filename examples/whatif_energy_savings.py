@@ -44,8 +44,8 @@ def main() -> None:
 
     # Each worker replays its own baseline (scenarios are independent);
     # the two counterfactuals run concurrently, so wall-clock stays at
-    # ~2 replays.  To amortize one baseline across modifications
-    # serially instead, call WhatIfScenario.run(baseline_result=...).
+    # ~2 replays.  repro.batch.run_batched would instead run all four
+    # replays (two baselines, two modified chains) as lanes of one batch.
     with tempfile.TemporaryDirectory(prefix="whatif-") as tmp:
         day_path = str(Path(tmp) / "day")
         day.save(day_path)

@@ -65,21 +65,21 @@ Quickstart — the same scenario on the surrogate fast path::
     twin = DigitalTwin("frontier", fidelity="surrogate")
     outcome = SyntheticScenario(duration_s=4 * 3600, seed=42).run(twin)
 
-The pre-scenario facade (``Simulation``, ``run_whatif``) remains
-available as a deprecated compatibility shim; see their docstrings for
-the scenario-API equivalents.
+The pre-scenario ``Simulation`` facade and its what-if helper were
+removed in 1.15.0.  Build a :class:`DigitalTwin` and run scenarios on
+it: a synthetic run is ``SyntheticScenario(duration_s=d).run(twin)``,
+and a what-if study is ``WhatIfScenario(modification=kind,
+duration_s=d).run(twin, dataset=day).comparison``.
 """
 
 from repro.config import FRONTIER, frontier_spec, load_system, load_builtin_system
 from repro.core import (
     PhaseProfiler,
     RapsEngine,
-    Simulation,
     SimulationResult,
     StepState,
     PhysicalTwin,
     ReplayValidation,
-    run_whatif,
 )
 from repro.cooling import CoolingFMU, CoolingPlant, FusedPlantKernel, generate_plant
 from repro.fastpath import (
@@ -126,7 +126,7 @@ from repro.workloads import (
     WorkloadGenerator,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "FRONTIER",
@@ -134,12 +134,10 @@ __all__ = [
     "load_system",
     "load_builtin_system",
     "RapsEngine",
-    "Simulation",
     "SimulationResult",
     "StepState",
     "PhysicalTwin",
     "ReplayValidation",
-    "run_whatif",
     "CoolingFMU",
     "CoolingPlant",
     "FusedPlantKernel",

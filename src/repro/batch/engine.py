@@ -17,24 +17,27 @@ batched half:
   cooling path too), which holds every coupled lane's plant state for
   the whole run, builds each step's cooling records in batch form and
   writes the state back onto the component graphs when the run ends;
-- warmup: lanes with the same (spec, wet-bulb) warm once through
+- warmup: lanes with the same (spec, chain, wet-bulb) warm once through
   :func:`~repro.core.engine.warm_cooling` and replicate the warmed
-  snapshot, honoring ``twin.warm_cache`` when one is attached.
+  snapshot, honoring ``twin.warm_cache`` (baseline chain only).
 
-Every lane's :class:`~repro.core.engine.StepState` stream is
-**bit-identical** to what a serial :class:`~repro.core.engine.RapsEngine`
-run of the same scenario would produce; the differential test suite
-(`tests/test_batch_differential.py`) enforces exactness across the
-scenario library.
+Each planned run (:meth:`~repro.scenarios.base.Scenario.plans`) is one
+lane: a what-if is two, the modified one carrying its own conversion
+chain.  Every lane's :class:`~repro.core.engine.StepState` stream is
+**bit-identical** to the matching serial ``scenario.run(twin)`` run;
+the differential test suite (`tests/test_batch_differential.py`)
+enforces exactness across the scenario library.
 
-Scenarios a lane cannot represent — surrogate fidelity, conversion-chain
-what-ifs, or scenario classes overriding the run protocol (sweep
-containers) — fall back to ``scenario.run(twin)`` serially, so
-``run_batched`` accepts any scenario list and always returns correct
-results, in the caller's order.
+Scenarios a lane cannot represent — surrogate fidelity, or scenario
+classes overriding the run protocol (sweep containers) — fall back to
+``scenario.run(twin)`` serially, so ``run_batched`` accepts any
+scenario list and always returns correct results, in the caller's
+order.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.batch.power import BatchedPowerModel
 from repro.cooling.fmu import CoolingFMU
@@ -74,6 +77,7 @@ class _Lane(Lane):
                 spec.cooling, substep_s=COOLING_SUBSTEP_S, backend="fused"
             )
             fmu.setup_experiment(start_time=0.0)
+        self.chain = plan.chain
         super().__init__(
             SchedulerEngine(
                 spec.total_nodes,
@@ -90,6 +94,21 @@ class _Lane(Lane):
             fmu,
         )
         self.steps: list[StepState] = []
+        # The scenario's neighbouring planned runs, and the steps sent.
+        self.prev: _Lane | None = None
+        self.next: _Lane | None = None
+        self.sent = 0
+
+    def forward(self, on_step) -> None:
+        """Send this lane's new steps to ``on_step`` once the scenario's
+        earlier runs are sent in full (a scenario streams in plan order)."""
+        if self.prev is not None and self.prev.sent < self.prev.n_steps:
+            return
+        for step in self.steps[self.sent:]:
+            on_step(self.index, step)
+        self.sent = len(self.steps)
+        if self.next is not None and self.sent == self.n_steps:
+            self.next.forward(on_step)
 
 
 def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
@@ -98,7 +117,7 @@ def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
     Lanes replicate the base ``Scenario.run`` protocol over a full-
     fidelity :class:`~repro.core.engine.RapsEngine`; anything that
     customizes execution (sweep containers, surrogate fidelity) falls
-    back to serial.  Chain overrides are checked post-plan.
+    back to serial.
     """
     cls = type(scenario)
     return (
@@ -155,17 +174,18 @@ class BatchedEngine:
         """Execute all scenarios; results in input order.
 
         ``progress`` is an optional ``(done, total)`` callback fired as
-        lanes finish collection (and per serial fallback).
+        scenarios finish collection (and per serial fallback).
         ``on_step(index, step)`` streams every
         :class:`~repro.core.engine.StepState` as it is produced, tagged
         with the scenario's caller-order index (the service layer's
-        live step transport; lanes interleave, each lane's own stream
-        stays in step order).
+        live step transport); each scenario's stream is its serial
+        ``progress`` stream, its runs in plan order.
         """
         total = len(self.scenarios)
         out: list[ScenarioResult | None] = [None] * total
         done = 0
         lanes: list[_Lane] = []
+        runs: dict[int, list[_Lane]] = {}
         fallback: list[int] = []
         for index, (scenario, twin) in enumerate(
             zip(self.scenarios, self.twins)
@@ -173,33 +193,35 @@ class BatchedEngine:
             if not _laneable(scenario, twin):
                 fallback.append(index)
                 continue
-            plan = scenario.plan(twin)
-            if plan.chain is not None:
-                fallback.append(index)
-                continue
-            lanes.append(_Lane(index, scenario, twin, plan))
+            own = [
+                _Lane(index, scenario, twin, plan)
+                for plan in scenario.plans(twin)
+            ]
+            for prev, lane in zip(own, own[1:]):
+                prev.next, lane.prev = lane, prev
+            runs[index] = own
+            lanes.extend(own)
 
         if lanes:
             self._run_lanes(lanes, on_step=on_step)
-        for lane in lanes:
-            result = collect_steps(
-                iter(lane.steps),
-                jobs=lane.jobs,
-                num_cdus=lane.spec.cooling.num_cdus,
-                scheduler_stats=lane.scheduler.stats,
-            )
-            out[lane.index] = lane.scenario._finish(lane.twin, result)
+        for index, own in runs.items():
+            results = [
+                collect_steps(
+                    iter(lane.steps),
+                    jobs=lane.jobs,
+                    num_cdus=lane.spec.cooling.num_cdus,
+                    scheduler_stats=lane.scheduler.stats,
+                )
+                for lane in own
+            ]
+            out[index] = own[0].scenario._finish(own[0].twin, results)
             done += 1
             if progress is not None:
                 progress(done, total)
         for index in fallback:
-            fallback_progress = None
-            if on_step is not None:
-                fallback_progress = (
-                    lambda step, _i=index: on_step(_i, step)
-                )
             out[index] = self.scenarios[index].run(
-                self.twins[index], progress=fallback_progress
+                self.twins[index],
+                progress=None if on_step is None else partial(on_step, index),
             )
             done += 1
             if progress is not None:
@@ -213,7 +235,9 @@ class BatchedEngine:
         # prefix as shorter lanes finish (sort is stable, so equal
         # lengths keep caller order).
         lanes.sort(key=lambda lane: -lane.n_steps)
-        power = BatchedPowerModel([lane.spec for lane in lanes])
+        power = BatchedPowerModel(
+            [lane.spec for lane in lanes], [lane.chain for lane in lanes]
+        )
         self._warmup(lanes, power)
         coupled = [lane for lane in lanes if lane.fmu is not None]
         cool = finish = None
@@ -229,7 +253,7 @@ class BatchedEngine:
             for lane in active:
                 lane.steps.append(lane.step)
                 if on_step is not None:
-                    on_step(lane.index, lane.step)
+                    lane.forward(on_step)
         self.power_evals = sum(lane.power_evals for lane in lanes)
         self.power_reuses = sum(lane.power_reuses for lane in lanes)
         if finish is not None:
@@ -246,23 +270,24 @@ class BatchedEngine:
             )
 
     def _warmup(self, lanes: list[_Lane], power: BatchedPowerModel) -> None:
-        """Shared cooling warmup: lanes sharing (spec, initial wet-bulb)
-        share one warmed plant state, so each group warms its first lane
-        and replicates the snapshot onto the rest."""
+        """Shared cooling warmup: lanes sharing (spec, chain, initial
+        wet-bulb) share one warmed plant state, so each group warms its
+        first lane and replicates the snapshot onto the rest.  The warm
+        cache key has no chain, so a modified chain bypasses it."""
         groups: dict[tuple, list[tuple[int, _Lane]]] = {}
         for pid, lane in enumerate(lanes):
             if lane.fmu is not None:
-                groups.setdefault((id(lane.spec), lane.wb0), []).append(
-                    (pid, lane)
-                )
+                key = (id(lane.spec), id(lane.chain), lane.wb0)
+                groups.setdefault(key, []).append((pid, lane))
         for (pid0, first), *rest in groups.values():
+            cache = getattr(first.twin, "warm_cache", None)
             warm_cooling(
                 first.fmu,
                 first.spec,
                 first.wb0,
                 self.warmup_cooling_s,
                 lambda: power.idle_power(pid0),
-                cache=getattr(first.twin, "warm_cache", None),
+                cache=cache if first.chain is None else None,
                 replicas=[lane.fmu for _, lane in rest],
             )
 

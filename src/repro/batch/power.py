@@ -5,30 +5,20 @@
 batched engine's per-lane change detection decides which lanes need a
 fresh evaluation each quantum, and only those pay for the pipeline.
 
-Bit-identity per lane comes from the same properties the batched
-cooling kernel relies on:
-
-- Each lane's node powers come from the serial Eq. 3 slot table
-  (:meth:`~repro.power.components.NodePowerModel.slot_power_w`), staged
-  as one row of a ``(K, N)`` array; the SIVOC/rectifier curves
-  (``np.interp``) and every division are elementwise, so each row
-  reproduces the serial ``(N,)`` bits.
-- The scatter-adds become **lane-offset bincounts**: each lane's bins
-  live in a disjoint ``[k * C, (k + 1) * C)`` range of one flat
-  bincount, and ``np.bincount`` accumulates weights in input order, so
-  each lane's per-bin accumulation order (and hence its bits) matches
-  the serial per-lane bincount exactly.
-- The per-lane scalar reductions (losses, system power) sum contiguous
-  single-lane rows — the same pairwise tree as the serial sums.
-
-Lanes are grouped by spec identity: lanes sharing a
-:class:`~repro.config.schema.SystemSpec` object share one topology, one
-coefficient set, and one batch scratch block (the overwhelmingly common
-case — a campaign sweeps one system).  Distinct specs get distinct
-groups and are evaluated group by group.
+Each call stages the changed lanes' node powers (the serial Eq. 3 slot
+table, :meth:`~repro.power.components.NodePowerModel.slot_power_w`) as
+rows of a ``(K, N)`` block for :meth:`SystemPowerModel.evaluate_rows
+<repro.power.system.SystemPowerModel.evaluate_rows>`, the one power
+pipeline, whose K = 1 case is the serial ``evaluate``; so each lane
+gets its serial bits.  Lanes sharing a spec *object* and a conversion
+chain (``None``: the baseline) share one group — the common case, a
+campaign over one system; a what-if's modified lane brings its own
+chain and so its own group.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -36,21 +26,11 @@ from repro.power.system import PowerResult, SystemPowerModel
 
 
 class _PowerGroup:
-    """Batched pipeline for up to ``capacity`` lanes of one spec."""
+    """One power model and its row staging for up to ``capacity`` lanes."""
 
-    def __init__(self, spec, capacity: int) -> None:
-        self.spec = spec
-        #: Serial reference model: single source of truth for topology,
-        #: coefficients, curves, and the warmup idle evaluation.
-        self.model = SystemPowerModel(spec)
-        t = self.model.topology
-        lane = np.arange(capacity, dtype=np.int64)[:, None]
-        # Lane-offset index maps: lane k scatters into bin range
-        # [k * count, (k + 1) * count) of one flat bincount.
-        self._chassis_flat = t.chassis_of_node[None, :] + lane * t.num_chassis
-        self._rack_flat = t.rack_of_chassis[None, :] + lane * t.num_racks
-        self._cdu_flat = t.cdu_of_rack[None, :] + lane * t.num_cdus
-        self.node_w = np.empty((capacity, t.num_nodes))
+    def __init__(self, spec, chain, capacity: int) -> None:
+        self.model = SystemPowerModel(spec, chain=chain)
+        self.node_w = np.empty((capacity, self.model.topology.num_nodes))
         self._idle: PowerResult | None = None
 
     def idle_power(self) -> PowerResult:
@@ -60,92 +40,31 @@ class _PowerGroup:
             self._idle = self.model.evaluate(np.zeros(n), np.zeros(n))
         return self._idle
 
-    def evaluate_batch(self, K: int) -> list[PowerResult]:
-        """Evaluate rows ``[0:K]`` of the staged node-power batch."""
-        model = self.model
-        t = model.topology
-        chain = model.chain
-        node_w = self.node_w[:K]
-        # Conversion chain (ConversionChain.convert, lane-batched).
-        sivoc_curve = chain.sivocs.curve
-        sivoc_in = node_w / np.interp(
-            node_w, sivoc_curve._loads, sivoc_curve._effs
-        )
-        chassis_bus = np.bincount(
-            self._chassis_flat[:K].ravel(),
-            weights=sivoc_in.ravel(),
-            minlength=K * t.num_chassis,
-        ).reshape(K, t.num_chassis)
-        per_rect = chassis_bus / chain._healthy
-        rect_curve = chain.rectifiers.curve
-        eta = np.interp(per_rect, rect_curve._loads, rect_curve._effs)
-        chassis_ac = chassis_bus / eta
-        # Aggregation (SystemPowerModel.evaluate, lane-batched).
-        rack_w = np.bincount(
-            self._rack_flat[:K].ravel(),
-            weights=chassis_ac.ravel(),
-            minlength=K * t.num_racks,
-        ).reshape(K, t.num_racks)
-        rack_w = rack_w + t.switch_power_per_rack_w
-        cdu_w = np.bincount(
-            self._cdu_flat[:K].ravel(),
-            weights=rack_w.ravel(),
-            minlength=K * t.num_cdus,
-        ).reshape(K, t.num_cdus)
-        cdu_heat = cdu_w * self.spec.power.cooling_efficiency
-        # Per-lane scalar reductions over contiguous rows + row copies
-        # (results outlive the next batch, which reuses the scratch).
-        results = []
-        pump_total = model._cdu_pump_total_w
-        switch_total = model._total_switch_w
-        for i in range(K):
-            results.append(
-                PowerResult(
-                    node_power_w=node_w[i].copy(),
-                    rack_power_w=rack_w[i].copy(),
-                    cdu_power_w=cdu_w[i].copy(),
-                    cdu_heat_w=cdu_heat[i].copy(),
-                    sivoc_loss_w=float(
-                        np.sum(sivoc_in[i]) - np.sum(node_w[i])
-                    ),
-                    rectifier_loss_w=float(
-                        np.sum(chassis_ac[i]) - np.sum(chassis_bus[i])
-                    ),
-                    switch_power_w=switch_total,
-                    cdu_pump_power_w=pump_total,
-                    system_power_w=float(np.sum(rack_w[i])) + pump_total,
-                )
-            )
-        return results
-
 
 class BatchedPowerModel:
     """Subset-batched power evaluation across B heterogeneous lanes.
 
     ``specs`` is the per-lane :class:`~repro.config.schema.SystemSpec`
-    sequence; lanes sharing a spec *object* share one batch group.
+    sequence and ``chains`` the optional per-lane conversion chains
+    (``None`` entries: the baseline chain); lanes sharing a spec *object*
+    and a chain share one group.
     """
 
-    def __init__(self, specs) -> None:
+    def __init__(self, specs, chains=None) -> None:
         specs = list(specs)
-        self.lanes = len(specs)
-        capacity: dict[int, int] = {}
-        for spec in specs:
-            capacity[id(spec)] = capacity.get(id(spec), 0) + 1
-        groups: dict[int, _PowerGroup] = {}
+        chains = [None] * len(specs) if chains is None else list(chains)
+        keys = [(id(spec), id(chain)) for spec, chain in zip(specs, chains)]
+        capacity = Counter(keys)
+        groups: dict[tuple[int, int], _PowerGroup] = {}
         self.lane_group: list[_PowerGroup] = []
-        for spec in specs:
-            key = id(spec)
+        for key, spec, chain in zip(keys, specs, chains):
             if key not in groups:
-                groups[key] = _PowerGroup(spec, capacity[key])
+                groups[key] = _PowerGroup(spec, chain, capacity[key])
             self.lane_group.append(groups[key])
 
     def idle_power(self, lane: int) -> PowerResult:
         """The warmup idle evaluation for ``lane`` (cached per group)."""
         return self.lane_group[lane].idle_power()
-
-    def num_cdus(self, lane: int) -> int:
-        return self.lane_group[lane].model.topology.num_cdus
 
     def evaluate(
         self, lanes, cpu_rows, gpu_rows, slot_maps
@@ -163,14 +82,22 @@ class BatchedPowerModel:
             group = self.lane_group[lane]
             by_group.setdefault(id(group), (group, []))[1].append(pos)
         for group, positions in by_group.values():
-            nodes = group.model.nodes
-            for row, pos in enumerate(positions):
-                group.node_w[row] = nodes.slot_power_w(
+            model = group.model
+            rows = [
+                model.nodes.slot_power_w(
                     cpu_rows[pos], gpu_rows[pos], slot_maps[pos]
                 )
-            results = group.evaluate_batch(len(positions))
-            for row, pos in enumerate(positions):
-                out[pos] = results[row]
+                for pos in positions
+            ]
+            staged = group.node_w[: len(rows)]
+            for row, node_w in enumerate(rows):
+                staged[row] = node_w
+            results = model.evaluate_rows(staged)
+            for pos, node_w, result in zip(positions, rows, results):
+                # The staging block is reused by the next call; each
+                # result keeps its lane's own node-power array instead.
+                result.node_power_w = node_w
+                out[pos] = result
         return out
 
 

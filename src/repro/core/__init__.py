@@ -2,7 +2,6 @@
 
 - :mod:`repro.core.engine` — Algorithm 1: the tick loop coupling the
   scheduler, the power model, and the cooling FMU (15 s cadence),
-- :mod:`repro.core.simulation` — high-level facade (spec -> run -> report),
 - :mod:`repro.core.replay` — telemetry replay + validation (Finding 8),
 - :mod:`repro.core.physical` — the simulated physical twin used to
   produce "measured" telemetry (see DESIGN.md substitutions),
@@ -27,13 +26,12 @@ from repro.core.earlystop import (
 )
 from repro.core.engine import RapsEngine, SimulationResult, StepState
 from repro.core.profiling import ENGINE_PHASES, PhaseProfiler
-from repro.core.simulation import Simulation
 from repro.core.stats import RunStatistics, DailyStatistics, aggregate_daily
 from repro.core.summary import result_metrics, result_series_doc
 from repro.core.validate import SeriesComparison, compare_series, percent_error
 from repro.core.physical import PhysicalTwin, MeasurementNoise
 from repro.core.replay import ReplayValidation, replay_dataset
-from repro.core.whatif import ScenarioComparison, run_whatif
+from repro.core.whatif import ScenarioComparison
 
 __all__ = [
     "RapsEngine",
@@ -41,7 +39,6 @@ __all__ = [
     "StepState",
     "PhaseProfiler",
     "ENGINE_PHASES",
-    "Simulation",
     "RunStatistics",
     "DailyStatistics",
     "aggregate_daily",
@@ -55,7 +52,6 @@ __all__ = [
     "ReplayValidation",
     "replay_dataset",
     "ScenarioComparison",
-    "run_whatif",
     "SteadyStateDetector",
     "DivergenceGuard",
     "any_of",

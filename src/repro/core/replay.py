@@ -17,8 +17,22 @@ from repro.config.schema import SystemSpec
 from repro.core.engine import RapsEngine, SimulationResult
 from repro.core.validate import SeriesComparison, compare_series
 from repro.exceptions import ValidationError
+from repro.scheduler.job import Job
 from repro.scheduler.workloads import jobs_from_dataset
 from repro.telemetry.dataset import TelemetryDataset, TimeSeries
+
+
+def replay_workload(
+    dataset: TelemetryDataset,
+) -> tuple[list[Job], TimeSeries | float]:
+    """A dataset's jobs (to dispatch at their recorded starts) and its
+    wet-bulb series (15 degC when it records none)."""
+    wetbulb = (
+        dataset["wetbulb_temperature"]
+        if "wetbulb_temperature" in dataset
+        else 15.0
+    )
+    return jobs_from_dataset(dataset), wetbulb
 
 
 def replay_dataset(
@@ -27,7 +41,6 @@ def replay_dataset(
     duration_s: float,
     *,
     with_cooling: bool = True,
-    chain=None,
     progress=None,
 ) -> SimulationResult:
     """Replay a telemetry dataset's jobs through the twin.
@@ -36,17 +49,9 @@ def replay_dataset(
     scheduling decisions); weather comes from the dataset when present.
     ``progress`` is forwarded to the engine's per-step callback hook.
     """
-    jobs = jobs_from_dataset(dataset)
-    wetbulb = (
-        dataset["wetbulb_temperature"]
-        if "wetbulb_temperature" in dataset
-        else 15.0
-    )
+    jobs, wetbulb = replay_workload(dataset)
     engine = RapsEngine(
-        spec,
-        with_cooling=with_cooling,
-        honor_recorded_starts=True,
-        chain=chain,
+        spec, with_cooling=with_cooling, honor_recorded_starts=True
     )
     return engine.run(jobs, duration_s, wetbulb=wetbulb, progress=progress)
 
@@ -122,4 +127,4 @@ class ReplayValidation:
         return comp.mae / mean_measured * 100.0
 
 
-__all__ = ["replay_dataset", "ReplayValidation"]
+__all__ = ["replay_workload", "replay_dataset", "ReplayValidation"]

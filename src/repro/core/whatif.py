@@ -1,20 +1,19 @@
 """What-if comparison machinery (paper section IV-3).
 
-Replays the same workload through the baseline twin and a modified twin
-(smart load-sharing rectifiers, 380 V direct-DC distribution, or any
-custom conversion chain), then reports the efficiency delta, annualized
-cost savings, and carbon-footprint reduction — the virtual-modification
+Builds the modified conversion chains (smart load-sharing rectifiers,
+380 V direct-DC distribution) and reduces a baseline and a modified
+replay of the same workload to the efficiency delta, annualized cost
+savings, and carbon-footprint reduction — the virtual-modification
 methodology of the paper's two counterfactual studies.
 
-The scenario package :mod:`repro.scenarios` holds the declarative
-front door to these comparisons,
-:class:`~repro.scenarios.library.WhatIfScenario`.
+The scenario package :mod:`repro.scenarios` runs these comparisons,
+:class:`~repro.scenarios.library.WhatIfScenario`, whose two replays are
+two plans of one scenario (and two lanes of a batched run).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.config.schema import SystemSpec
 from repro.core.engine import SimulationResult
@@ -23,7 +22,6 @@ from repro.power.dc_power import DirectDcChain
 from repro.power.emissions import EmissionsModel
 from repro.power.smart_rectifier import SmartRectifierChain
 from repro.power.system import SystemTopology
-from repro.telemetry.dataset import TelemetryDataset
 
 
 @dataclass(frozen=True)
@@ -67,6 +65,10 @@ class ScenarioComparison:
         )
 
 
+#: The built-in conversion-chain modifications :func:`_make_chain` builds.
+MODIFICATIONS = ("smart-rectifier", "direct-dc")
+
+
 def _make_chain(spec: SystemSpec, kind: str):
     topo = SystemTopology.from_spec(spec)
     if kind == "smart-rectifier":
@@ -86,7 +88,7 @@ def _make_chain(spec: SystemSpec, kind: str):
         )
     raise SimulationError(
         f"unknown what-if scenario {kind!r}; "
-        "expected 'smart-rectifier' or 'direct-dc'"
+        f"expected one of {sorted(MODIFICATIONS)}"
     )
 
 
@@ -122,43 +124,4 @@ def compare_results(
     )
 
 
-def run_whatif(
-    spec: SystemSpec,
-    dataset: TelemetryDataset,
-    duration_s: float,
-    scenario: str,
-    *,
-    with_cooling: bool = False,
-    baseline_result: SimulationResult | None = None,
-    chain_factory: Callable[[SystemSpec], object] | None = None,
-) -> ScenarioComparison:
-    """Replay ``dataset`` under the baseline and a modified chain.
-
-    .. deprecated::
-        Compatibility shim over
-        :class:`repro.scenarios.library.WhatIfScenario` — prefer
-        ``WhatIfScenario(modification=...).run(twin)``, which also
-        returns the full per-run artifacts.
-
-    ``scenario`` selects a built-in chain ('smart-rectifier' or
-    'direct-dc') unless ``chain_factory`` supplies a custom one.
-    ``baseline_result`` can be passed to amortize the baseline replay
-    across several scenarios.
-    """
-    from repro.scenarios.library import WhatIfScenario
-
-    whatif = WhatIfScenario(
-        modification=scenario,
-        duration_s=duration_s,
-        with_cooling=with_cooling,
-    )
-    outcome = whatif.run(
-        spec,
-        dataset=dataset,
-        baseline_result=baseline_result,
-        chain_factory=chain_factory,
-    )
-    return outcome.comparison
-
-
-__all__ = ["ScenarioComparison", "compare_results", "run_whatif"]
+__all__ = ["MODIFICATIONS", "ScenarioComparison", "compare_results"]

@@ -111,12 +111,68 @@ class RectifierBank:
         )
 
 
-class ConversionChain:
+class ChainBase:
+    """What every conversion chain shares: the SIVOC stage, the chassis
+    scatter-add and the loss sums.  A chain adds only its rectifier
+    stage, :meth:`rectify`, from per-chassis 380 V bus demand to
+    per-chassis input power.
+
+    :meth:`convert_rows` takes ``(K, N)`` node powers, one row per lane,
+    and gives each row the bits :meth:`convert` gives it alone: the
+    curves and divisions are elementwise, the chassis scatter is a
+    lane-offset bincount, and each loss sums contiguous rows.
+    """
+
+    name = ""
+
+    def __init__(
+        self, sivoc: SivocSpec, chassis_of_node: np.ndarray, num_chassis: int
+    ) -> None:
+        self.sivocs = SivocBank(sivoc)
+        self._chassis_of_node = np.asarray(chassis_of_node, dtype=np.int64)
+        self._num_chassis = int(num_chassis)
+
+    def rectify(self, chassis_bus_w: np.ndarray) -> np.ndarray:
+        """Per-chassis input power for a ``(C,)`` or ``(K, C)`` bus demand."""
+        raise NotImplementedError
+
+    def convert_rows(
+        self, node_w: np.ndarray, chassis_flat: np.ndarray
+    ) -> tuple[np.ndarray, list[float], list[float]]:
+        """:meth:`convert` over ``(K, N)`` node powers; ``chassis_flat``
+        starts with the K rows ``chassis_of_node + k * num_chassis``,
+        flattened."""
+        K, N = node_w.shape
+        C = self._num_chassis
+        sivoc_in = self.sivocs.input_power(node_w)
+        chassis_bus = np.bincount(
+            chassis_flat[: K * N], weights=sivoc_in.ravel(), minlength=K * C
+        ).reshape(K, C)
+        chassis_ac = self.rectify(chassis_bus)
+        # Sums along contiguous rows: each row's own pairwise sum.
+        sivoc_loss = sivoc_in.sum(axis=1) - node_w.sum(axis=1)
+        rect_loss = chassis_ac.sum(axis=1) - chassis_bus.sum(axis=1)
+        return chassis_ac, sivoc_loss.tolist(), rect_loss.tolist()
+
+    def convert(
+        self, node_power_w: np.ndarray
+    ) -> tuple[np.ndarray, float, float]:
+        """Returns (chassis_ac_w, sivoc_loss_w, rectifier_loss_w).
+
+        ``chassis_ac_w`` has one entry per chassis; losses are system
+        totals in watts.
+        """
+        node_w = np.asarray(node_power_w, dtype=np.float64)[None, :]
+        ac, sivoc_loss, rect_loss = self.convert_rows(
+            node_w, self._chassis_of_node
+        )
+        return ac[0], sivoc_loss[0], rect_loss[0]
+
+
+class ConversionChain(ChainBase):
     """The baseline two-stage chain (Eqs. 1-2) over the whole system.
 
-    ``convert`` maps per-node 48 V power to per-chassis AC input plus
-    per-stage losses; the system model aggregates from there.
-
+    Each chassis load is shared equally across its healthy rectifiers.
     The common DC bus rides through rectifier failures (paper III-B1:
     "in case of rectifier failure, blades are continuously powered");
     :meth:`fail_rectifiers` removes units from a chassis and the
@@ -133,10 +189,8 @@ class ConversionChain:
         chassis_of_node: np.ndarray,
         num_chassis: int,
     ) -> None:
-        self.sivocs = SivocBank(sivoc)
+        super().__init__(sivoc, chassis_of_node, num_chassis)
         self.rectifiers = RectifierBank(rectifier, rectifiers_per_chassis)
-        self._chassis_of_node = np.asarray(chassis_of_node, dtype=np.int64)
-        self._num_chassis = int(num_chassis)
         self._healthy = np.full(
             num_chassis, rectifiers_per_chassis, dtype=np.int64
         )
@@ -156,28 +210,16 @@ class ConversionChain:
         """Return every rectifier to service."""
         self._healthy[:] = self.rectifiers.rectifiers_per_chassis
 
-    def convert(
-        self, node_power_w: np.ndarray
-    ) -> tuple[np.ndarray, float, float]:
-        """Returns (chassis_ac_w, sivoc_loss_w, rectifier_loss_w).
-
-        ``chassis_ac_w`` has one entry per chassis; losses are system
-        totals in watts.
-        """
-        sivoc_in = self.sivocs.input_power(node_power_w)
-        sivoc_loss = float(np.sum(sivoc_in) - np.sum(node_power_w))
-        chassis_bus = np.bincount(
-            self._chassis_of_node, weights=sivoc_in, minlength=self._num_chassis
-        )
-        per_rect = chassis_bus / self._healthy
-        eta = self.rectifiers.curve.efficiency(per_rect)
-        chassis_ac = chassis_bus / eta
-        rect_loss = float(np.sum(chassis_ac) - np.sum(chassis_bus))
-        return chassis_ac, sivoc_loss, rect_loss
+    def rectify(self, chassis_bus_w: np.ndarray) -> np.ndarray:
+        eta = self.rectifiers.curve.efficiency(chassis_bus_w / self._healthy)
+        return chassis_bus_w / eta
 
     def rectifiers_active(self, node_power_w: np.ndarray) -> np.ndarray:
         """Rectifiers energized per chassis (all healthy units)."""
         return self._healthy.copy()
 
 
-__all__ = ["EfficiencyCurve", "SivocBank", "RectifierBank", "ConversionChain"]
+__all__ = [
+    "EfficiencyCurve", "SivocBank", "RectifierBank", "ChainBase",
+    "ConversionChain",
+]

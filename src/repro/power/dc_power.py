@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.config.schema import SivocSpec
 from repro.exceptions import PowerModelError
-from repro.power.conversion import SivocBank
+from repro.power.conversion import ChainBase
 
 
-class DirectDcChain:
+class DirectDcChain(ChainBase):
     """Conversion chain with no rectifier stage (380 V DC to the bus).
 
     Drop-in replacement for
@@ -37,23 +37,11 @@ class DirectDcChain:
     ) -> None:
         if not 0.0 < distribution_efficiency <= 1.0:
             raise PowerModelError("distribution_efficiency must be in (0, 1]")
-        self.sivocs = SivocBank(sivoc)
+        super().__init__(sivoc, chassis_of_node, num_chassis)
         self.distribution_efficiency = float(distribution_efficiency)
-        self._chassis_of_node = np.asarray(chassis_of_node, dtype=np.int64)
-        self._num_chassis = int(num_chassis)
 
-    def convert(
-        self, node_power_w: np.ndarray
-    ) -> tuple[np.ndarray, float, float]:
-        """Same contract as :meth:`ConversionChain.convert`."""
-        sivoc_in = self.sivocs.input_power(node_power_w)
-        sivoc_loss = float(np.sum(sivoc_in) - np.sum(node_power_w))
-        chassis_bus = np.bincount(
-            self._chassis_of_node, weights=sivoc_in, minlength=self._num_chassis
-        )
-        chassis_dc = chassis_bus / self.distribution_efficiency
-        dist_loss = float(np.sum(chassis_dc) - np.sum(chassis_bus))
-        return chassis_dc, sivoc_loss, dist_loss
+    def rectify(self, chassis_bus_w: np.ndarray) -> np.ndarray:
+        return chassis_bus_w / self.distribution_efficiency
 
     def rectifiers_active(self, node_power_w: np.ndarray) -> np.ndarray:
         """No rectifiers exist in the DC design."""

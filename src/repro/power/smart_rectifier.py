@@ -18,10 +18,10 @@ import numpy as np
 
 from repro.config.schema import RectifierSpec, SivocSpec
 from repro.exceptions import PowerModelError
-from repro.power.conversion import EfficiencyCurve, SivocBank
+from repro.power.conversion import ChainBase, EfficiencyCurve
 
 
-class SmartRectifierChain:
+class SmartRectifierChain(ChainBase):
     """Conversion chain with per-chassis rectifier staging.
 
     Drop-in replacement for
@@ -46,14 +46,12 @@ class SmartRectifierChain:
             raise PowerModelError("rectifiers_per_chassis must be >= 1")
         if not 0.0 <= headroom_fraction < 1.0:
             raise PowerModelError("headroom_fraction must be in [0, 1)")
-        self.sivocs = SivocBank(sivoc)
+        super().__init__(sivoc, chassis_of_node, num_chassis)
         self.curve = EfficiencyCurve(
             rectifier.load_points_w, rectifier.efficiency_points
         )
         self.rectifiers_per_chassis = int(rectifiers_per_chassis)
         self.max_load_w = rectifier.rated_output_w * (1.0 - headroom_fraction)
-        self._chassis_of_node = np.asarray(chassis_of_node, dtype=np.int64)
-        self._num_chassis = int(num_chassis)
         #: Rectifier counts evaluated per chassis, shape (R,).
         self._counts = np.arange(1, self.rectifiers_per_chassis + 1)
 
@@ -61,41 +59,29 @@ class SmartRectifierChain:
         """Best rectifier count per chassis, vectorized over all chassis.
 
         Evaluates the efficiency at ``L/n`` for every candidate ``n``
-        (shape: chassis x candidates), masks out overloaded candidates,
-        and takes the argmax.  At zero load a single rectifier stays
-        energized to keep the DC bus alive.
+        (shape: chassis x candidates, behind any leading row axis),
+        masks out overloaded candidates, and takes the argmax.  At zero
+        load a single rectifier stays energized to keep the DC bus alive.
         """
-        loads = chassis_bus_w[:, None] / self._counts[None, :]
+        loads = chassis_bus_w[..., None] / self._counts
         eta = self.curve.efficiency(loads)
         feasible = loads <= self.max_load_w
         # If no candidate is feasible (overload), fall back to all-on.
         eta = np.where(feasible, eta, -1.0)
-        best = np.argmax(eta, axis=1)
-        none_feasible = ~feasible.any(axis=1)
-        best[none_feasible] = self.rectifiers_per_chassis - 1
+        best = np.argmax(eta, axis=-1)
+        best[~feasible.any(axis=-1)] = self.rectifiers_per_chassis - 1
         return self._counts[best]
 
-    def convert(
-        self, node_power_w: np.ndarray
-    ) -> tuple[np.ndarray, float, float]:
-        """Same contract as :meth:`ConversionChain.convert`."""
-        sivoc_in = self.sivocs.input_power(node_power_w)
-        sivoc_loss = float(np.sum(sivoc_in) - np.sum(node_power_w))
-        chassis_bus = np.bincount(
-            self._chassis_of_node, weights=sivoc_in, minlength=self._num_chassis
-        )
-        n_active = self._stage(chassis_bus)
-        per_rect = chassis_bus / n_active
-        eta = self.curve.efficiency(per_rect)
-        chassis_ac = chassis_bus / eta
-        rect_loss = float(np.sum(chassis_ac) - np.sum(chassis_bus))
-        return chassis_ac, sivoc_loss, rect_loss
+    def rectify(self, chassis_bus_w: np.ndarray) -> np.ndarray:
+        eta = self.curve.efficiency(chassis_bus_w / self._stage(chassis_bus_w))
+        return chassis_bus_w / eta
 
     def rectifiers_active(self, node_power_w: np.ndarray) -> np.ndarray:
         """Rectifiers energized per chassis under staging."""
-        sivoc_in = self.sivocs.input_power(node_power_w)
         chassis_bus = np.bincount(
-            self._chassis_of_node, weights=sivoc_in, minlength=self._num_chassis
+            self._chassis_of_node,
+            weights=self.sivocs.input_power(node_power_w),
+            minlength=self._num_chassis,
         )
         return self._stage(chassis_bus)
 

@@ -188,6 +188,22 @@ class SystemPowerModel:
         t = self.topology
         self._total_switch_w = float(np.sum(t.switch_power_per_rack_w))
         self._cdu_pump_total_w = spec.power.cdu_pump_power_w * t.num_cdus
+        self._rows = 0
+
+    def _offset_maps(self, K: int) -> tuple[np.ndarray, ...]:
+        """Flattened lane-offset (chassis, rack, CDU) maps for at least
+        ``K`` rows: row ``k`` scatters into bins
+        ``[k * count, (k + 1) * count)``."""
+        if K > self._rows:
+            t = self.topology
+            lane = np.arange(K, dtype=np.int64)[:, None]
+            self._maps = (
+                (t.chassis_of_node + lane * t.num_chassis).ravel(),
+                (t.rack_of_chassis + lane * t.num_racks).ravel(),
+                (t.cdu_of_rack + lane * t.num_cdus).ravel(),
+            )
+            self._rows = K
+        return self._maps
 
     # -- evaluation -------------------------------------------------------------
 
@@ -204,32 +220,51 @@ class SystemPowerModel:
         then runs once per (partition, slot), bit-identical to passing
         the gathered per-node arrays.
         """
-        t = self.topology
         if slot_of_node is None:
             node_w = self.nodes.node_power_w(cpu_util, gpu_util)
         else:
             node_w = self.nodes.slot_power_w(cpu_util, gpu_util, slot_of_node)
-        chassis_ac, sivoc_loss, rect_loss = self.chain.convert(node_w)
+        return self.evaluate_rows(node_w[None, :])[0]
+
+    def evaluate_rows(self, node_w: np.ndarray) -> list[PowerResult]:
+        """The pipeline from ``(K, N)`` node powers, one result per row,
+        each with the bits the K = 1 case gives that row alone (every
+        stage is elementwise, a lane-offset bincount or a row sum).
+        Result arrays are row views (``node_power_w`` of ``node_w``)."""
+        t = self.topology
+        K = node_w.shape[0]
+        chassis_flat, rack_flat, cdu_flat = self._offset_maps(K)
+        chassis_ac, sivoc_loss, rect_loss = self.chain.convert_rows(
+            node_w, chassis_flat
+        )
         rack_w = np.bincount(
-            t.rack_of_chassis, weights=chassis_ac, minlength=t.num_racks
-        )
-        rack_w = rack_w + t.switch_power_per_rack_w
+            rack_flat[: K * t.num_chassis],
+            weights=chassis_ac.ravel(),
+            minlength=K * t.num_racks,
+        ).reshape(K, t.num_racks)
+        rack_w += t.switch_power_per_rack_w
         cdu_w = np.bincount(
-            t.cdu_of_rack, weights=rack_w, minlength=t.num_cdus
-        )
+            cdu_flat[: K * t.num_racks],
+            weights=rack_w.ravel(),
+            minlength=K * t.num_cdus,
+        ).reshape(K, t.num_cdus)
         cdu_heat = cdu_w * self.spec.power.cooling_efficiency
-        system_w = float(np.sum(rack_w)) + self._cdu_pump_total_w
-        return PowerResult(
-            node_power_w=node_w,
-            rack_power_w=rack_w,
-            cdu_power_w=cdu_w,
-            cdu_heat_w=cdu_heat,
-            sivoc_loss_w=sivoc_loss,
-            rectifier_loss_w=rect_loss,
-            switch_power_w=self._total_switch_w,
-            cdu_pump_power_w=self._cdu_pump_total_w,
-            system_power_w=system_w,
-        )
+        pump_w = self._cdu_pump_total_w
+        system_w = (rack_w.sum(axis=1) + pump_w).tolist()
+        return [
+            PowerResult(
+                node_power_w=node_w[i],
+                rack_power_w=rack_w[i],
+                cdu_power_w=cdu_w[i],
+                cdu_heat_w=cdu_heat[i],
+                sivoc_loss_w=sivoc_loss[i],
+                rectifier_loss_w=rect_loss[i],
+                switch_power_w=self._total_switch_w,
+                cdu_pump_power_w=pump_w,
+                system_power_w=system_w[i],
+            )
+            for i in range(K)
+        ]
 
     def evaluate_uniform(self, cpu_util: float, gpu_util: float) -> PowerResult:
         """Every node at the same utilization (Table III verification)."""

@@ -5,8 +5,10 @@ experiment against a digital twin — it holds no live objects, only
 parameters — so it can round-trip through JSON
 (``Scenario.from_dict(s.to_dict()) == s``), be shipped to a worker
 process, and be re-run reproducibly from its seed.  Execution is a
-single protocol method, ``scenario.run(twin)``, which plans a workload,
-drives the streaming :class:`~repro.core.engine.RapsEngine`, and
+single protocol method, ``scenario.run(twin)``, which plans the
+scenario's engine runs (``plans``: one for most kinds, a baseline and a
+modified replay for a what-if), drives the streaming
+:class:`~repro.core.engine.RapsEngine` through each in order, and
 returns a :class:`~repro.scenarios.result.ScenarioResult`.
 
 Concrete scenario types live in :mod:`repro.scenarios.library` and
@@ -58,7 +60,9 @@ class RunPlan:
 
     ``events`` is an optional time-sorted stream of
     :class:`~repro.core.events.FaultEvent`\\ s (node outages, CDU
-    blockages) the engine applies while the run advances.
+    blockages) the engine applies while the run advances.  ``chain`` is
+    the run's conversion chain (``None``: the spec's baseline chain); a
+    what-if's modified plan carries its own.
     """
 
     jobs: list[Job]
@@ -133,65 +137,62 @@ class Scenario:
         """Materialize the workload for this scenario (subclass hook)."""
         raise NotImplementedError
 
+    def plans(self, twin: DigitalTwin, **kwargs: Any) -> list[RunPlan]:
+        """This scenario's engine runs, in order (one by default; a
+        what-if has two); :meth:`_finish` gets one result per plan."""
+        return [self.plan(twin, **kwargs)]
+
     def run(
         self,
         twin: DigitalTwin | Any,
         *,
         progress: Callable[[StepState], None] | None = None,
         stop_when: Callable[[StepState], bool] | None = None,
-        chain: Any = None,
-        wetbulb: float | TimeSeries | None = None,
         **plan_kwargs: Any,
     ) -> ScenarioResult:
         """Execute against ``twin`` (a DigitalTwin, spec, name, or path).
 
-        ``progress`` / ``stop_when`` hook into the engine's streaming
-        step loop; ``chain`` and ``wetbulb`` override the planned
-        conversion chain and weather (used by the legacy facade).
+        The planned runs execute in plan order; ``progress`` /
+        ``stop_when`` hook into each run's streaming step loop.
         """
         twin = as_twin(twin)
-        plan = self.plan(twin, **plan_kwargs)
-        engine = self.build_engine(twin, plan, chain=chain)
-        result = engine.run(
-            plan.jobs,
-            plan.duration_s,
-            wetbulb=plan.wetbulb if wetbulb is None else wetbulb,
-            events=plan.events,
-            progress=progress,
-            stop_when=stop_when,
-        )
-        return self._finish(twin, result)
+        results = [
+            engine.run(
+                plan.jobs,
+                plan.duration_s,
+                wetbulb=plan.wetbulb,
+                events=plan.events,
+                progress=progress,
+                stop_when=stop_when,
+            )
+            for plan, engine in self._engines(twin, plan_kwargs)
+        ]
+        return self._finish(twin, results)
 
     def iter_steps(
-        self,
-        twin: DigitalTwin | Any,
-        *,
-        chain: Any = None,
-        wetbulb: float | TimeSeries | None = None,
-        **plan_kwargs: Any,
+        self, twin: DigitalTwin | Any, **plan_kwargs: Any
     ) -> Iterator[StepState]:
-        """Stream the scenario's run one quantum at a time (live feeds)."""
-        twin = as_twin(twin)
-        plan = self.plan(twin, **plan_kwargs)
-        engine = self.build_engine(twin, plan, chain=chain)
-        return engine.iter_steps(
-            plan.jobs,
-            plan.duration_s,
-            wetbulb=plan.wetbulb if wetbulb is None else wetbulb,
-            events=plan.events,
-        )
+        """Stream the scenario's runs one quantum at a time (live feeds):
+        plan 0's steps, then plan 1's, as :meth:`run`'s ``progress``."""
+        return _chain_runs(self._engines(as_twin(twin), plan_kwargs))
+
+    def _engines(self, twin: DigitalTwin, plan_kwargs: dict[str, Any]):
+        # Built before any run starts, so a rejected plan fails up front.
+        return [
+            (plan, self.build_engine(twin, plan))
+            for plan in self.plans(twin, **plan_kwargs)
+        ]
 
     def effective_fidelity(self, twin: DigitalTwin) -> str:
         """This scenario's backend: its own field, else the twin's."""
         return self.fidelity or getattr(twin, "fidelity", "full")
 
-    def build_engine(
-        self, twin: DigitalTwin, plan: RunPlan, *, chain: Any = None
-    ):
+    def build_engine(self, twin: DigitalTwin, plan: RunPlan):
         """Construct the engine for one planned run.
 
         Dispatches on the effective fidelity: the full L4
-        :class:`~repro.core.engine.RapsEngine`, or the surrogate-backed
+        :class:`~repro.core.engine.RapsEngine` (with the plan's
+        conversion chain), or the surrogate-backed
         :class:`~repro.fastpath.engine.SurrogateEngine` (both implement
         the same ``iter_steps``/``run`` protocol).
         """
@@ -199,7 +200,7 @@ class Scenario:
             # Deferred import: repro.fastpath depends on this module.
             from repro.fastpath.engine import SurrogateEngine
 
-            if chain is not None or plan.chain is not None:
+            if plan.chain is not None:
                 raise ScenarioError(
                     "surrogate fidelity cannot apply conversion-chain "
                     "overrides (the bundle is trained on the baseline "
@@ -214,7 +215,7 @@ class Scenario:
             )
         return RapsEngine(
             twin.spec,
-            chain=chain or plan.chain,
+            chain=plan.chain,
             with_cooling=self.with_cooling,
             honor_recorded_starts=plan.honor_recorded,
             policy=self.policy,
@@ -223,8 +224,10 @@ class Scenario:
         )
 
     def _finish(
-        self, twin: DigitalTwin, result: SimulationResult
+        self, twin: DigitalTwin, results: list[SimulationResult]
     ) -> ScenarioResult:
+        """Reduce one engine result per plan to the scenario's outcome."""
+        (result,) = results
         return ScenarioResult(
             scenario=self,
             result=result,
@@ -279,6 +282,17 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
         return Scenario.from_dict(doc)
+
+
+def _chain_runs(runs) -> Iterator[StepState]:
+    # ``yield from`` forwards an early close to the running engine.
+    for plan, engine in runs:
+        yield from engine.iter_steps(
+            plan.jobs,
+            plan.duration_s,
+            wetbulb=plan.wetbulb,
+            events=plan.events,
+        )
 
 
 def _to_jsonable(value: Any) -> Any:

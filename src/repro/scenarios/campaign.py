@@ -166,9 +166,9 @@ class Campaign:
         vectorized sweep in this process instead of B worker processes
         (``workers`` is ignored).  Lanes are bit-identical to the
         serial path, so the persisted artifacts are indistinguishable
-        from a serial run; cells the batched engine cannot lane-align
-        (sweeps, what-ifs, reduced fidelity) fall back to
-        ``scenario.run`` internally.
+        from a serial run; a what-if is two lanes, and cells the
+        batched engine cannot lane-align (sweeps, reduced fidelity)
+        fall back to ``scenario.run`` internally.
 
         Returns the merged suite result in cell order: stored results
         for old cells, live results for the ones just run.

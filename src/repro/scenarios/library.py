@@ -28,13 +28,13 @@ import itertools
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar
+from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.core.engine import SimulationResult
-from repro.core.replay import replay_dataset
-from repro.core.whatif import ScenarioComparison, _make_chain, compare_results
+from repro.core.replay import replay_workload
+from repro.core.whatif import MODIFICATIONS, _make_chain, compare_results
 from repro.core.stats import compute_statistics
 from repro.exceptions import ScenarioError
 from repro.scenarios.base import RunPlan, Scenario, register_scenario
@@ -75,8 +75,8 @@ class SyntheticScenario(Scenario):
 class ReplayScenario(Scenario):
     """Telemetry replay with recorded start times.
 
-    Declaratively references the dataset by path; the legacy facade may
-    inject an in-memory dataset via ``run(twin, dataset=...)`` instead.
+    Declaratively references the dataset by path; a caller holding an
+    in-memory dataset may pass it as ``run(twin, dataset=...)`` instead.
     """
 
     kind: ClassVar[str] = "replay"
@@ -101,20 +101,23 @@ class ReplayScenario(Scenario):
         dataset: TelemetryDataset | None = None,
         **kwargs: Any,
     ) -> RunPlan:
-        from repro.scheduler.workloads import jobs_from_dataset
+        return _replay_plan(
+            self.resolve_dataset(twin, dataset), self.duration_s
+        )
 
-        data = self.resolve_dataset(twin, dataset)
-        wetbulb = (
-            data["wetbulb_temperature"]
-            if "wetbulb_temperature" in data
-            else 15.0
-        )
-        return RunPlan(
-            jobs=jobs_from_dataset(data),
-            duration_s=self.duration_s,
-            wetbulb=wetbulb,
-            honor_recorded=True,
-        )
+
+def _replay_plan(
+    data: TelemetryDataset, duration_s: float, chain: Any = None
+) -> RunPlan:
+    """A dataset's jobs at their recorded starts, under its weather."""
+    jobs, wetbulb = replay_workload(data)
+    return RunPlan(
+        jobs=jobs,
+        duration_s=duration_s,
+        wetbulb=wetbulb,
+        honor_recorded=True,
+        chain=chain,
+    )
 
 
 #: Table III operating-point workload builders.
@@ -205,7 +208,9 @@ class WhatIfScenario(Scenario):
     ``modification`` selects the virtual hardware change
     (``"smart-rectifier"`` or ``"direct-dc"``).  The workload replays a
     telemetry dataset referenced by ``dataset_path``, or — when no path
-    is given — a synthesized production day drawn from ``seed``.
+    is given — a synthesized production day drawn from ``seed``.  Its
+    two plans replay it under the baseline and the modified chain; the
+    outcome holds both runs (``baseline``, ``result``) and their deltas.
     """
 
     kind: ClassVar[str] = "whatif"
@@ -213,6 +218,14 @@ class WhatIfScenario(Scenario):
     modification: str = "direct-dc"
     dataset_path: str = ""
     with_cooling: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.modification not in MODIFICATIONS:
+            raise ScenarioError(
+                f"unknown what-if modification {self.modification!r}; "
+                f"expected one of {sorted(MODIFICATIONS)}"
+            )
 
     def resolve_dataset(
         self, twin: DigitalTwin, dataset: TelemetryDataset | None = None
@@ -225,75 +238,36 @@ class WhatIfScenario(Scenario):
 
         return SyntheticTelemetryGenerator(twin.spec, seed=self.seed).day(0)
 
-    def iter_steps(self, twin: DigitalTwin | Any, **kwargs: Any):
-        raise ScenarioError(
-            "WhatIfScenario does not stream: it executes two engine runs "
-            "(baseline + modified); use run(twin, progress=...) instead"
-        )
-
-    def run(
+    def plans(
         self,
-        twin: DigitalTwin | Any,
+        twin: DigitalTwin,
         *,
         dataset: TelemetryDataset | None = None,
-        baseline_result: SimulationResult | None = None,
-        chain_factory: Callable[..., Any] | None = None,
-        progress: Callable[..., None] | None = None,
         **kwargs: Any,
-    ) -> ScenarioResult:
-        """Replay baseline and modified twins, report the deltas.
-
-        ``baseline_result`` amortizes the baseline replay across several
-        what-ifs; ``chain_factory`` substitutes a custom chain for the
-        built-in modifications; ``progress`` sees the steps of both
-        replays (baseline first, then modified).
-        """
-        if kwargs:
-            # Keep protocol-generic callers on a catchable error: the
-            # base protocol's stop_when/chain/wetbulb extras don't map
-            # onto a two-run comparison.
-            raise ScenarioError(
-                f"WhatIfScenario.run does not support {sorted(kwargs)}; "
-                "supported extras: dataset, baseline_result, "
-                "chain_factory, progress"
-            )
-        twin = as_twin(twin)
-        if self.effective_fidelity(twin) == "surrogate":
-            raise ScenarioError(
-                "WhatIfScenario compares conversion chains, which the "
-                "surrogate backend does not model; run at fidelity='full'"
-            )
+    ) -> list[RunPlan]:
+        """The baseline replay, then the modified one (own jobs each)."""
         data = self.resolve_dataset(twin, dataset)
-        if baseline_result is None:
-            baseline_result = replay_dataset(
-                twin.spec,
+        return [
+            _replay_plan(data, self.duration_s),
+            _replay_plan(
                 data,
                 self.duration_s,
-                with_cooling=self.with_cooling,
-                progress=progress,
-            )
-        chain = (
-            chain_factory(twin.spec)
-            if chain_factory is not None
-            else _make_chain(twin.spec, self.modification)
-        )
-        modified = replay_dataset(
-            twin.spec,
-            data,
-            self.duration_s,
-            with_cooling=self.with_cooling,
-            chain=chain,
-            progress=progress,
-        )
-        comparison: ScenarioComparison = compare_results(
-            self.modification, twin.spec, baseline_result, modified
-        )
+                chain=_make_chain(twin.spec, self.modification),
+            ),
+        ]
+
+    def _finish(
+        self, twin: DigitalTwin, results: list[SimulationResult]
+    ) -> ScenarioResult:
+        baseline, modified = results
         return ScenarioResult(
             scenario=self,
             result=modified,
             statistics=compute_statistics(modified, twin.spec.economics),
-            baseline=baseline_result,
-            comparison=comparison,
+            baseline=baseline,
+            comparison=compare_results(
+                self.modification, twin.spec, baseline, modified
+            ),
         )
 
 

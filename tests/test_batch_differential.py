@@ -9,10 +9,12 @@ match **exactly**: ``np.testing.assert_array_equal`` on every series,
 never a tolerance.  Batching is an overhead eliminator, not a different
 model; any ULP of drift here is a bug.
 
-Batch widths follow the acceptance grid B ∈ {1, 4, 16}.  Scenario kinds
-the engine cannot lane-align (sweep containers, what-ifs) exercise the
-serial-fallback path inside ``run_batched`` and must be exact for the
-same trivial reason the laneable kinds must be exact for a deep one.
+Batch widths follow the acceptance grid B ∈ {1, 4, 16}.  A what-if is
+two lanes (its baseline and modified replays, the second carrying its
+own conversion chain).  Scenario kinds the engine cannot lane-align
+(sweep containers) exercise the serial-fallback path inside
+``run_batched`` and must be exact for the same trivial reason the
+laneable kinds must be exact for a deep one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import pytest
 from repro.batch import BatchedEngine, run_batched
 from repro.config.loader import load_builtin_system
 from repro.exceptions import FMUError
-from repro.scenarios import DigitalTwin, SyntheticScenario
+from repro.scenarios import DigitalTwin, Scenario, SyntheticScenario
 from repro.scenarios.generated import GeneratedScenario
 from repro.scenarios.library import (
     BenchmarkSequenceScenario,
@@ -368,3 +370,56 @@ def test_engine_counters_and_progress(spec):
     assert ticks == [(1, 3), (2, 3), (3, 3)]
     assert engine.power_evals > 0
     assert engine.power_reuses > 0
+
+
+def test_whatifs_run_as_lanes(spec, monkeypatch):
+    """B=6: synthetic lanes beside direct-dc what-ifs (coupled and
+    uncoupled) and a smart-rectifier what-if, behind one warm cache.
+    With ``Scenario.run`` disabled nothing can fall back to a serial
+    run; every outcome (result, baseline, comparison) equals its solo
+    run's, and every what-if streams its solo ``progress`` stream."""
+    scenarios = [
+        SyntheticScenario(name="syn-0", duration_s=DUR, seed=0),
+        WhatIfScenario(
+            name="dc-dry", modification="direct-dc", duration_s=DUR, seed=1
+        ),
+        WhatIfScenario(
+            name="dc-wet",
+            modification="direct-dc",
+            duration_s=DUR,
+            seed=2,
+            with_cooling=True,
+        ),
+        SyntheticScenario(
+            name="syn-1", duration_s=DUR, seed=3, with_cooling=False
+        ),
+        WhatIfScenario(
+            name="smart",
+            modification="smart-rectifier",
+            duration_s=DUR,
+            seed=4,
+            with_cooling=True,
+        ),
+        SyntheticScenario(name="syn-2", duration_s=DUR, seed=5),
+    ]
+    solo = []
+    for scenario in scenarios:
+        steps = []
+        outcome = scenario.run(DigitalTwin(spec), progress=steps.append)
+        solo.append((outcome, steps))
+
+    def no_serial_runs(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} fell back to a serial run")
+
+    monkeypatch.setattr(Scenario, "run", no_serial_runs)
+    records: dict[int, list] = {}
+    outcomes = BatchedEngine(
+        scenarios, DigitalTwin(spec, warm_cache=WarmStateCache())
+    ).run(on_step=lambda i, step: records.setdefault(i, []).append(step))
+    for i, (outcome, (reference, steps)) in enumerate(zip(outcomes, solo)):
+        label = f"lane {i} ({scenarios[i].name})"
+        assert_bitidentical(outcome, reference, label=label)
+        assert outcome.comparison == reference.comparison, label
+        if isinstance(scenarios[i], WhatIfScenario):
+            assert outcome.baseline is not None, label
+            assert_bitidentical(records[i], steps, label=f"{label} steps")

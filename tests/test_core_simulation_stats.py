@@ -1,84 +1,96 @@
-"""Simulation facade and run statistics (paper III-B5, Table IV)."""
+"""Running a twin through scenarios, and run statistics (paper III-B5,
+Table IV)."""
 
 import numpy as np
 import pytest
 
-from repro.core.simulation import Simulation
-from repro.core.stats import (
-    aggregate_daily,
-    compute_statistics,
-    format_table4,
+from repro.core.engine import collect_steps
+from repro.core.stats import aggregate_daily, format_table4
+from repro.exceptions import ScenarioError, SimulationError
+from repro.scenarios import (
+    DigitalTwin,
+    ReplayScenario,
+    SyntheticScenario,
+    VerificationScenario,
 )
-from repro.exceptions import SimulationError
 from tests.conftest import make_small_spec
 
 
+def run_synthetic(spec, duration_s, *, seed=0, with_cooling=False):
+    """One synthetic run on ``spec``; its scenario outcome."""
+    scenario = SyntheticScenario(
+        duration_s=duration_s, seed=seed, with_cooling=with_cooling
+    )
+    return scenario.run(DigitalTwin(spec))
+
+
 class TestSimulationFacade:
+    """What the removed ``Simulation`` facade offered, through a
+    :class:`DigitalTwin` and scenarios."""
+
     def test_builtin_by_name(self):
-        sim = Simulation("frontier", with_cooling=False)
-        assert sim.spec.name == "frontier"
+        assert DigitalTwin("frontier").spec.name == "frontier"
 
     def test_spec_object_accepted(self):
-        sim = Simulation(make_small_spec(), with_cooling=False)
-        assert sim.spec.name == "mini"
+        assert DigitalTwin(make_small_spec()).spec.name == "mini"
 
     def test_json_path_accepted(self, tmp_path):
         from repro.config.loader import dump_system
 
         path = tmp_path / "mini.json"
         dump_system(make_small_spec(), path)
-        sim = Simulation(path, with_cooling=False)
-        assert sim.spec.name == "mini"
+        assert DigitalTwin(path).spec.name == "mini"
 
     def test_statistics_requires_run(self):
-        sim = Simulation(make_small_spec(), with_cooling=False)
-        with pytest.raises(SimulationError):
-            sim.statistics()
+        # Statistics come from a run's steps; an empty stream is no run.
+        with pytest.raises(SimulationError, match="no steps"):
+            collect_steps(
+                iter(()), jobs=[], num_cdus=1, scheduler_stats=None
+            )
 
     def test_verification_points(self):
-        sim = Simulation(make_small_spec(), with_cooling=False)
-        idle = sim.run_verification("idle", 300.0).mean_power_w
-        peak = sim.run_verification("peak", 300.0).mean_power_w
-        hpl = sim.run_verification("hpl", 300.0).mean_power_w
-        assert idle < hpl < peak
+        twin = DigitalTwin(make_small_spec())
+
+        def mean_power(point):
+            return VerificationScenario(
+                point=point, duration_s=300.0, with_cooling=False
+            ).run(twin).result.mean_power_w
+
+        assert mean_power("idle") < mean_power("hpl") < mean_power("peak")
 
     def test_unknown_verification_point(self):
-        sim = Simulation(make_small_spec(), with_cooling=False)
-        with pytest.raises(SimulationError, match="unknown"):
-            sim.run_verification("linpack")
+        with pytest.raises(ScenarioError, match="unknown"):
+            VerificationScenario(point="linpack")
 
     def test_synthetic_run_and_stats(self):
-        sim = Simulation(make_small_spec(), with_cooling=False, seed=11)
-        result = sim.run_synthetic(3600.0)
-        stats = sim.statistics()
+        outcome = run_synthetic(make_small_spec(), 3600.0, seed=11)
+        stats = outcome.statistics
         assert stats.mean_power_mw == pytest.approx(
-            result.mean_power_w / 1e6
+            outcome.result.mean_power_w / 1e6
         )
         assert stats.total_energy_mwh > 0
         assert stats.co2_tons > 0
         assert stats.energy_cost_usd > 0
 
     def test_mean_pue_requires_cooling(self):
-        sim = Simulation(make_small_spec(), with_cooling=False, seed=1)
-        sim.run_synthetic(900.0)
+        outcome = run_synthetic(make_small_spec(), 900.0, seed=1)
         with pytest.raises(SimulationError, match="cooling"):
-            sim.mean_pue()
+            outcome.result.cooling_series("pue")
 
     def test_replay_through_facade(self):
         from repro.telemetry.synthesis import SyntheticTelemetryGenerator
 
         spec = make_small_spec()
         ds = SyntheticTelemetryGenerator(spec, seed=5).day(0)
-        sim = Simulation(spec, with_cooling=False)
-        result = sim.run_replay(ds, 3600.0)
-        assert result.scheduler_stats.started > 0
+        outcome = ReplayScenario(duration_s=3600.0, with_cooling=False).run(
+            DigitalTwin(spec), dataset=ds
+        )
+        assert outcome.result.scheduler_stats.started > 0
 
 
 class TestStatistics:
     def make_stats(self, seed=0):
-        sim = Simulation(make_small_spec(), with_cooling=False, seed=seed)
-        sim.run_synthetic(3600.0)
-        return sim.statistics()
+        return run_synthetic(make_small_spec(), 3600.0, seed=seed).statistics
 
     def test_report_renders(self):
         report = self.make_stats().report()
@@ -126,6 +138,4 @@ class TestTable4Aggregation:
 
 
 def self_make(seed):
-    sim = Simulation(make_small_spec(), with_cooling=False, seed=seed)
-    sim.run_synthetic(1800.0)
-    return sim.statistics()
+    return run_synthetic(make_small_spec(), 1800.0, seed=seed).statistics

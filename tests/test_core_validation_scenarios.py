@@ -5,12 +5,12 @@ import pytest
 
 from repro.core.physical import MeasurementNoise, PhysicalTwin
 from repro.core.replay import ReplayValidation, replay_dataset
-from repro.core.whatif import run_whatif
 from repro.core.validate import compare_series, percent_error
-from repro.exceptions import ValidationError
+from repro.exceptions import ScenarioError, ValidationError
+from repro.scenarios import DigitalTwin, WhatIfScenario
 from repro.telemetry.dataset import TimeSeries
 from repro.telemetry.synthesis import SyntheticTelemetryGenerator
-from tests.conftest import make_small_spec
+from tests.conftest import assert_bitidentical, make_small_spec
 
 
 class TestMetrics:
@@ -149,7 +149,7 @@ class TestWhatIfs:
 
     def test_direct_dc_saves(self, workload):
         spec, day = workload
-        comp = run_whatif(spec, day, 3600.0, "direct-dc")
+        comp = compare_whatif(spec, day, 3600.0, "direct-dc")
         assert comp.modified_efficiency > comp.baseline_efficiency
         assert comp.annual_savings_usd > 0
         assert comp.co2_reduction_percent > 0
@@ -158,30 +158,38 @@ class TestWhatIfs:
 
     def test_smart_rectifier_small_positive(self, workload):
         spec, day = workload
-        comp = run_whatif(spec, day, 3600.0, "smart-rectifier")
+        comp = compare_whatif(spec, day, 3600.0, "smart-rectifier")
         assert comp.modified_efficiency >= comp.baseline_efficiency
         assert comp.efficiency_gain_percent < 2.0
 
     def test_baseline_result_reused(self, workload):
+        # The outcome's baseline is the plain replay of the same day.
         spec, day = workload
         base = replay_dataset(spec, day, 3600.0, with_cooling=False)
-        comp = run_whatif(
-            spec, day, 3600.0, "direct-dc", baseline_result=base
-        )
-        assert comp.baseline_mean_power_mw == pytest.approx(
+        outcome = WhatIfScenario(
+            modification="direct-dc", duration_s=3600.0
+        ).run(DigitalTwin(spec), dataset=day)
+        assert_bitidentical(outcome.baseline, base, label="baseline")
+        assert outcome.comparison.baseline_mean_power_mw == pytest.approx(
             base.mean_power_w / 1e6
         )
 
     def test_unknown_scenario_rejected(self, workload):
-        spec, day = workload
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError, match="unknown"):
-            run_whatif(spec, day, 600.0, "fusion-power")
+        with pytest.raises(ScenarioError, match="unknown"):
+            WhatIfScenario(modification="fusion-power", duration_s=600.0)
 
     def test_report_renders(self, workload):
         spec, day = workload
-        comp = run_whatif(spec, day, 1800.0, "direct-dc")
+        comp = compare_whatif(spec, day, 1800.0, "direct-dc")
         text = comp.report()
         assert "annual savings" in text
         assert "CO2" in text
+
+
+def compare_whatif(spec, day, duration_s, modification):
+    """Replay ``day`` under the baseline and a modified chain; the
+    comparison."""
+    scenario = WhatIfScenario(
+        modification=modification, duration_s=duration_s
+    )
+    return scenario.run(DigitalTwin(spec), dataset=day).comparison

@@ -142,12 +142,6 @@ def test_whatif_rejected_on_surrogate_twin(spec, bundle):
         WhatIfScenario(duration_s=900.0).run(twin)
 
 
-def test_chain_override_rejected(spec, bundle):
-    twin = DigitalTwin(spec, fidelity="surrogate", surrogates=bundle)
-    with pytest.raises(ScenarioError, match="conversion-chain"):
-        SyntheticScenario(duration_s=900.0).run(twin, chain=object())
-
-
 def test_invalid_fidelity_rejected():
     with pytest.raises(ScenarioError, match="fidelity"):
         SyntheticScenario(fidelity="quantum")

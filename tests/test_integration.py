@@ -13,8 +13,12 @@ from repro.config.loader import load_builtin_system
 from repro.core.engine import RapsEngine
 from repro.core.physical import PhysicalTwin
 from repro.core.replay import ReplayValidation
-from repro.core.simulation import Simulation
 from repro.core.stats import aggregate_daily, compute_statistics
+from repro.scenarios import (
+    DigitalTwin,
+    SyntheticScenario,
+    VerificationScenario,
+)
 from repro.scheduler.workloads import benchmark_sequence, jobs_from_dataset
 from repro.telemetry.synthesis import (
     SyntheticTelemetryGenerator,
@@ -27,15 +31,17 @@ class TestFrontierVerification:
     """Table III through the full engine, with the cooling FMU coupled."""
 
     def test_idle_with_cooling(self):
-        sim = Simulation("frontier", with_cooling=True)
-        result = sim.run_verification("idle", 900.0)
+        result = VerificationScenario(point="idle", duration_s=900.0).run(
+            DigitalTwin("frontier")
+        ).result
         assert result.mean_power_w / 1e6 == pytest.approx(7.24, abs=0.05)
-        pue = sim.mean_pue()
+        pue = float(np.mean(result.cooling["pue"]))
         assert 1.0 < pue < 1.12
 
     def test_hpl_power_and_heat(self):
-        sim = Simulation("frontier", with_cooling=False)
-        result = sim.run_verification("hpl", 900.0)
+        result = VerificationScenario(
+            point="hpl", duration_s=900.0, with_cooling=False
+        ).run(DigitalTwin("frontier")).result
         assert result.mean_power_w / 1e6 == pytest.approx(22.3, abs=0.15)
         # Heat to the CDUs is cooling_efficiency x rack power.
         heat = float(np.sum(result.cdu_heat_w[-1]))
@@ -104,15 +110,17 @@ class TestGeneralization:
     """Paper Section V: other machines through the same stack."""
 
     def test_marconi100_end_to_end(self):
-        sim = Simulation("marconi100", with_cooling=True, seed=2)
-        result = sim.run_synthetic(1800.0)
+        result = SyntheticScenario(duration_s=1800.0, seed=2).run(
+            DigitalTwin("marconi100")
+        ).result
         assert result.mean_power_w > 0
         assert "pue" in result.cooling
 
     def test_setonix_multi_partition_end_to_end(self):
         spec = load_builtin_system("setonix")
-        sim = Simulation(spec, with_cooling=False, seed=3)
-        result = sim.run_verification("peak", 300.0)
+        result = VerificationScenario(
+            point="peak", duration_s=300.0, seed=3, with_cooling=False
+        ).run(DigitalTwin(spec)).result
         # Peak of 1592 CPU + 192 GPU nodes: sanity band.
         assert 1.0 < result.mean_power_w / 1e6 < 5.0
 
@@ -122,8 +130,9 @@ class TestGeneralization:
         spec = make_small_spec(total_nodes=512, num_cdus=4)
         path = tmp_path / "custom.json"
         dump_system(spec, path)
-        sim = Simulation(path, with_cooling=False, seed=1)
-        result = sim.run_verification("idle", 300.0)
+        result = VerificationScenario(
+            point="idle", duration_s=300.0, seed=1, with_cooling=False
+        ).run(DigitalTwin(path)).result
         assert result.mean_power_w > 0
 
 

@@ -125,3 +125,70 @@ class TestNanGuard:
                 [ok, ok],
                 [slot_of_node, slot_of_node],
             )
+
+
+class TestBatchedChains:
+    """Lanes of one spec under four conversion chains in one
+    :class:`BatchedPowerModel`: every lane's result has the bits of the
+    serial model with that lane's chain."""
+
+    LANES_PER_CHAIN = 4
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.batch.power import BatchedPowerModel
+        from repro.core.whatif import _make_chain
+        from repro.power.conversion import ConversionChain
+        from repro.power.system import SystemPowerModel
+
+        spec = frontier_spec()
+        topo = SystemPowerModel(spec).topology
+
+        def baseline():
+            return ConversionChain(
+                spec.power.rectifier,
+                spec.power.sivoc,
+                topo.rectifiers_per_chassis,
+                topo.chassis_of_node,
+                topo.num_chassis,
+            )
+
+        failed = baseline()
+        failed.fail_rectifiers(0, 1)
+        chains = [
+            baseline(),
+            failed,
+            _make_chain(spec, "smart-rectifier"),
+            _make_chain(spec, "direct-dc"),
+        ]
+        lane_chains = [c for c in chains for _ in range(self.LANES_PER_CHAIN)]
+        power = BatchedPowerModel([spec] * len(lane_chains), lane_chains)
+        serial = {
+            id(c): SystemPowerModel(spec, chain=c) for c in chains
+        }
+        return spec, lane_chains, power, serial
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_each_lane_matches_its_serial_chain(self, setup, K):
+        spec, lane_chains, power, serial = setup
+        n = spec.total_nodes
+        rng = np.random.default_rng(K)
+        lanes = [
+            lane
+            for lane in range(len(lane_chains))
+            if lane % self.LANES_PER_CHAIN < K
+        ]
+        slot_maps = [rng.integers(-1, 6, size=n) for _ in lanes]
+        cpu_rows = [rng.random(6) for _ in lanes]
+        gpu_rows = [rng.random(6) for _ in lanes]
+        results = power.evaluate(lanes, cpu_rows, gpu_rows, slot_maps)
+        assert len(results) == len(lanes)
+        for pos, lane in enumerate(lanes):
+            expected = serial[id(lane_chains[lane])].evaluate(
+                cpu_rows[pos], gpu_rows[pos], slot_maps[pos]
+            )
+            got = results[pos]
+            for name, value in vars(expected).items():
+                np.testing.assert_array_equal(
+                    getattr(got, name), value, err_msg=f"lane {lane} {name}"
+                )

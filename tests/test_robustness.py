@@ -5,7 +5,7 @@ import pytest
 
 from repro.config.frontier import frontier_spec
 from repro.core.engine import RapsEngine
-from repro.core.simulation import Simulation
+from repro.scenarios import DigitalTwin, SyntheticScenario
 from repro.scheduler.job import Job
 from repro.scheduler.workloads import jobs_from_dataset, synthetic_workload
 from repro.telemetry.synthesis import SyntheticTelemetryGenerator
@@ -173,8 +173,9 @@ class TestWeatherCorrelation:
 class TestEnergyAccounting:
     def test_pue_definition_consistent(self):
         spec = make_small_spec()
-        sim = Simulation(spec, with_cooling=True, seed=8)
-        result = sim.run_synthetic(1800.0)
+        result = SyntheticScenario(duration_s=1800.0, seed=8).run(
+            DigitalTwin(spec)
+        ).result
         pue = result.cooling["pue"]
         aux = result.cooling["aux_power_w"]
         cdu_pumps = result.cooling["cdu_pump_power_w"].sum(axis=1)

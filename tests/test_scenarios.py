@@ -1,11 +1,10 @@
-"""Scenario API: declarative round-trips, execution, and legacy parity."""
+"""Scenario API: declarative round-trips and execution."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.simulation import Simulation
 from repro.exceptions import ScenarioError
 from repro.scenarios import (
     SCENARIO_TYPES,
@@ -173,33 +172,3 @@ class TestExecution:
         steps = list(s.iter_steps(twin))
         assert len(steps) == 40
         assert steps[0].index == 0
-
-
-class TestLegacyShimParity:
-    """The deprecated facade must match scenario-API output exactly."""
-
-    def test_run_synthetic_matches_scenario(self):
-        spec = make_small_spec()
-        sim = Simulation(spec, with_cooling=False, seed=5)
-        legacy = sim.run_synthetic(900.0)
-        fresh = SyntheticScenario(
-            duration_s=900.0, seed=5, with_cooling=False
-        ).run(DigitalTwin(spec))
-        assert np.array_equal(legacy.system_power_w, fresh.result.system_power_w)
-        assert np.array_equal(legacy.utilization, fresh.result.utilization)
-
-    def test_run_verification_matches_scenario(self):
-        spec = make_small_spec()
-        sim = Simulation(spec, with_cooling=False)
-        legacy = sim.run_verification("hpl", 300.0)
-        fresh = VerificationScenario(
-            point="hpl", duration_s=300.0, with_cooling=False
-        ).run(DigitalTwin(spec))
-        assert np.array_equal(legacy.system_power_w, fresh.result.system_power_w)
-
-    def test_unknown_point_still_simulation_error(self):
-        from repro.exceptions import SimulationError
-
-        sim = Simulation(make_small_spec(), with_cooling=False)
-        with pytest.raises(SimulationError, match="verification point"):
-            sim.run_verification("warp")

@@ -230,6 +230,15 @@ def test_bad_submissions_are_client_errors(client):
         client.wait(slow["id"])
 
 
+def test_unknown_whatif_modification_is_a_400(client):
+    # Rejected when the scenario is built, so it never reaches a worker
+    # or the store.
+    with pytest.raises(
+        ExaDigiTError, match="-> 400: .*unknown what-if modification"
+    ):
+        client.submit({"kind": "whatif", "modification": "fusion-power"})
+
+
 def test_healthz_shape(client):
     doc = client.health()
     assert doc["status"] == "ok"

@@ -7,8 +7,8 @@ import pytest
 
 from repro.config.frontier import frontier_spec
 from repro.config.loader import load_builtin_system
-from repro.core.simulation import Simulation
 from repro.exceptions import ExaDigiTError
+from repro.scenarios import DigitalTwin, SyntheticScenario
 from repro.viz.dashboard import render_dashboard, sparkline
 from repro.viz.export import export_result, result_to_csv, result_to_json
 from repro.viz.heatmap import cdu_heatmap, rack_heatmap, render_grid
@@ -23,8 +23,8 @@ def frontier_scene():
 
 @pytest.fixture(scope="module")
 def small_result():
-    sim = Simulation(make_small_spec(), with_cooling=True, seed=2)
-    return sim.run_synthetic(1800.0)
+    scenario = SyntheticScenario(duration_s=1800.0, seed=2)
+    return scenario.run(DigitalTwin(make_small_spec())).result
 
 
 class TestScene:
