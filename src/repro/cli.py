@@ -1641,9 +1641,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution",
         choices=("processes", "batched"),
         default="processes",
-        help="job execution backend: dispatch cells to the worker pool, "
-        "or run each submission's cells as one vectorized in-process "
-        "batch (bit-identical results)",
+        help="how the worker pool takes queued cells: one cell per "
+        "dispatch, or each submission's cells together as the lanes of "
+        "one vectorized engine on one worker (bit-identical results)",
     )
     p.add_argument(
         "--metrics",

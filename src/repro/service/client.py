@@ -363,15 +363,16 @@ class TwinClient:
     ) -> Iterator[dict[str, Any]]:
         """Reconnect-and-resume wrapper around one transport attempt.
 
-        ``n_ok`` counts the step records held for the current attempt —
-        by determinism, that count is the correct ``from_seq`` against
-        any server life: the server either resumes exactly there or
-        answers with a ``restart`` event and a full (bit-identical)
-        replay.  Progress resets the failure budget, so a long stream
-        may survive many well-spaced drops while a dead server still
-        exhausts the policy quickly.
+        ``next_seq`` is one past the ``seq`` of the last step record
+        yielded.  A requeue moves the server's numbering past the
+        abandoned attempt, so resuming there either continues the
+        attempt the watcher holds or draws a ``restart`` event and a
+        full (bit-identical) replay of the new one.  Progress resets
+        the failure budget, so a long stream may survive many
+        well-spaced drops while a dead server still exhausts the policy
+        quickly.
         """
-        n_ok = int(from_seq or 0)
+        next_seq = int(from_seq or 0)
         policy = self.retry
         backoffs = policy.backoffs()
         failures = 0
@@ -379,12 +380,11 @@ class TwinClient:
         while True:
             progressed = False
             try:
-                for doc in once(job_id, n_ok):
+                for doc in once(job_id, next_seq):
                     if is_step_record(doc):
-                        doc.pop("seq", None)
-                        n_ok += 1
+                        next_seq = doc.pop("seq", next_seq) + 1
                     elif doc.get("event") == "restart":
-                        n_ok = 0
+                        next_seq = 0
                     progressed = True
                     yield doc
                     if doc.get("event") in TERMINAL_EVENTS:

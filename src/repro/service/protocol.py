@@ -104,6 +104,10 @@ class JobRecord:
     ``seq_base + i``, and a requeue advances ``seq_base`` past the
     abandoned attempt before clearing ``steps``, so a sequence number
     is never reused for different content within one server life.
+
+    ``group`` lists the ids of the jobs dispatched together with this
+    one as the lanes of one worker run (a batched submission's uncached
+    cells); empty means the job runs alone.
     """
 
     id: str
@@ -114,6 +118,7 @@ class JobRecord:
     attempts: int = 0
     max_attempts: int = 2
     worker: int | None = None
+    group: tuple[str, ...] = ()
     steps: list[dict] = field(default_factory=list)
     seq_base: int = 0
     cell: dict[str, Any] | None = None

@@ -49,7 +49,7 @@ Guarantees:
 - **Disconnect-safe**: a watcher is a subscription, never an owner —
   closing a stream mid-run affects nothing; a later watcher replays
   the full buffered stream from step 0.
-- **Crash-safe**: a worker death requeues its in-flight job at the
+- **Crash-safe**: a worker death requeues its in-flight jobs at the
   queue head (``restart`` event to watchers, attempt-capped) and the
   worker is respawned.
 - **Cached**: results are content-addressed by
@@ -87,18 +87,12 @@ from repro.obs.registry import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    get_registry,
-    set_registry,
 )
 from repro.obs.trace import FlightRecorder, Tracer
-from repro.scenarios.artifacts import (
-    _nulled_nans,
-    result_to_cell_doc,
-    spec_sha256,
-)
+from repro.scenarios.artifacts import _nulled_nans, spec_sha256
 from repro.scenarios.base import Scenario
 from repro.scenarios.library import BaseSweepScenario
-from repro.scenarios.twin import DigitalTwin, FIDELITIES, resolve_spec
+from repro.scenarios.twin import FIDELITIES, resolve_spec
 from repro.service import ws as wsproto
 from repro.service.protocol import (
     JobRecord,
@@ -146,10 +140,15 @@ class TwinServer:
         Whether repeat submissions may be served from the result cache
         (per-request override: ``{"use_cache": false}`` in the POST).
     execution:
-        ``"processes"`` (default) dispatches each cell to the worker
-        pool; ``"batched"`` runs each submission's uncached cells as
-        one vectorized :class:`~repro.batch.engine.BatchedEngine` sweep
-        in-process (bit-identical lanes, same streaming transport).
+        How queued cells are grouped onto the worker pool.  Every
+        dispatch hands a worker a lane group that it runs through one
+        :class:`~repro.batch.engine.BatchedEngine`: ``"processes"``
+        (default) makes each cell its own group; ``"batched"`` keeps a
+        submission's uncached cells together, so a sweep runs as the
+        lanes of one vectorized engine on one worker.  Either way each
+        cell is its own queued job with the same admission, deadlines,
+        cancel, crash requeue and persistence, and its stream is
+        bit-identical to a direct run.
     max_retained_jobs:
         Memory bound for a long-running server: once more than this
         many jobs are terminal, the oldest terminal jobs (and their
@@ -163,10 +162,7 @@ class TwinServer:
         ``GET /metrics`` and snapshotted into ``GET /statusz``;
         ``False`` serves both endpoints empty at zero recording cost;
         an explicit registry instance is used as-is (shared registries
-        across servers are allowed).  While a metrics-enabled server
-        runs, its registry is also installed process-globally (unless
-        one is already installed), so in-process engine/batch/store
-        counters land on the same ``/metrics`` page.
+        across servers are allowed).
     flight_capacity:
         Ring-buffer size of the :class:`~repro.obs.trace.FlightRecorder`
         holding the most recent job spans and worker events; the buffer
@@ -311,10 +307,6 @@ class TwinServer:
         )
         self.max_retained_jobs = max_retained_jobs
         self.result_cache_entries = result_cache_entries
-        self.warm_entries = warm_entries
-        #: Lazily-built twin for ``execution="batched"`` submissions
-        #: (one per server, so batched sweeps share a warm-plant cache).
-        self._batch_twin: DigitalTwin | None = None
         #: Terminal job ids in completion order (memory-bound eviction).
         self._terminal_order: list[str] = []
         self.counters = {
@@ -380,7 +372,6 @@ class TwinServer:
         self._heartbeat_task: asyncio.Task | None = None
         self._hb_interval_s = 0.25
         self._last_beat: float | None = None
-        self._installed_global_registry = False
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -526,20 +517,10 @@ class TwinServer:
         self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
         if self.history is not None:
             self._history_task = asyncio.ensure_future(self._history_loop())
-        # Adopt this server's registry process-wide (when none is
-        # installed) so in-process engine/batch/campaign counters from
-        # batched execution land on the same /metrics page.
-        if self.metrics.enabled and not get_registry().enabled:
-            set_registry(self.metrics)
-            self._installed_global_registry = True
         return self
 
     async def stop(self) -> None:
         """Close the listener and stop the workers."""
-        if self._installed_global_registry:
-            if get_registry() is self.metrics:
-                set_registry(NULL_REGISTRY)
-            self._installed_global_registry = False
         if self._drain_task is not None:
             self._drain_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -677,7 +658,7 @@ class TwinServer:
                 self._live_append(job, msg["record"])
                 self._ring(job)
                 if self.chaos.enabled:
-                    self._chaos_step(job, index)
+                    self._chaos_step(index)
         elif event == "done":
             self._worker_respawns[index] = 0
             self.breaker.record_success()
@@ -694,7 +675,7 @@ class TwinServer:
             self._finish(job, JobState.DONE)
             # Free the worker before persisting: a store failure must
             # cost a counter, never a pool slot.
-            self._worker_idle(index)
+            self._release(index, job.id)
             self._persist(job)
         elif event == "cancelled":
             self._worker_respawns[index] = 0
@@ -703,32 +684,33 @@ class TwinServer:
                 self._finish(job, JobState.TIMEOUT)
             else:
                 self._finish(job, JobState.CANCELLED)
-            self._worker_idle(index)
+            self._release(index, job.id)
         elif event == "error":
             self._worker_respawns[index] = 0
             self.breaker.record_success()
             job.error = msg.get("message", "worker error")
             self._finish(job, JobState.FAILED)
-            self._worker_idle(index)
+            self._release(index, job.id)
 
     def _note_chaos(self, site: str) -> None:
         self.counters["chaos_injected"] += 1
         self._m_chaos.labels(site=site).inc()
         self.tracer.event("chaos", site=site)
 
-    def _chaos_step(self, job: JobRecord, index: int) -> None:
+    def _chaos_step(self, index: int) -> None:
         """Chaos sites checked once per worker step event.
 
         Both sites consume their draw on every step regardless of
         whether the action is applied, so the per-site schedule stays a
         pure function of ``(seed, step count)``.  A crash is only
-        *applied* while the job still has attempt budget — injected
-        faults exercise recovery, they must never consume the exactly-
-        once guarantee.
+        *applied* while every job on the worker still has attempt
+        budget — injected faults exercise recovery, they must never
+        consume the exactly-once guarantee.
         """
         if self.chaos.should("worker_crash"):
+            members = [self.jobs[j] for j in self.pool.workers[index].job_ids]
             if (
-                job.attempts < job.max_attempts
+                all(job.attempts < job.max_attempts for job in members)
                 and index not in self._chaos_kills
             ):
                 self._note_chaos("worker_crash")
@@ -742,16 +724,18 @@ class TwinServer:
         if self.pool.stopping:
             return
         handle = self.pool.workers[index]
-        job_id, handle.job_id = handle.job_id, None
+        job_ids, handle.job_ids = sorted(handle.job_ids), set()
         handle.ready = False
         chaos_kill = index in self._chaos_kills
         self._chaos_kills.discard(index)
         self._m_crashes.inc()
         self.tracer.event(
-            "worker-exit", worker=index, job_id=job_id, chaos=chaos_kill
+            "worker-exit", worker=index, job_ids=job_ids, chaos=chaos_kill
         )
-        job = self.jobs.get(job_id) if job_id else None
-        if job is not None and job.state is JobState.RUNNING:
+        for job_id in job_ids:
+            job = self.jobs.get(job_id)
+            if job is None or job.state is not JobState.RUNNING:
+                continue
             if job.id in self._cancel_requested:
                 # The worker died before polling an acknowledged
                 # cancel; honor it instead of re-running the job.
@@ -847,12 +831,29 @@ class TwinServer:
         except OSError:  # pragma: no cover - a full disk must not
             pass  # take the serving loop down with it
 
-    def _worker_idle(self, index: int) -> None:
-        self.pool.workers[index].job_id = None
-        self._pump()
+    def _release(self, index: int, job_id: str) -> None:
+        """A group member went terminal; the worker idles after its last."""
+        handle = self.pool.workers[index]
+        handle.job_ids.discard(job_id)
+        if not handle.job_ids:
+            self._pump()
+
+    def _dispatchable(self, job: JobRecord) -> bool:
+        if job.state is not JobState.QUEUED:
+            return False  # cancelled while queued
+        if job.id in self._cancel_requested:
+            # Cancelled while crash-requeued: don't redispatch.
+            self._finish(job, JobState.CANCELLED)
+            return False
+        return True
 
     def _pump(self) -> None:
-        """Dispatch queued jobs onto idle workers (work-stealing take)."""
+        """Dispatch queued jobs onto idle workers (work-stealing take).
+
+        Each dispatch is one lane group: the taken job plus its
+        still-queued :attr:`~repro.service.protocol.JobRecord.group`
+        siblings (a batched submission's cells).
+        """
         if self.breaker.state == CircuitBreaker.OPEN:
             return  # respawn storm: hold dispatch until a probe succeeds
         for handle in self.pool.workers:
@@ -861,26 +862,32 @@ class TwinServer:
                 if job_id is None:
                     break
                 job = self.jobs[job_id]
-                if job.state is not JobState.QUEUED:
-                    continue  # cancelled while queued
-                if job.id in self._cancel_requested:
-                    # Cancelled while crash-requeued: don't redispatch.
-                    self._finish(job, JobState.CANCELLED)
+                if not self._dispatchable(job):
                     continue
-                job.state = JobState.RUNNING
-                job.worker = handle.index
-                job.attempts += 1
-                job.started_at = time.time()
-                self._open_live_stream(job)
-                self.tracer.event(
-                    "dispatch",
-                    job_id=job.id,
-                    worker=handle.index,
-                    attempt=job.attempts,
+                # Only still-queued siblings are in the queue to remove
+                # (the taken job already left it).
+                members = [job] + [
+                    self.jobs[sibling_id]
+                    for sibling_id in job.group
+                    if self.queue.remove(sibling_id)
+                    and self._dispatchable(self.jobs[sibling_id])
+                ]
+                for member in members:
+                    member.state = JobState.RUNNING
+                    member.worker = handle.index
+                    member.attempts += 1
+                    member.started_at = time.time()
+                    self._open_live_stream(member)
+                    self.tracer.event(
+                        "dispatch",
+                        job_id=member.id,
+                        worker=handle.index,
+                        attempt=member.attempts,
+                    )
+                    self._ring(member)
+                self.pool.dispatch(
+                    handle.index, [(m.id, m.scenario_doc) for m in members]
                 )
-                self._ring(job)
-                self.pool.dispatch(handle.index, job_id, job.scenario_doc)
-                break
 
     def _finish(self, job: JobRecord, state: JobState) -> None:
         if state is not JobState.DONE:
@@ -1059,7 +1066,7 @@ class TwinServer:
         if use_cache is None:
             use_cache = self.use_cache_default
         records: list[JobRecord] = []
-        batch: list[tuple[JobRecord, Scenario]] = []
+        queued: list[JobRecord] = []
         for cell in cells:
             key = job_key(cell, self.spec_sha)
             jid = (
@@ -1103,128 +1110,16 @@ class TwinServer:
                 self.counters["cache_hits"] += 1
                 self._m_cache_hits.inc()
                 self._finish(job, JobState.DONE)
-            elif self.execution == "batched":
-                batch.append((job, cell))
             else:
                 self.queue.submit(job.id, job.cost)
+                queued.append(job)
             records.append(job)
-        if batch:
-            self._start_batch(batch)
+        if self.execution == "batched":
+            group = tuple(job.id for job in queued)
+            for job in queued:
+                job.group = group
         self._pump()
         return records
-
-    # -- batched execution -----------------------------------------------------
-
-    def _get_batch_twin(self) -> DigitalTwin:
-        if self._batch_twin is None:
-            from repro.service.warmcache import WarmStateCache
-
-            twin = DigitalTwin(
-                self.spec,
-                fidelity=self.fidelity,
-                warm_cache=WarmStateCache(self.warm_entries),
-            )
-            if self._surrogate_doc is not None:
-                from repro.fastpath.bundle import SurrogateBundle
-
-                twin.use_surrogates(
-                    SurrogateBundle.from_doc(self._surrogate_doc)
-                )
-            self._batch_twin = twin
-        return self._batch_twin
-
-    def _start_batch(
-        self, batch: list[tuple[JobRecord, Scenario]]
-    ) -> None:
-        """Launch one submission's uncached cells as a vectorized batch.
-
-        The ``execution="batched"`` analogue of queueing onto the
-        worker pool: every cell of the submission becomes a lane of one
-        :class:`~repro.batch.engine.BatchedEngine` run in a background
-        thread — one sweep, one process, shared warmup — instead of B
-        jobs across B worker dispatches.  Step records stream back onto
-        the event loop exactly like worker step events, so watchers see
-        the same transport either way.
-        """
-        now = time.time()
-        jobs = [job for job, _ in batch]
-        scenarios = [cell for _, cell in batch]
-        for job in jobs:
-            job.state = JobState.RUNNING
-            job.attempts += 1
-            job.started_at = now
-            self._ring(job)
-        if self._loop is not None and self._loop.is_running():
-            loop = self._loop
-
-            def post(fn, *fn_args) -> None:
-                with contextlib.suppress(RuntimeError):
-                    loop.call_soon_threadsafe(fn, *fn_args)
-
-            # run_in_executor both schedules the thread and returns the
-            # future — nothing to await here; completion flows back via
-            # the posted _on_batch_done/_on_batch_error callbacks.
-            loop.run_in_executor(
-                None, self._execute_batch, jobs, scenarios, post
-            )
-        else:
-            # No running loop (programmatic submit): run inline.
-            self._execute_batch(
-                jobs, scenarios, lambda fn, *fn_args: fn(*fn_args)
-            )
-
-    def _execute_batch(self, jobs, scenarios, post) -> None:
-        """Run one batch (executor thread); ``post`` marshals to the loop."""
-        from repro.batch import BatchedEngine
-        from repro.viz.export import step_record
-
-        def on_step(index: int, step) -> None:
-            post(self._on_batch_step, jobs[index], step_record(step))
-
-        t0 = time.perf_counter()
-        try:
-            engine = BatchedEngine(scenarios, self._get_batch_twin())
-            outcomes = engine.run(on_step=on_step)
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            post(self._on_batch_error, jobs, f"{type(exc).__name__}: {exc}")
-            return
-        # Amortized per-cell cost: the lanes ran together, so each
-        # cell's share of the batch wall time is the honest figure.
-        per_cell = (time.perf_counter() - t0) / max(len(jobs), 1)
-        for job, outcome in zip(jobs, outcomes):
-            cell = result_to_cell_doc(0, outcome)
-            cell.pop("index", None)
-            post(self._on_batch_done, job, cell, per_cell)
-
-    def _on_batch_step(self, job: JobRecord, record: dict) -> None:
-        if job.state is JobState.RUNNING:
-            job.steps.append(record)
-            self._m_steps.inc()
-            self._ring(job)
-
-    def _on_batch_done(
-        self, job: JobRecord, cell: dict, elapsed_s: float
-    ) -> None:
-        if job.state.terminal:
-            return
-        if job.id in self._cancel_requested:
-            self._finish(job, JobState.CANCELLED)
-            return
-        if job.id in self._timeout_pending:
-            self._finish(job, JobState.TIMEOUT)
-            return
-        job.cell = cell
-        job.elapsed_s = elapsed_s
-        self.counters["executed"] += 1
-        self._m_job_seconds.observe(elapsed_s)
-        self._finish(job, JobState.DONE)
-        self._persist(job)
-
-    def _on_batch_error(self, jobs, message: str) -> None:
-        for job in jobs:
-            if not job.state.terminal:
-                job.error = message
-                self._finish(job, JobState.FAILED)
 
     def cancel(self, job_id: str) -> JobRecord:
         job = self.jobs.get(job_id)
@@ -1326,6 +1221,10 @@ class TwinServer:
                     "deadline_s": job.deadline_s,
                     "client": job.client,
                     "submitted_at": job.submitted_at,
+                    # The next life numbers its steps past every seq a
+                    # watcher of this life may hold, so a resume across
+                    # the restart draws a restart event, not a suffix.
+                    "seq_base": job.seq_base + len(job.steps) + 1,
                 }
             )
         doc = {"job_seq": self._job_seq, "jobs": entries}
@@ -1377,7 +1276,7 @@ class TwinServer:
             if not isinstance(entry, dict) or "scenario" not in entry:
                 continue
             try:
-                self.submit(
+                jobs = self.submit(
                     entry["scenario"],
                     deadline_s=entry.get("deadline_s"),
                     client=entry.get("client"),
@@ -1386,6 +1285,7 @@ class TwinServer:
                 )
             except ScenarioError:
                 continue  # a checkpoint from an older schema: skip
+            jobs[0].seq_base = int(entry.get("seq_base", 0) or 0)
             restored += 1
         if restored:
             self.tracer.event("checkpoint-restored", jobs=restored)

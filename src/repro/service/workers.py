@@ -13,11 +13,18 @@ Execution model:
   job costs (one 24 h replay must not serialize a queue of millisecond
   surrogate jobs behind it);
 - a pull protocol over :mod:`multiprocessing` pipes: the server
-  dispatches one job at a time to an idle worker, the worker streams
-  ``step`` messages back (one per engine quantum) and finishes with
-  ``done`` / ``error`` / ``cancelled``.  A cancel request is polled
-  between steps.  A dead worker surfaces as an ``exit`` event; the
-  server requeues its in-flight job (attempt-capped) and respawns.
+  dispatches one *lane group* at a time to an idle worker — a list of
+  ``(job_id, scenario)`` pairs, one cell under ``execution="processes"``
+  or a submission's uncached cells under ``"batched"`` — and the worker
+  runs the group through one
+  :class:`~repro.batch.engine.BatchedEngine`.  It streams ``step``
+  messages back per job id (one per engine quantum) and finishes each
+  member with ``done`` / ``error`` / ``cancelled``.  Cancel requests
+  are polled between steps: a cancelled member is acknowledged at once
+  and its later steps are dropped; the run aborts only once every
+  member is cancelled.  A dead worker surfaces as an ``exit`` event;
+  the server requeues its running members (attempt-capped) and
+  respawns.
 
 Everything here is transport-agnostic and asyncio-free: the server
 bridges reader threads into its event loop.
@@ -28,10 +35,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 import traceback
 from collections import deque
 from typing import Any, Callable
 
+from repro.batch import BatchedEngine
 from repro.config.loader import dumps_system, loads_system
 from repro.config.schema import SystemSpec
 from repro.exceptions import ExaDigiTError
@@ -114,17 +123,24 @@ class WorkStealingQueue:
 # -- worker process ------------------------------------------------------------
 
 
-class _CancelJob(Exception):
-    """Raised inside the step callback when a cancel request arrives."""
+class _CancelGroup(Exception):
+    """Raised inside the step callback once every member is cancelled."""
 
 
-def _drain_control(conn, job_id: str) -> None:
-    """Poll for mid-run control messages (cancel); called between steps."""
+def _drain_control(conn, live: set[str]) -> None:
+    """Poll for mid-run control messages (cancel); called between steps.
+
+    A cancel for a live member is acknowledged at once and drops the
+    member from ``live``; the group aborts when none is left.
+    """
     while conn.poll():
         msg = conn.recv()
         cmd = msg.get("cmd")
-        if cmd == "cancel" and msg.get("job_id") == job_id:
-            raise _CancelJob
+        if cmd == "cancel" and msg.get("job_id") in live:
+            live.discard(msg["job_id"])
+            conn.send({"event": "cancelled", "job_id": msg["job_id"]})
+            if not live:
+                raise _CancelGroup
         # A stale cancel (for a job already finished) or anything else
         # mid-run is dropped; "stop" is honored at the loop boundary by
         # the cancel path too.
@@ -132,52 +148,62 @@ def _drain_control(conn, job_id: str) -> None:
             raise SystemExit(0)
 
 
-def _run_job(conn, twin: DigitalTwin, msg: dict[str, Any]) -> None:
-    import time
-
-    job_id = msg["job_id"]
+def _run_group(conn, twin: DigitalTwin, msg: dict[str, Any]) -> None:
+    """Run one lane group through :class:`BatchedEngine`, streaming
+    every member's steps under its own job id."""
+    job_ids = [job_id for job_id, _ in msg["jobs"]]
+    live = set(job_ids)
     try:
-        scenario = Scenario.from_dict(msg["scenario"])
+        scenarios = [Scenario.from_dict(doc) for _, doc in msg["jobs"]]
         cache = twin.warm_cache
         hits_before = cache.hits if cache is not None else 0
         t0 = time.perf_counter()
 
-        def on_step(step) -> None:
+        def on_step(index: int, step) -> None:
+            job_id = job_ids[index]
+            if job_id in live:
+                conn.send(
+                    {
+                        "event": "step",
+                        "job_id": job_id,
+                        "record": step_record(step),
+                    }
+                )
+            _drain_control(conn, live)
+
+        outcomes = BatchedEngine(scenarios, twin).run(on_step=on_step)
+        # Amortized per-cell cost: the lanes ran together, so each
+        # member's share of the group wall time is the honest figure.
+        elapsed = (time.perf_counter() - t0) / len(job_ids)
+        warm_hit = cache is not None and cache.hits > hits_before
+        for job_id, outcome in zip(job_ids, outcomes):
+            if job_id not in live:
+                continue
+            cell = result_to_cell_doc(0, outcome)
+            cell.pop("index", None)
             conn.send(
                 {
-                    "event": "step",
+                    "event": "done",
                     "job_id": job_id,
-                    "record": step_record(step),
+                    "cell": cell,
+                    "elapsed_s": elapsed,
+                    "warm_hit": warm_hit,
                 }
             )
-            _drain_control(conn, job_id)
-
-        outcome = scenario.run(twin, progress=on_step)
-        elapsed = time.perf_counter() - t0
-        cell = result_to_cell_doc(0, outcome)
-        cell.pop("index", None)
-        conn.send(
-            {
-                "event": "done",
-                "job_id": job_id,
-                "cell": cell,
-                "elapsed_s": elapsed,
-                "warm_hit": (
-                    cache is not None and cache.hits > hits_before
-                ),
-            }
-        )
-    except _CancelJob:
-        conn.send({"event": "cancelled", "job_id": job_id})
+            live.discard(job_id)  # terminal: never also an error
+    except _CancelGroup:
+        pass  # every member's cancel was acknowledged as it arrived
     except Exception as exc:  # noqa: BLE001 - report, don't die
-        conn.send(
-            {
-                "event": "error",
-                "job_id": job_id,
-                "message": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            }
-        )
+        for job_id in job_ids:
+            if job_id in live:
+                conn.send(
+                    {
+                        "event": "error",
+                        "job_id": job_id,
+                        "message": f"{type(exc).__name__}: {exc}",
+                        "traceback": traceback.format_exc(),
+                    }
+                )
 
 
 def worker_main(
@@ -212,7 +238,7 @@ def worker_main(
             if cmd == "stop":
                 return
             if cmd == "run":
-                _run_job(conn, twin, msg)
+                _run_group(conn, twin, msg)
             # Stale cancels for finished jobs are dropped silently.
     except SystemExit:
         return
@@ -230,12 +256,12 @@ class WorkerHandle:
         self.conn = None
         self.thread: threading.Thread | None = None
         self.ready = False  # hello received, idle
-        self.job_id: str | None = None  # in-flight job
+        self.job_ids: set[str] = set()  # the in-flight group's live members
         self.alive = False
 
     @property
     def idle(self) -> bool:
-        return self.alive and self.ready and self.job_id is None
+        return self.alive and self.ready and not self.job_ids
 
 
 class WorkerPool:
@@ -294,7 +320,7 @@ class WorkerPool:
         handle.conn = parent
         handle.alive = True
         handle.ready = False
-        handle.job_id = None
+        handle.job_ids = set()
         handle.thread = threading.Thread(
             target=self._reader,
             args=(handle,),
@@ -321,16 +347,16 @@ class WorkerPool:
             handle.process.terminate()
         self._spawn(handle)
 
-    def dispatch(self, index: int, job_id: str, scenario_doc: dict) -> None:
+    def dispatch(self, index: int, group: list[tuple[str, dict]]) -> None:
+        """Hand one lane group of ``(job_id, scenario_doc)`` pairs to a
+        worker; it stays busy until every member is terminal."""
         handle = self.workers[index]
-        handle.job_id = job_id
-        handle.conn.send(
-            {"cmd": "run", "job_id": job_id, "scenario": scenario_doc}
-        )
+        handle.job_ids = {job_id for job_id, _ in group}
+        handle.conn.send({"cmd": "run", "jobs": group})
 
     def cancel(self, index: int, job_id: str) -> None:
         handle = self.workers[index]
-        if handle.alive and handle.job_id == job_id:
+        if handle.alive and job_id in handle.job_ids:
             handle.conn.send({"cmd": "cancel", "job_id": job_id})
 
     def kill(self, index: int) -> bool:
@@ -345,6 +371,7 @@ class WorkerPool:
         if handle.process is None or not handle.process.is_alive():
             return False
         handle.process.kill()
+        handle.ready = False  # no dispatch until the replacement's hello
         return True
 
     def alive_count(self) -> int:

@@ -369,7 +369,7 @@ def test_open_ended_guards(spec, tmp_path):
     assert open_store.provenance["spec_sha256"] == spec_sha256(spec)
 
 
-# -- load smoke (slow tier) ----------------------------------------------------
+# -- batched execution ---------------------------------------------------------
 
 
 def test_batched_server_sweep_bit_identical(spec, tmp_path):
@@ -398,6 +398,9 @@ def test_batched_server_sweep_bit_identical(spec, tmp_path):
         # Resubmission replays every cell from the result cache.
         again = c.submit_all(sweep)
         assert all(j["cached"] for j in again)
+
+
+# -- load smoke (slow tier) ----------------------------------------------------
 
 
 @pytest.mark.slow

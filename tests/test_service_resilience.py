@@ -28,7 +28,12 @@ import pytest
 
 from repro.exceptions import ExaDigiTError
 from repro.obs.registry import MetricsRegistry, use_registry
-from repro.scenarios import DigitalTwin, Scenario, SyntheticScenario
+from repro.scenarios import (
+    DigitalTwin,
+    GridSweepScenario,
+    Scenario,
+    SyntheticScenario,
+)
 from repro.service import (
     ChaosPolicy,
     CircuitBreaker,
@@ -325,6 +330,29 @@ def test_from_seq_resumes_ndjson_and_ws(spec, tmp_path):
         assert srv.counters["stream_resumes"] >= 7
 
 
+def test_client_resumes_one_past_the_last_seq_held():
+    # After a requeue the server numbers the new attempt past the old
+    # one; a dropped watch must resume at the last seq held + 1, not at
+    # the held-step count (which would replay part of the attempt).
+    asked = []
+
+    def once(job_id, from_seq):
+        asked.append(from_seq)
+        if len(asked) == 1:
+            yield from ({"index": i, "seq": i} for i in range(3))
+            yield {"event": "restart", "attempt": 2}
+            yield from ({"index": i, "seq": 4 + i} for i in range(2))
+        else:
+            yield {"index": 2, "seq": 6}
+            yield {"event": "done", "job": {}}
+
+    client = TwinClient("http://127.0.0.1:9", retry=FAST_RETRY)
+    docs = list(client._watch_resume("j1", once, None, "watch"))
+    assert asked == [0, 6]
+    steps = [doc["index"] for doc in docs if "event" not in doc]
+    assert steps == [0, 1, 2, 0, 1, 2]
+
+
 def test_resumed_stream_survives_server_restart(spec, tmp_path):
     # A watcher that lost its server mid-stream reconnects to the
     # *next life* (same store) and still ends bit-identical: the job
@@ -350,9 +378,11 @@ def test_resumed_stream_survives_server_restart(spec, tmp_path):
 # -- admission control ---------------------------------------------------------
 
 
-def test_admission_rejects_when_queue_full(spec, tmp_path):
+@pytest.mark.parametrize("execution", ["processes", "batched"])
+def test_admission_rejects_when_queue_full(spec, tmp_path, execution):
     with TwinServer(
-        spec, workers=1, store=tmp_path / "store", max_queue_depth=1
+        spec, workers=1, store=tmp_path / "store", max_queue_depth=1,
+        execution=execution,
     ) as srv:
         client = TwinClient(srv.url, retry=RetryPolicy.none())
         running = client.submit(LONG_JOB, use_cache=False)
@@ -427,8 +457,11 @@ def test_admission_caps_per_client_inflight(spec, tmp_path):
 # -- deadlines -----------------------------------------------------------------
 
 
-def test_deadline_expires_queued_and_running_jobs(spec, tmp_path):
-    with TwinServer(spec, workers=1, store=tmp_path / "store") as srv:
+@pytest.mark.parametrize("execution", ["processes", "batched"])
+def test_deadline_expires_queued_and_running_jobs(spec, tmp_path, execution):
+    with TwinServer(
+        spec, workers=1, store=tmp_path / "store", execution=execution
+    ) as srv:
         client = TwinClient(srv.url)
         with pytest.raises(ExaDigiTError, match="deadline_s"):
             client.submit(SCENARIO, deadline_s=-1.0)
@@ -459,6 +492,45 @@ def test_deadline_expires_queued_and_running_jobs(spec, tmp_path):
         assert health["counters"]["timeouts"] == 2
 
 
+def test_batched_cancel_one_member_spares_its_siblings(spec, tmp_path):
+    """A cancel for one running lane is acknowledged at once; the other
+    lanes of its group run on and stream bit-identically."""
+    sweep = GridSweepScenario(
+        base=SyntheticScenario(duration_s=7200.0, with_cooling=True),
+        grid={"seed": (41, 42, 43)},
+    )
+    cells = sweep.expand()
+    with TwinServer(
+        spec, workers=1, store=tmp_path / "store", execution="batched"
+    ) as srv:
+        client = TwinClient(srv.url)
+        jobs = client.submit_all(sweep, use_cache=False)
+        victim, siblings = jobs[1], [jobs[0], jobs[2]]
+        _wait_until(
+            lambda: len(srv.jobs[victim["id"]].steps) > 0,
+            label="victim streaming",
+        )
+        assert all(
+            srv.jobs[j["id"]].state.value == "running" for j in jobs
+        )
+        client.cancel(victim["id"])
+        assert client.wait(victim["id"])["state"] == "cancelled"
+        for job, cell in zip(siblings, (cells[0], cells[2])):
+            assert client.wait(job["id"])["state"] == "done"
+            assert (
+                srv.jobs[victim["id"]].finished_at
+                < srv.jobs[job["id"]].finished_at
+            )
+            assert_bitidentical(
+                client.steps(job["id"]),
+                direct_records(spec, cell),
+                label=job["name"],
+            )
+        warm = srv.metrics.value("repro_service_warm_hits_total")
+        warm += srv.metrics.value("repro_service_warm_misses_total")
+        assert warm == len(siblings)
+
+
 # -- circuit breaker on respawn storms -----------------------------------------
 
 
@@ -473,7 +545,7 @@ def test_breaker_opens_on_crash_storm_and_recovers(spec, tmp_path):
         for expected in (1, 2):  # two real crashes inside the window
             def kill_busy_worker() -> bool:
                 handle = srv.pool.workers[0]
-                if handle.alive and handle.job_id == job["id"]:
+                if handle.alive and job["id"] in handle.job_ids:
                     handle.process.kill()
                     return True
                 return False
@@ -537,6 +609,8 @@ def test_drain_checkpoints_queue_and_restart_resumes(spec, tmp_path):
         client2 = TwinClient(srv2.url)
         for job, reference in zip(queued, references):
             assert job["id"] in srv2.jobs
+            # Numbered past every seq the previous life could have sent.
+            assert srv2.jobs[job["id"]].seq_base == 1
             assert_bitidentical(
                 client2.steps(job["id"]),
                 reference,
@@ -668,18 +742,31 @@ CHAOS_JOBS = [
 ]
 
 
-def _run_chaos_workload(spec, store: Path, seed: int):
-    """One sequential chaos run; returns (per-job steps, chaos policy,
-    executed-job count)."""
+def _run_chaos_workload(
+    spec, store: Path, seed: int, execution: str = "processes"
+):
+    """One chaos run; returns (per-job steps, chaos policy,
+    executed-job count).  ``processes`` submits ``CHAOS_JOBS`` one at a
+    time; ``batched`` submits them as one seed sweep, so they run as
+    the lanes of one worker group."""
     chaos = ChaosPolicy(seed, CHAOS_RATES, slow_io_s=0.001, stall_s=0.0)
     with TwinServer(
-        spec, workers=1, store=store, max_attempts=4, chaos=chaos
+        spec, workers=1, store=store, max_attempts=4, chaos=chaos,
+        execution=execution,
     ) as srv:
         client = TwinClient(srv.url, retry=FAST_RETRY)
-        streams = []
-        for scenario in CHAOS_JOBS:
-            job = client.submit(scenario, use_cache=False)
-            streams.append(client.steps(job["id"]))
+        if execution == "batched":
+            sweep = GridSweepScenario(
+                base=CHAOS_JOBS[0],
+                grid={"seed": tuple(sc.seed for sc in CHAOS_JOBS)},
+            )
+            jobs = client.submit_all(sweep, use_cache=False)
+            streams = [client.steps(job["id"]) for job in jobs]
+        else:
+            streams = []
+            for scenario in CHAOS_JOBS:
+                job = client.submit(scenario, use_cache=False)
+                streams.append(client.steps(job["id"]))
         executed = srv.counters["executed"]
         assert all(
             record.state.value == "done"
@@ -780,12 +867,13 @@ def test_e2e_chaos_drain_restart_cycle(spec, tmp_path):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("execution", ["processes", "batched"])
 @pytest.mark.parametrize("seed", [1001, 1002, 1003, 1004, 1005])
-def test_chaos_soak_seeded_schedules(spec, tmp_path, seed):
+def test_chaos_soak_seeded_schedules(spec, tmp_path, seed, execution):
     """CI chaos soak: N seeded schedules, zero lost or corrupted jobs."""
     references = [direct_records(spec, sc) for sc in CHAOS_JOBS]
     streams, snapshot, executed = _run_chaos_workload(
-        spec, tmp_path / "soak", seed=seed
+        spec, tmp_path / "soak", seed=seed, execution=execution
     )
     assert executed == len(CHAOS_JOBS)
     for stream, reference in zip(streams, references):
