@@ -38,6 +38,7 @@ order.
 from __future__ import annotations
 
 from functools import partial
+from time import perf_counter
 
 from repro.batch.power import BatchedPowerModel
 from repro.cooling.fmu import CoolingFMU
@@ -167,6 +168,10 @@ class BatchedEngine:
         #: Per-run counters, aggregated over lanes (bench observability).
         self.power_evals = 0
         self.power_reuses = 0
+        #: Optional :class:`~repro.core.profiling.PhaseProfiler`: the lane
+        #: loop's warmup / schedule / power / cooling / collect phases,
+        #: as :class:`~repro.core.engine.RapsEngine` reports them.
+        self.profiler = None
 
     # -- execution ---------------------------------------------------------------
 
@@ -238,16 +243,22 @@ class BatchedEngine:
         power = BatchedPowerModel(
             [lane.spec for lane in lanes], [lane.chain for lane in lanes]
         )
-        self._warmup(lanes, power)
+        prof = self.profiler
+        if prof is not None:
+            prof.begin_run()
         coupled = [lane for lane in lanes if lane.fmu is not None]
         cool = finish = None
         if coupled:
+            t0 = perf_counter()
+            self._warmup(lanes, power)
             cool, finish = resident_cooling(coupled)
+            if prof is not None:
+                prof.add("warmup", perf_counter() - t0)
         reg = get_registry()
         lanes_gauge = (
             reg.gauge("repro_batch_lanes_active") if reg.enabled else None
         )
-        for active in lane_loop(lanes, power.evaluate, cool):
+        for active in lane_loop(lanes, power.evaluate, cool, profiler=prof):
             if lanes_gauge is not None:
                 lanes_gauge.set(len(active))
             for lane in active:
@@ -258,11 +269,17 @@ class BatchedEngine:
         self.power_reuses = sum(lane.power_reuses for lane in lanes)
         if finish is not None:
             finish()
+        lane_steps = sum(lane.n_steps for lane in lanes)
+        if prof is not None:
+            prof.end_run(
+                lane_steps,
+                power_evals=self.power_evals,
+                power_reuses=self.power_reuses,
+            )
         if reg.enabled:
             # Bulk fold at end of sweep; lanes bypass RapsEngine, so
             # these batch-level counters are the only registry traffic
             # for laned execution.
-            lane_steps = sum(lane.n_steps for lane in lanes)
             reg.counter("repro_batch_runs_total").inc()
             reg.counter("repro_batch_lane_steps_total").inc(lane_steps)
             reg.counter("repro_batch_padded_lane_steps_total").inc(

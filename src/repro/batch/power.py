@@ -5,20 +5,18 @@
 batched engine's per-lane change detection decides which lanes need a
 fresh evaluation each quantum, and only those pay for the pipeline.
 
-Each call stages the changed lanes' node powers (the serial Eq. 3 slot
-table, :meth:`~repro.power.components.NodePowerModel.slot_power_w`) as
-rows of a ``(K, N)`` block for :meth:`SystemPowerModel.evaluate_rows
-<repro.power.system.SystemPowerModel.evaluate_rows>`, the one power
-pipeline, whose K = 1 case is the serial ``evaluate``; so each lane
-gets its serial bits.  Lanes sharing a spec *object* and a conversion
-chain (``None``: the baseline) share one group — the common case, a
-campaign over one system; a what-if's modified lane brings its own
-chain and so its own group.
+Lanes sharing a spec *object* and a conversion chain (``None``: the
+baseline) share one group — the common case, a campaign over one
+system; a what-if's modified lane brings its own chain and so its own
+group.  Each group is one :meth:`SystemPowerModel.evaluate_lanes
+<repro.power.system.SystemPowerModel.evaluate_lanes>` call, whose K = 1
+case is the serial ``evaluate``: Eq. 3 and the SIVOC curve run once per
+(lane, partition, slot) on the lanes' concatenated slot table, and one
+flat ``take`` with lane offsets gathers them to the nodes, so each lane
+gets its serial bits.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -26,11 +24,10 @@ from repro.power.system import PowerResult, SystemPowerModel
 
 
 class _PowerGroup:
-    """One power model and its row staging for up to ``capacity`` lanes."""
+    """One power model shared by the lanes of one (spec, chain)."""
 
-    def __init__(self, spec, chain, capacity: int) -> None:
+    def __init__(self, spec, chain) -> None:
         self.model = SystemPowerModel(spec, chain=chain)
-        self.node_w = np.empty((capacity, self.model.topology.num_nodes))
         self._idle: PowerResult | None = None
 
     def idle_power(self) -> PowerResult:
@@ -53,13 +50,12 @@ class BatchedPowerModel:
     def __init__(self, specs, chains=None) -> None:
         specs = list(specs)
         chains = [None] * len(specs) if chains is None else list(chains)
-        keys = [(id(spec), id(chain)) for spec, chain in zip(specs, chains)]
-        capacity = Counter(keys)
         groups: dict[tuple[int, int], _PowerGroup] = {}
         self.lane_group: list[_PowerGroup] = []
-        for key, spec, chain in zip(keys, specs, chains):
+        for spec, chain in zip(specs, chains):
+            key = (id(spec), id(chain))
             if key not in groups:
-                groups[key] = _PowerGroup(spec, chain, capacity[key])
+                groups[key] = _PowerGroup(spec, chain)
             self.lane_group.append(groups[key])
 
     def idle_power(self, lane: int) -> PowerResult:
@@ -76,27 +72,18 @@ class BatchedPowerModel:
         lane's node-to-slot map (-1: idle).  Returns one
         :class:`PowerResult` per requested lane, in order.
         """
-        out: list[PowerResult | None] = [None] * len(lanes)
         by_group: dict[int, tuple[_PowerGroup, list[int]]] = {}
         for pos, lane in enumerate(lanes):
             group = self.lane_group[lane]
             by_group.setdefault(id(group), (group, []))[1].append(pos)
+        out: list[PowerResult | None] = [None] * len(lanes)
         for group, positions in by_group.values():
-            model = group.model
-            rows = [
-                model.nodes.slot_power_w(
-                    cpu_rows[pos], gpu_rows[pos], slot_maps[pos]
-                )
-                for pos in positions
-            ]
-            staged = group.node_w[: len(rows)]
-            for row, node_w in enumerate(rows):
-                staged[row] = node_w
-            results = model.evaluate_rows(staged)
-            for pos, node_w, result in zip(positions, rows, results):
-                # The staging block is reused by the next call; each
-                # result keeps its lane's own node-power array instead.
-                result.node_power_w = node_w
+            results = group.model.evaluate_lanes(
+                [cpu_rows[pos] for pos in positions],
+                [gpu_rows[pos] for pos in positions],
+                [slot_maps[pos] for pos in positions],
+            )
+            for pos, result in zip(positions, results):
                 out[pos] = result
         return out
 

@@ -225,21 +225,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
         with_cooling=not args.no_cooling,
     )
     mode = getattr(args, "mode", "direct")
-    if mode == "direct":
+    if mode in ("direct", "batched"):
         from repro.core.profiling import PhaseProfiler
 
+        profiler = PhaseProfiler()
+    if mode == "direct":
         twin = DigitalTwin(
             args.system, cooling_backend=args.cooling_backend
         )
         plan = scenario.plan(twin)
         engine = scenario.build_engine(twin, plan)
-        engine.profiler = profiler = PhaseProfiler()
+        engine.profiler = profiler
         engine.run(plan.jobs, plan.duration_s, wetbulb=plan.wetbulb)
         doc = profiler.as_dict()
         doc["system"] = twin.spec.name
     elif mode == "batched":
-        # The same scenario through BatchedEngine, observed through the
-        # registry the engines fold their counters into.
+        # The same scenario through BatchedEngine: the lane loop's phase
+        # split, plus the registry counters the engines fold in.
         from repro.batch import BatchedEngine
         from repro.obs import MetricsRegistry, use_registry
 
@@ -247,13 +249,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
             args.system, cooling_backend=args.cooling_backend
         )
         with use_registry(MetricsRegistry()) as reg:
-            t0 = perf_counter()
             engine = BatchedEngine([scenario], twin)
+            engine.profiler = profiler
             engine.run()
-            wall = perf_counter() - t0
         metrics = reg.snapshot()
-        doc = {
-            "wall_s": round(wall, 6),
+        doc = profiler.as_dict()
+        doc.update({
             "lane_steps": int(
                 _snapshot_value(metrics, "repro_batch_lane_steps_total")
             ),
@@ -265,10 +266,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "engine_steps": int(
                 _snapshot_value(metrics, "repro_engine_steps_total")
             ),
-            "power_evals": engine.power_evals,
-            "power_reuses": engine.power_reuses,
             "system": twin.spec.name,
-        }
+        })
     else:  # serve: one ephemeral server, observed through /statusz
         from repro.service import TwinClient, TwinServer
 
@@ -315,7 +314,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        if mode == "direct":
+        if mode != "serve":
             print(profiler.summary())
         print(f"\nprofile written to {args.out}")
     else:

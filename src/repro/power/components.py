@@ -2,8 +2,8 @@
 
 ``P_node = P_CPU + 4 P_GPU + 4 P_NIC + P_RAM + 2 P_NVMe`` with CPU and GPU
 power linearly interpolated between their [idle, max] values by the
-time-indexed utilization — vectorized over every node in the system so
-one call per trace quantum covers all 9472 Frontier nodes.
+time-indexed utilization.  Eq. 3 runs once per (partition, slot) on a
+slot table, and one gather fills all 9472 Frontier nodes from it.
 """
 
 from __future__ import annotations
@@ -14,34 +14,37 @@ from repro.config.schema import NodeSpec, PartitionSpec
 from repro.exceptions import PowerModelError
 
 
-def _check_unit(*utils) -> None:
+def _check_unit(util: np.ndarray) -> None:
     """Raise unless every utilization lies in [0, 1] (NaN included)."""
-    for util in utils:
-        if not (util.min(initial=0.0) >= 0.0 and util.max(initial=0.0) <= 1.0):
-            raise PowerModelError("utilization values must lie in [0, 1]")
+    if not (util.min(initial=0.0) >= 0.0 and util.max(initial=0.0) <= 1.0):
+        raise PowerModelError("utilization values must lie in [0, 1]")
 
 
 def _eq3(coef, cpu_util, gpu_util):
-    """Paper Eq. 3 over broadcastable coefficient and utilization arrays.
+    """Paper Eq. 3, ``cpu idle + cpu span * cpu + gpu idle + gpu span *
+    gpu + static``, summed left to right.
 
-    ``coef`` is (cpu idle, cpu span, gpu idle, gpu span, static): per-node
-    arrays for node utilizations, per-partition columns for a slot table.
-    The expression is elementwise, so both forms give the same bits.
+    ``coef`` is (cpu idle, cpu span, gpu idle, gpu span, static), each a
+    per-partition column, so the result is a (partition, slot) table.
     """
-    _check_unit(cpu_util, gpu_util)
     cpu_idle, cpu_span, gpu_idle, gpu_span, static = coef
-    return (
-        cpu_idle + cpu_span * cpu_util + gpu_idle + gpu_span * gpu_util + static
-    )
+    power = cpu_span * cpu_util
+    power += cpu_idle
+    power += gpu_idle
+    power += gpu_span * gpu_util
+    power += static
+    return power
 
 
 class NodePowerModel:
     """Vectorized Eq. 3 evaluator over a (possibly multi-partition) system.
 
-    The Eq. 3 coefficients are constant within a partition, so they are
-    kept once per partition (columns of a slot table) and once per node;
-    each evaluation is a fused broadcast expression, no Python-level loop
-    over nodes.
+    The Eq. 3 coefficients are constant within a partition, so Eq. 3 runs
+    on a slot table: one row per partition, one column per utilization
+    pair.  A node reads its power at (its partition, its column), so one
+    flat ``take`` fills every node; there is no Python-level loop over
+    nodes.  Per-node utilizations are the case where node ``n`` has
+    column ``n`` of its own (the identity slot map).
     """
 
     def __init__(self, partitions: tuple[PartitionSpec, ...]) -> None:
@@ -63,13 +66,72 @@ class NodePowerModel:
             ))
         coef = np.array(coef, dtype=np.float64)
         sizes = [p.total_nodes for p in partitions]
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        #: Each partition's node range, in node concatenation order.
-        self._ranges = list(zip(bounds[:-1], bounds[1:]))
-        self._slot_coef = tuple(coef[:, i : i + 1] for i in range(5))
-        part_of_node = np.repeat(np.arange(len(sizes)), sizes)
-        self._node_coef = tuple(coef[part_of_node, i] for i in range(5))
-        self.total_nodes = int(bounds[-1])
+        self._coef = tuple(coef[:, i : i + 1] for i in range(5))
+        # Each node's partition (table row), in node concatenation order.
+        self._partition_of_node = np.repeat(
+            np.arange(len(sizes), dtype=np.int64), sizes
+        )
+        self.total_nodes = int(sum(sizes))
+        self._identity = np.arange(self.total_nodes, dtype=np.int64)
+        self._idle_column = np.zeros(1)
+
+    def slot_table(
+        self, cpu_rows, gpu_rows, slot_maps
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. 3 once per (lane, partition, slot) for K lanes in one call.
+
+        Lane ``k`` has the per-slot utilizations ``cpu_rows[k]`` /
+        ``gpu_rows[k]`` and its node ``n`` runs slot ``slot_maps[k][n]``,
+        in ``[-1, len(cpu_rows[k]))`` (-1: idle).  The lanes' columns,
+        each an idle column followed by the lane's slots, are
+        concatenated into one ``(P, cols)`` table.
+        Returns the table and the ``(K, N)`` flat indices at which each
+        lane's nodes read the raveled table: ``slot + first column of the
+        lane's slots + partition * cols``.  Eq. 3 is elementwise, so
+        ``table.ravel().take(index)`` has the bits of a per-node
+        evaluation of the gathered utilizations.
+        """
+        n = self.total_nodes
+        idle = self._idle_column
+        cpu: list[np.ndarray] = []
+        gpu: list[np.ndarray] = []
+        firsts = []
+        cols = 0
+        for slot_cpu, slot_gpu, slot_of_node in zip(
+            cpu_rows, gpu_rows, slot_maps
+        ):
+            if slot_of_node.shape != (n,):
+                raise PowerModelError(f"slot map must have shape ({n},)")
+            if len(slot_cpu) != len(slot_gpu):
+                raise PowerModelError("cpu and gpu slot rows must align")
+            cpu += (idle, slot_cpu)
+            gpu += (idle, slot_gpu)
+            firsts.append(cols + 1)
+            cols += len(slot_cpu) + 1
+        util = np.concatenate(cpu + gpu)
+        _check_unit(util)
+        table = _eq3(self._coef, util[:cols], util[cols:])
+        index = np.empty((len(firsts), n), dtype=np.int64)
+        for row, slot_of_node, first in zip(index, slot_maps, firsts):
+            np.add(slot_of_node, first, out=row)
+        if len(table) > 1:
+            index += self._partition_of_node * cols
+        return table, index
+
+    def as_slots(
+        self, cpu_util: np.ndarray, gpu_util: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-node utilization arrays of shape (total_nodes,) as the
+        slot form: the same arrays and the identity slot map."""
+        cpu_util = np.asarray(cpu_util, dtype=np.float64)
+        gpu_util = np.asarray(gpu_util, dtype=np.float64)
+        if cpu_util.shape != (self.total_nodes,) or gpu_util.shape != (
+            self.total_nodes,
+        ):
+            raise PowerModelError(
+                f"utilization arrays must have shape ({self.total_nodes},)"
+            )
+        return cpu_util, gpu_util, self._identity
 
     def node_power_w(
         self, cpu_util: np.ndarray, gpu_util: np.ndarray
@@ -79,42 +141,9 @@ class NodePowerModel:
         Idle nodes (utilization 0) still draw their idle power — the paper
         sets utilizations to zero to model idle, not power to zero.
         """
-        cpu_util = np.asarray(cpu_util, dtype=np.float64)
-        gpu_util = np.asarray(gpu_util, dtype=np.float64)
-        if cpu_util.shape != (self.total_nodes,) or gpu_util.shape != (
-            self.total_nodes,
-        ):
-            raise PowerModelError(
-                f"utilization arrays must have shape ({self.total_nodes},)"
-            )
-        return _eq3(self._node_coef, cpu_util, gpu_util)
-
-    def slot_power_w(
-        self,
-        slot_cpu: np.ndarray,
-        slot_gpu: np.ndarray,
-        slot_of_node: np.ndarray,
-    ) -> np.ndarray:
-        """Per-node watts from per-slot utilizations and a slot map.
-
-        Node ``n`` runs at slot ``slot_of_node[n]`` (-1: idle).  Eq. 3 is
-        evaluated once per (partition, slot) on a small table whose last
-        column is the idle slot, so the slot map itself is the gather
-        index: one ``take`` per partition fills the nodes, with the bits
-        :meth:`node_power_w` gives for the gathered node utilizations.
-        """
-        if slot_of_node.shape != (self.total_nodes,):
-            raise PowerModelError(
-                f"slot map must have shape ({self.total_nodes},)"
-            )
-        table = _eq3(
-            self._slot_coef, np.append(slot_cpu, 0.0), np.append(slot_gpu, 0.0)
-        )
-        parts = [
-            row.take(slot_of_node[a:b])
-            for row, (a, b) in zip(table, self._ranges)
-        ]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        cpu, gpu, identity = self.as_slots(cpu_util, gpu_util)
+        table, index = self.slot_table((cpu,), (gpu,), (identity,))
+        return table.ravel().take(index[0])
 
     def uniform_power_w(self, cpu_util: float, gpu_util: float) -> np.ndarray:
         """Node powers when every node runs at the same utilization."""
@@ -126,12 +155,12 @@ class NodePowerModel:
     @property
     def idle_node_power_w(self) -> np.ndarray:
         """Per-node idle draw (Eq. 3 with zero utilizations)."""
-        return _eq3(self._node_coef, np.float64(0.0), np.float64(0.0))
+        return self.uniform_power_w(0.0, 0.0)
 
     @property
     def max_node_power_w(self) -> np.ndarray:
         """Per-node peak draw (Eq. 3 with unit utilizations)."""
-        return _eq3(self._node_coef, np.float64(1.0), np.float64(1.0))
+        return self.uniform_power_w(1.0, 1.0)
 
 
 __all__ = ["NodePowerModel"]

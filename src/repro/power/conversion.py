@@ -112,15 +112,17 @@ class RectifierBank:
 
 
 class ChainBase:
-    """What every conversion chain shares: the SIVOC stage, the chassis
+    """What every conversion chain shares: the SIVOC bank, the chassis
     scatter-add and the loss sums.  A chain adds only its rectifier
     stage, :meth:`rectify`, from per-chassis 380 V bus demand to
     per-chassis input power.
 
-    :meth:`convert_rows` takes ``(K, N)`` node powers, one row per lane,
-    and gives each row the bits :meth:`convert` gives it alone: the
-    curves and divisions are elementwise, the chassis scatter is a
-    lane-offset bincount, and each loss sums contiguous rows.
+    :meth:`convert_rows` takes ``(K, N)`` node powers and their SIVOC
+    inputs, one row per lane, and gives each row the bits
+    :meth:`convert` gives it alone: the SIVOC curve and the divisions are
+    elementwise (so the caller may run the curve on a slot table and
+    gather), the chassis scatter is a lane-offset bincount, and each loss
+    sums contiguous rows.
     """
 
     name = ""
@@ -136,23 +138,38 @@ class ChainBase:
         """Per-chassis input power for a ``(C,)`` or ``(K, C)`` bus demand."""
         raise NotImplementedError
 
-    def convert_rows(
-        self, node_w: np.ndarray, chassis_flat: np.ndarray
-    ) -> tuple[np.ndarray, list[float], list[float]]:
-        """:meth:`convert` over ``(K, N)`` node powers; ``chassis_flat``
-        starts with the K rows ``chassis_of_node + k * num_chassis``,
-        flattened."""
-        K, N = node_w.shape
+    def chassis_bus(
+        self, sivoc_in: np.ndarray, chassis_flat: np.ndarray
+    ) -> np.ndarray:
+        """Per-chassis 380 V bus demand, ``(K, C)``, from ``(K, N)`` SIVOC
+        inputs; ``chassis_flat`` starts with the K rows
+        ``chassis_of_node + k * num_chassis``, flattened."""
+        K, N = sivoc_in.shape
         C = self._num_chassis
-        sivoc_in = self.sivocs.input_power(node_w)
-        chassis_bus = np.bincount(
+        return np.bincount(
             chassis_flat[: K * N], weights=sivoc_in.ravel(), minlength=K * C
         ).reshape(K, C)
+
+    def convert_rows(
+        self,
+        node_w: np.ndarray,
+        sivoc_in: np.ndarray,
+        chassis_flat: np.ndarray,
+    ) -> tuple[np.ndarray, list[float], list[float]]:
+        """:meth:`convert` over ``(K, N)`` node powers ``node_w`` whose
+        SIVOC inputs are ``sivoc_in`` (``chassis_flat`` as in
+        :meth:`chassis_bus`)."""
+        chassis_bus = self.chassis_bus(sivoc_in, chassis_flat)
         chassis_ac = self.rectify(chassis_bus)
         # Sums along contiguous rows: each row's own pairwise sum.
         sivoc_loss = sivoc_in.sum(axis=1) - node_w.sum(axis=1)
         rect_loss = chassis_ac.sum(axis=1) - chassis_bus.sum(axis=1)
         return chassis_ac, sivoc_loss.tolist(), rect_loss.tolist()
+
+    def _node_row(self, node_power_w) -> tuple[np.ndarray, np.ndarray]:
+        """One node-power row and its SIVOC inputs, both ``(1, N)``."""
+        node_w = np.asarray(node_power_w, dtype=np.float64)[None, :]
+        return node_w, self.sivocs.input_power(node_w)
 
     def convert(
         self, node_power_w: np.ndarray
@@ -162,9 +179,9 @@ class ChainBase:
         ``chassis_ac_w`` has one entry per chassis; losses are system
         totals in watts.
         """
-        node_w = np.asarray(node_power_w, dtype=np.float64)[None, :]
+        node_w, sivoc_in = self._node_row(node_power_w)
         ac, sivoc_loss, rect_loss = self.convert_rows(
-            node_w, self._chassis_of_node
+            node_w, sivoc_in, self._chassis_of_node
         )
         return ac[0], sivoc_loss[0], rect_loss[0]
 

@@ -78,12 +78,10 @@ class SmartRectifierChain(ChainBase):
 
     def rectifiers_active(self, node_power_w: np.ndarray) -> np.ndarray:
         """Rectifiers energized per chassis under staging."""
-        chassis_bus = np.bincount(
-            self._chassis_of_node,
-            weights=self.sivocs.input_power(node_power_w),
-            minlength=self._num_chassis,
+        _, sivoc_in = self._node_row(node_power_w)
+        return self._stage(
+            self.chassis_bus(sivoc_in, self._chassis_of_node)[0]
         )
-        return self._stage(chassis_bus)
 
 
 __all__ = ["SmartRectifierChain"]

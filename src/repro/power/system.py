@@ -10,9 +10,14 @@ Implements the aggregation of paper Eqs. 3-4 and section III-B2:
 6. heat to the cooling model = CDU group power x cooling efficiency
    (paper: 0.945).
 
-Everything is vectorized with ``np.bincount`` scatter-adds over
-precomputed topology index maps; there is no Python loop over nodes,
-chassis, or racks.
+Step 1 and the SIVOC half of step 2 depend on a node only through its
+(partition, running-job slot), so they run once per (partition, slot) on
+a slot table; one flat ``take`` each then gathers node powers and SIVOC
+inputs to the nodes.  Everything after is vectorized with ``np.bincount``
+scatter-adds over precomputed topology index maps; there is no Python
+loop over nodes, chassis, or racks.  :meth:`SystemPowerModel.evaluate_lanes`
+runs K lanes (batched scenario runs) through the same arrays in one call;
+:meth:`SystemPowerModel.evaluate` is its one-lane case.
 """
 
 from __future__ import annotations
@@ -205,6 +210,15 @@ class SystemPowerModel:
             self._rows = K
         return self._maps
 
+    def _gather(self, cpu_rows, gpu_rows, slot_maps):
+        """``(K, N)`` node powers and SIVOC inputs: Eq. 3 and the SIVOC
+        curve on the slot table, then one flat ``take`` each.  The
+        ``(K, N)`` index is freed on return, before the later stages
+        allocate."""
+        table, index = self.nodes.slot_table(cpu_rows, gpu_rows, slot_maps)
+        sivoc_table = self.chain.sivocs.input_power(table)
+        return table.ravel().take(index), sivoc_table.ravel().take(index)
+
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(
@@ -216,26 +230,40 @@ class SystemPowerModel:
         """Full pipeline for one instant of per-node utilizations.
 
         With ``slot_of_node`` the utilizations are per running-job slot
-        and node ``n`` runs at slot ``slot_of_node[n]`` (-1: idle); Eq. 3
-        then runs once per (partition, slot), bit-identical to passing
-        the gathered per-node arrays.
+        and node ``n`` runs at slot ``slot_of_node[n]`` (-1: idle);
+        without it they are per node (the identity slot map).  This is
+        the K = 1 case of :meth:`evaluate_lanes`.
         """
         if slot_of_node is None:
-            node_w = self.nodes.node_power_w(cpu_util, gpu_util)
-        else:
-            node_w = self.nodes.slot_power_w(cpu_util, gpu_util, slot_of_node)
-        return self.evaluate_rows(node_w[None, :])[0]
+            cpu_util, gpu_util, slot_of_node = self.nodes.as_slots(
+                cpu_util, gpu_util
+            )
+        return self.evaluate_lanes(
+            (cpu_util,), (gpu_util,), (slot_of_node,)
+        )[0]
 
-    def evaluate_rows(self, node_w: np.ndarray) -> list[PowerResult]:
-        """The pipeline from ``(K, N)`` node powers, one result per row,
-        each with the bits the K = 1 case gives that row alone (every
-        stage is elementwise, a lane-offset bincount or a row sum).
-        Result arrays are row views (``node_power_w`` of ``node_w``)."""
+    def evaluate_lanes(
+        self, cpu_rows, gpu_rows, slot_maps
+    ) -> list[PowerResult]:
+        """The pipeline for K lanes in one call, one result per lane.
+
+        Lane ``k`` has per-slot utilizations ``cpu_rows[k]`` /
+        ``gpu_rows[k]`` and node-to-slot map ``slot_maps[k]`` (-1: idle).
+        Eq. 3 and the SIVOC curve run once per (lane, partition, slot) on
+        the concatenated slot table
+        (:meth:`~repro.power.components.NodePowerModel.slot_table`), and
+        one flat ``take`` each gathers the ``(K, N)`` node powers and
+        SIVOC inputs.  Every later stage is a lane-offset bincount or a
+        row sum, so each lane gets the bits the K = 1 case gives it
+        alone.  Each lane's ``node_power_w`` is its own array, so a kept
+        result never pins the whole block.
+        """
         t = self.topology
+        node_w, sivoc_in = self._gather(cpu_rows, gpu_rows, slot_maps)
         K = node_w.shape[0]
         chassis_flat, rack_flat, cdu_flat = self._offset_maps(K)
         chassis_ac, sivoc_loss, rect_loss = self.chain.convert_rows(
-            node_w, chassis_flat
+            node_w, sivoc_in, chassis_flat
         )
         rack_w = np.bincount(
             rack_flat[: K * t.num_chassis],
@@ -251,9 +279,10 @@ class SystemPowerModel:
         cdu_heat = cdu_w * self.spec.power.cooling_efficiency
         pump_w = self._cdu_pump_total_w
         system_w = (rack_w.sum(axis=1) + pump_w).tolist()
+        node_rows = [node_w[0]] if K == 1 else [row.copy() for row in node_w]
         return [
             PowerResult(
-                node_power_w=node_w[i],
+                node_power_w=node_rows[i],
                 rack_power_w=rack_w[i],
                 cdu_power_w=cdu_w[i],
                 cdu_heat_w=cdu_heat[i],

@@ -233,3 +233,26 @@ class TestProfileCli:
         assert doc["cooling_backend"] is None
         assert "cooling" not in doc["phases"]
         assert "profile written" in capsys.readouterr().out
+
+    def test_batched_profile_splits_phases(self, capsys):
+        rc = cli_main(
+            [
+                "profile",
+                "--system",
+                "marconi100",
+                "--hours",
+                "0.1",
+                "--no-cooling",
+                "--mode",
+                "batched",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mode"] == "batched"
+        phases = doc["phases"]
+        assert phases["power"]["total_s"] > 0.0
+        assert phases["schedule"]["calls"] == doc["lane_steps"] == 24
+        assert "cooling" not in phases and "warmup" not in phases
+        total = sum(row["total_s"] for row in phases.values())
+        assert total <= doc["wall_s"]

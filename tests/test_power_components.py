@@ -192,3 +192,137 @@ class TestBatchedChains:
                 np.testing.assert_array_equal(
                     getattr(got, name), value, err_msg=f"lane {lane} {name}"
                 )
+
+
+class TestStackedKernel:
+    """The slot-table kernel on Setonix (two partitions): K ragged lanes
+    under each of four chains in one :class:`BatchedPowerModel` call give
+    every lane the bits of the per-node pipeline, whose Eq. 3 and SIVOC
+    curve run on each node's own column."""
+
+    #: Per-lane running-slot counts: a lane with no running slot first.
+    SLOTS = (0, 1, 7, 3, 12)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.batch.power import BatchedPowerModel
+        from repro.config.machines import setonix_spec
+        from repro.core.whatif import _make_chain
+        from repro.power.conversion import ConversionChain
+        from repro.power.system import SystemPowerModel
+
+        spec = setonix_spec()
+        topo = SystemPowerModel(spec).topology
+
+        def baseline():
+            return ConversionChain(
+                spec.power.rectifier,
+                spec.power.sivoc,
+                topo.rectifiers_per_chassis,
+                topo.chassis_of_node,
+                topo.num_chassis,
+            )
+
+        failed = baseline()
+        failed.fail_rectifiers(3, 2)
+        chains = [
+            baseline(),
+            failed,
+            _make_chain(spec, "smart-rectifier"),
+            _make_chain(spec, "direct-dc"),
+        ]
+        serial = [SystemPowerModel(spec, chain=c) for c in chains]
+        lane_chains = [c for c in chains for _ in self.SLOTS]
+        power = BatchedPowerModel([spec] * len(lane_chains), lane_chains)
+        return spec, chains, serial, power
+
+    def _lanes(self, spec, seed):
+        """Ragged (cpu, gpu, slot map) per lane; the last slot of every
+        busy lane runs on nodes of both partitions."""
+        n = spec.total_nodes
+        boundary = spec.partitions[0].total_nodes
+        rng = np.random.default_rng(seed)
+        lanes = []
+        for slots in self.SLOTS:
+            slot_of_node = np.full(n, -1, dtype=np.int64)
+            if slots:
+                busy = rng.random(n) < 0.6
+                slot_of_node[busy] = rng.integers(0, slots, size=busy.sum())
+                slot_of_node[boundary - 5 : boundary + 5] = slots - 1
+            lanes.append((rng.random(slots), rng.random(slots), slot_of_node))
+        return lanes
+
+    @staticmethod
+    def _assert_same(got, expected, what):
+        for name, value in vars(expected).items():
+            np.testing.assert_array_equal(
+                getattr(got, name), value, err_msg=f"{what} {name}"
+            )
+
+    def test_lanes_match_the_per_node_pipeline(self, setup):
+        spec, chains, serial, power = setup
+        lanes = self._lanes(spec, 0) * len(chains)
+        cpu_rows, gpu_rows, slot_maps = zip(*lanes)
+        results = power.evaluate(
+            list(range(len(lanes))), cpu_rows, gpu_rows, slot_maps
+        )
+        for lane, (cpu, gpu, slot_of_node) in enumerate(lanes):
+            model = serial[lane // len(self.SLOTS)]
+            idle = slot_of_node < 0
+            node_cpu = np.where(idle, 0.0, np.append(cpu, 0.0)[slot_of_node])
+            node_gpu = np.where(idle, 0.0, np.append(gpu, 0.0)[slot_of_node])
+            expected = model.evaluate(node_cpu, node_gpu)
+            self._assert_same(results[lane], expected, f"lane {lane}")
+            # The SIVOC stage on the slot table equals the curve over
+            # every node.
+            _, sivoc_loss, rect_loss = model.chain.convert(
+                results[lane].node_power_w
+            )
+            assert results[lane].sivoc_loss_w == sivoc_loss
+            assert results[lane].rectifier_loss_w == rect_loss
+
+    def test_one_lane_equals_serial_evaluate(self, setup):
+        spec, chains, serial, power = setup
+        for seed, (cpu, gpu, slot_of_node) in enumerate(self._lanes(spec, 1)):
+            for c, model in enumerate(serial):
+                lane = c * len(self.SLOTS) + seed
+                (got,) = power.evaluate([lane], [cpu], [gpu], [slot_of_node])
+                expected = model.evaluate(cpu, gpu, slot_of_node)
+                self._assert_same(got, expected, f"lane {lane}")
+
+    def test_node_form_equals_identity_slot_map(self, setup):
+        spec, chains, serial, power = setup
+        rng = np.random.default_rng(2)
+        n = spec.total_nodes
+        cpu, gpu = rng.random(n), rng.random(n)
+        identity = np.arange(n)
+        for model in serial:
+            self._assert_same(
+                model.evaluate(cpu, gpu),
+                model.evaluate(cpu, gpu, identity),
+                model.chain.name,
+            )
+
+    def test_lanes_own_their_node_power(self, setup):
+        spec, chains, serial, power = setup
+        lanes = self._lanes(spec, 3)
+        cpu_rows, gpu_rows, slot_maps = zip(*lanes)
+        results = power.evaluate(
+            list(range(len(lanes))), cpu_rows, gpu_rows, slot_maps
+        )
+        for a, b in zip(results, results[1:]):
+            assert not np.shares_memory(a.node_power_w, b.node_power_w)
+        for result in results:
+            assert result.node_power_w.shape == (spec.total_nodes,)
+            assert result.node_power_w.base is None
+
+    def test_misaligned_slot_rows_rejected(self, setup):
+        spec, chains, serial, power = setup
+        slot_of_node = np.zeros(spec.total_nodes, dtype=np.int64)
+        with pytest.raises(PowerModelError, match="align"):
+            power.evaluate(
+                [0, 1],
+                [np.zeros(2), np.zeros(1)],
+                [np.zeros(1), np.zeros(2)],
+                [slot_of_node, slot_of_node],
+            )
