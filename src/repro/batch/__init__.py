@@ -11,11 +11,11 @@ Layout: :class:`~repro.batch.kernel.BatchedPlantKernel` is the one plant
 kernel.  A plant stepped on its own is its one-lane case, and the
 engines hold their coupled lanes' state in its batch rows for the whole
 run.  :class:`~repro.batch.power.BatchedPowerModel` evaluates the power
-pipeline for the changed subset of lanes per macro step, and :class:`~repro.batch.engine.BatchedEngine` runs whole
-scenarios lane-parallel (scheduling stays per-lane Python, the array
-math is shared).  Heterogeneous scenarios are lane-aligned by padding
-to the max node/CDU count with inert lanes; reductions always slice
-the real prefix, so padding never perturbs live lanes.
+pipeline for the changed subset of lanes per macro step, and
+:class:`~repro.batch.engine.BatchedEngine` runs whole scenarios
+lane-parallel (scheduling stays per-lane Python, the array math is
+shared).  A batch is one system: every lane runs on the twin's spec, so
+lane rows share one width and need no padding.
 """
 
 from repro.batch.engine import BatchedEngine, run_batched

@@ -17,7 +17,7 @@ batched half:
   cooling path too), which holds every coupled lane's plant state for
   the whole run, builds each step's cooling records in batch form and
   writes the state back onto the component graphs when the run ends;
-- warmup: lanes with the same (spec, chain, wet-bulb) warm once through
+- warmup: lanes with the same (chain, wet-bulb) warm once through
   :func:`~repro.core.engine.warm_cooling` and replicate the warmed
   snapshot, honoring ``twin.warm_cache`` (baseline chain only).
 
@@ -28,7 +28,9 @@ chain.  Every lane's :class:`~repro.core.engine.StepState` stream is
 the differential test suite (`tests/test_batch_differential.py`)
 enforces exactness across the scenario library.
 
-Scenarios a lane cannot represent — surrogate fidelity, or scenario
+A batch is one system: every lane runs on ``twin.spec``, so the
+plant kernel's rows share one CDU count.  Scenarios a lane cannot
+represent — surrogate fidelity, a reference-backend twin, or scenario
 classes overriding the run protocol (sweep containers) — fall back to
 ``scenario.run(twin)`` serially, so ``run_batched`` accepts any
 scenario list and always returns correct results, in the caller's
@@ -60,6 +62,9 @@ from repro.scheduler.engine import SchedulerEngine
 #: engine-wide default; lanes in one batch share the substep loop).
 COOLING_SUBSTEP_S = 3.0
 
+#: Cooling warmup horizon per lane (the serial engine's default).
+WARMUP_COOLING_S = 1800.0
+
 
 class _Lane(Lane):
     """One scenario instance inside the batch."""
@@ -69,9 +74,7 @@ class _Lane(Lane):
     ) -> None:
         self.index = index  # caller-order position
         self.scenario = scenario
-        self.twin = twin
         spec = twin.spec
-        self.spec = spec
         fmu = None
         if scenario.with_cooling:
             fmu = CoolingFMU(
@@ -116,9 +119,10 @@ def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
     """Whether a scenario can run as a batch lane.
 
     Lanes replicate the base ``Scenario.run`` protocol over a full-
-    fidelity :class:`~repro.core.engine.RapsEngine`; anything that
-    customizes execution (sweep containers, surrogate fidelity) falls
-    back to serial.
+    fidelity :class:`~repro.core.engine.RapsEngine` with the fused
+    cooling backend (the plant kernel); anything that customizes
+    execution (sweep containers, surrogate fidelity, a reference-backend
+    twin) falls back to serial.
     """
     cls = type(scenario)
     return (
@@ -126,6 +130,7 @@ def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
         and cls.iter_steps is Scenario.iter_steps
         and cls.build_engine is Scenario.build_engine
         and scenario.effective_fidelity(twin) == "full"
+        and twin.cooling_backend == "fused"
     )
 
 
@@ -137,34 +142,13 @@ class BatchedEngine:
     scenarios:
         The scenario instances to execute.
     twin:
-        The shared digital twin (anything :func:`as_twin` accepts).
-    twins:
-        Optional per-lane twin list overriding ``twin`` — lanes may
-        target heterogeneous systems; narrower lanes are padded to the
-        widest (see :mod:`repro.batch.kernel`).
-    warmup_cooling_s:
-        Cooling warmup horizon per lane (engine default 1800 s).
+        The digital twin every lane runs on (anything :func:`as_twin`
+        accepts): a batch is one system.
     """
 
-    def __init__(
-        self,
-        scenarios,
-        twin=None,
-        *,
-        twins=None,
-        warmup_cooling_s: float = 1800.0,
-    ) -> None:
+    def __init__(self, scenarios, twin) -> None:
         self.scenarios = list(scenarios)
-        if twins is None:
-            if twin is None:
-                raise ValueError("BatchedEngine needs a twin (or twins)")
-            shared = as_twin(twin)
-            self.twins = [shared] * len(self.scenarios)
-        else:
-            self.twins = [as_twin(t) for t in twins]
-            if len(self.twins) != len(self.scenarios):
-                raise ValueError("twins must align with scenarios")
-        self.warmup_cooling_s = float(warmup_cooling_s)
+        self.twin = as_twin(twin)
         #: Per-run counters, aggregated over lanes (bench observability).
         self.power_evals = 0
         self.power_reuses = 0
@@ -192,9 +176,8 @@ class BatchedEngine:
         lanes: list[_Lane] = []
         runs: dict[int, list[_Lane]] = {}
         fallback: list[int] = []
-        for index, (scenario, twin) in enumerate(
-            zip(self.scenarios, self.twins)
-        ):
+        twin = self.twin
+        for index, scenario in enumerate(self.scenarios):
             if not _laneable(scenario, twin):
                 fallback.append(index)
                 continue
@@ -214,18 +197,18 @@ class BatchedEngine:
                 collect_steps(
                     iter(lane.steps),
                     jobs=lane.jobs,
-                    num_cdus=lane.spec.cooling.num_cdus,
+                    num_cdus=twin.spec.cooling.num_cdus,
                     scheduler_stats=lane.scheduler.stats,
                 )
                 for lane in own
             ]
-            out[index] = own[0].scenario._finish(own[0].twin, results)
+            out[index] = own[0].scenario._finish(twin, results)
             done += 1
             if progress is not None:
                 progress(done, total)
         for index in fallback:
             out[index] = self.scenarios[index].run(
-                self.twins[index],
+                twin,
                 progress=None if on_step is None else partial(on_step, index),
             )
             done += 1
@@ -241,7 +224,7 @@ class BatchedEngine:
         # lengths keep caller order).
         lanes.sort(key=lambda lane: -lane.n_steps)
         power = BatchedPowerModel(
-            [lane.spec for lane in lanes], [lane.chain for lane in lanes]
+            self.twin.spec, [lane.chain for lane in lanes]
         )
         prof = self.profiler
         if prof is not None:
@@ -287,45 +270,35 @@ class BatchedEngine:
             )
 
     def _warmup(self, lanes: list[_Lane], power: BatchedPowerModel) -> None:
-        """Shared cooling warmup: lanes sharing (spec, chain, initial
-        wet-bulb) share one warmed plant state, so each group warms its
-        first lane and replicates the snapshot onto the rest.  The warm
-        cache key has no chain, so a modified chain bypasses it."""
+        """Shared cooling warmup: lanes sharing (chain, initial wet-bulb)
+        share one warmed plant state, so each group warms its first lane
+        and replicates the snapshot onto the rest.  The warm cache key
+        has no chain, so a modified chain bypasses it."""
         groups: dict[tuple, list[tuple[int, _Lane]]] = {}
         for pid, lane in enumerate(lanes):
             if lane.fmu is not None:
-                key = (id(lane.spec), id(lane.chain), lane.wb0)
+                key = (id(lane.chain), lane.wb0)
                 groups.setdefault(key, []).append((pid, lane))
+        cache = getattr(self.twin, "warm_cache", None)
         for (pid0, first), *rest in groups.values():
-            cache = getattr(first.twin, "warm_cache", None)
             warm_cooling(
                 first.fmu,
-                first.spec,
+                self.twin.spec,
                 first.wb0,
-                self.warmup_cooling_s,
+                WARMUP_COOLING_S,
                 lambda: power.idle_power(pid0),
                 cache=cache if first.chain is None else None,
                 replicas=[lane.fmu for _, lane in rest],
             )
 
 
-def run_batched(
-    scenarios,
-    twin=None,
-    *,
-    twins=None,
-    warmup_cooling_s: float = 1800.0,
-    progress=None,
-) -> list[ScenarioResult]:
+def run_batched(scenarios, twin, *, progress=None) -> list[ScenarioResult]:
     """Execute ``scenarios`` against ``twin`` with the batched engine.
 
     Convenience wrapper over :class:`BatchedEngine`; results come back
     in input order and are bit-identical to ``scenario.run(twin)``.
     """
-    engine = BatchedEngine(
-        scenarios, twin, twins=twins, warmup_cooling_s=warmup_cooling_s
-    )
-    return engine.run(progress=progress)
+    return BatchedEngine(scenarios, twin).run(progress=progress)
 
 
 __all__ = ["BatchedEngine", "run_batched", "COOLING_SUBSTEP_S"]

@@ -2,10 +2,11 @@
 
 :class:`BatchedPlantKernel` is the one implementation of the fused
 plant backend's macro step.  It stacks B :class:`FusedPlantKernel
-<repro.cooling.kernel.FusedPlantKernel>` mirrors and advances them
-together: the CDU-bank array sections (PID bank, hydraulics, CDU
-thermal, return mix) run as ``(B, n_max)`` / ``(B, 2 * n_max)`` ufunc
-calls, while the facility half of a substep — tower controls, primary
+<repro.cooling.kernel.FusedPlantKernel>` mirrors of plants with one
+layout (one system: the same CDU, pump and cell counts) and advances
+them together: the CDU-bank array sections (PID bank, hydraulics, CDU
+thermal, return mix) run as ``(B, n)`` / ``(B, 2 * n)`` ufunc calls,
+while the facility half of a substep — tower controls, primary
 tracking, primary/tower thermal — stays per-lane Python-float state and
 runs through the mirrors' scalar section methods.  A plant stepped on
 its own is the one-lane case.
@@ -33,20 +34,13 @@ Each way of stepping a plant picks one of two sync rules:
 Bit-identity with the reference object graph rests on two properties:
 
 - NumPy's elementwise ufuncs are position-independent: running the
-  reference's ``(n,)`` op as one row of a ``(B, n_max)`` op produces
-  the same bits per element, and broadcasting a ``(B, 1)`` per-lane
-  constant against ``(B, n_max)`` goes through the same inner loop as
-  the reference's scalar operand.
-- Reductions are **never** padded: every per-lane sum slices the real
-  prefix ``row[:n_b]`` (a contiguous view, so the pairwise summation
-  tree matches the reference's ``(n,)`` sum exactly).
-
-Lane padding: lanes with fewer CDUs than ``n_max`` occupy the prefix of
-their row; padded tail columns hold inert values (blockage 1, flows 0,
-``cv_max`` 0, PID gains/bounds 0 with sign 1, temperatures 25 °C) whose
-dynamics stay finite and — because ``cv_max`` pads to zero — produce
-zero primary-flow demand, so they can never leak into a live lane or a
-real-prefix reduction.
+  reference's ``(n,)`` op as one row of a ``(B, n)`` op produces the
+  same bits per element, and broadcasting a ``(B, 1)`` per-lane
+  constant against ``(B, n)`` goes through the same inner loop as the
+  reference's scalar operand.
+- Every row of a C-contiguous ``(A, n)`` block is a contiguous ``(n,)``
+  vector, so ``np.add.reduce(block, axis=1)`` sums each row with the
+  pairwise-summation tree of the reference's own ``(n,)`` sum.
 """
 
 from __future__ import annotations
@@ -76,60 +70,62 @@ def _pump_power(rated_w: float, speed: float) -> float:
     return float(rated_w * (0.05 if cube < 0.05 else cube))
 
 
-def _lane_groups(sizes) -> list[tuple[int, np.ndarray]]:
-    """Lane indices grouped by a per-lane width, ascending per group."""
-    groups: dict[int, list[int]] = {}
-    for bi, size in enumerate(sizes):
-        groups.setdefault(int(size), []).append(bi)
-    return [(size, np.array(lanes)) for size, lanes in groups.items()]
-
-
-def _row_sums(rows: np.ndarray, groups, A: int) -> np.ndarray:
-    """Per-lane ``np.sum`` of each lane's real prefix of ``rows``.
-
-    Lanes of one width reduce together as the rows of one contiguous
-    ``(k, width)`` block, so each lane's pairwise-summation tree is the
-    one its own ``(width,)`` vector would get.
-    """
-    out = np.empty(A)
-    for size, lanes in groups:
-        lanes = lanes[:np.searchsorted(lanes, A)]
-        if lanes.size:
-            out[lanes] = np.add.reduce(rows[lanes, :size], axis=1)
-    return out
+def _unit_sums(cols, running, unit_w) -> np.ndarray:
+    """Per-lane sums of the reference's per-unit power vectors:
+    ``unit_w[b]`` on the first ``running[b]`` of ``cols`` units, 0
+    elsewhere."""
+    rows = np.where(
+        cols < np.array(running)[:, None], np.array(unit_w)[:, None], 0.0
+    )
+    return np.add.reduce(rows, axis=1)
 
 
 class BatchedPlantKernel:
     """Advance B cooling plants per NumPy call, bit-identical per lane.
 
     ``plants`` are the per-lane :class:`~repro.cooling.plant.CoolingPlant`
-    objects (any backend).  The kernel builds their fused mirrors and
-    gathers every lane into its batch row; from then on the rows hold
-    the state, and a plant's component graph is stale until
-    :meth:`write_back` (see the module docstring for when each caller
-    syncs).  The kernel keeps no reference to the plants, so a plant
-    can own its one-lane kernel without a reference cycle.  Lanes may
-    have different CDU counts; they are padded to the widest lane.
+    objects (any backend) of one layout: the same CDU, pump and cell
+    counts, else :class:`~repro.exceptions.CoolingModelError`.  The
+    kernel builds their fused mirrors and gathers every lane into its
+    batch row; from then on the rows hold the state, and a plant's
+    component graph is stale until :meth:`write_back` (see the module
+    docstring for when each caller syncs).  The kernel keeps no
+    reference to the plants, so a plant can own its one-lane kernel
+    without a reference cycle.
     """
 
     def __init__(self, plants) -> None:
         plants = list(plants)
         if not plants:
             raise CoolingModelError("batched kernel needs at least one lane")
+        layouts = {
+            (
+                p.cdus.n,
+                p.primary.pumps.spec.count,
+                p.tower.pumps.spec.count,
+                p.tower.farm.spec.total_cells,
+            )
+            for p in plants
+        }
+        if len(layouts) > 1:
+            raise CoolingModelError(
+                "batched kernel lanes must share one plant layout "
+                f"(CDU, HTWP, CTWP, cell counts): {sorted(layouts)}"
+            )
+        ((n, htwps, ctwps, cells),) = layouts
         self.kernels = [FusedPlantKernel(p) for p in plants]
         B = len(self.kernels)
-        n_max = max(k.n for k in self.kernels)
-        w = 2 * n_max
+        w = 2 * n
         self.batch = B
-        self.n_max = n_max
+        self.n = n
 
         def col(values) -> np.ndarray:
             return np.array([[float(v)] for v in values])
 
         # Per-lane scalar constants as (B, 1) broadcast columns.
         for attr in (
-            "cdu_res_k", "cdu_q1", "valve_rangeability", "hx_ua",
-            "pg_tref", "pg_drho", "pg_rho_ref", "pg_cp", "w_cp",
+            "cdu_res_k", "cdu_q1", "valve_rangeability", "valve_cv_max",
+            "hx_ua", "pg_tref", "pg_drho", "pg_rho_ref", "pg_cp", "w_cp",
             "hot_mcp", "cold_mcp",
         ):
             setattr(self, attr, col(getattr(k, attr) for k in self.kernels))
@@ -137,62 +133,39 @@ class BatchedPlantKernel:
             p.cdus.pumps.spec.rated_power_w for p in plants
         )
         self.cdu_pumps_running = col(p.cdus.pumps.n_running for p in plants)
-        # Facility output constants: rated powers per lane, and lanes
-        # grouped by unit count for the per-unit power vector sums.
+        # Facility output constants: rated powers per lane, and the unit
+        # columns of the per-unit power vectors.
         self.htwp_rated = [p.primary.pumps.spec.rated_power_w for p in plants]
         self.ctwp_rated = [p.tower.pumps.spec.rated_power_w for p in plants]
         self.cell_fan_w = [p.tower.farm.spec.fan_power_w for p in plants]
-        htwps = [p.primary.pumps.spec.count for p in plants]
-        ctwps = [p.tower.pumps.spec.count for p in plants]
-        cells = [p.tower.farm.spec.total_cells for p in plants]
-        self.cdu_groups = _lane_groups(k.n for k in self.kernels)
-        self.htwp_groups = _lane_groups(htwps)
-        self.ctwp_groups = _lane_groups(ctwps)
-        self.cell_groups = _lane_groups(cells)
-        self.unit_cols = np.arange(max(htwps + ctwps + cells))
+        self.htwp_cols = np.arange(htwps)
+        self.ctwp_cols = np.arange(ctwps)
+        self.cell_cols = np.arange(cells)
 
-        # cv_max is the one constant that must pad to *zero* columns:
-        # the valve-flow expression multiplies an r**(x-1) factor that
-        # is nonzero at x=0, and a zero cv_max is what keeps padded
-        # primary flow (and hence demand and the return mix) at zero.
-        self.cv_max = np.zeros((B, n_max))
-        # PID bank constants: pads keep kp=ki=0, u_min=u_max=0, sign=1
-        # so padded channels output exactly 0 every substep.
-        self.kp50 = np.zeros((B, w))
-        self.ki50 = np.zeros((B, w))
-        self.umin50 = np.zeros((B, w))
-        self.umax50 = np.zeros((B, w))
-        self.sign50 = np.ones((B, w))
-        for bi, k in enumerate(self.kernels):
-            self.cv_max[bi, :k.n] = k.valve_cv_max
-            for dst, src in (
-                (self.kp50, k.kp50),
-                (self.ki50, k.ki50),
-                (self.umin50, k.umin50),
-                (self.umax50, k.umax50),
-                (self.sign50, k.sign50),
-            ):
-                self._put50(dst, bi, k.n, src)
+        # PID bank constants, one stacked (2n,) row per lane.
+        self.kp50 = np.stack([k.kp50 for k in self.kernels])
+        self.ki50 = np.stack([k.ki50 for k in self.kernels])
+        self.umin50 = np.stack([k.umin50 for k in self.kernels])
+        self.umax50 = np.stack([k.umax50 for k in self.kernels])
+        self.sign50 = np.stack([k.sign50 for k in self.kernels])
 
-        # Resident mutable state.  Pads are inert: blockage 1 and 25 °C
-        # temperatures stay fixed points of the padded dynamics, flows
-        # and heat stay zero (see module docstring).
-        self.blockage = np.ones((B, n_max))
-        self.sec_flow = np.zeros((B, n_max))
-        self.pri_flow = np.zeros((B, n_max))
-        self.hot_t = np.full((B, n_max), 25.0)
-        self.cold_t = np.full((B, n_max), 25.0)
-        self.hx_heat = np.zeros((B, n_max))
-        self.pri_return = np.full((B, n_max), 25.0)
-        self.heat = np.zeros((B, n_max))
-        self.out50 = np.zeros((B, w))
-        self.integ50 = np.zeros((B, w))
-        self.preve50 = np.zeros((B, w))
-        self.sp50 = np.zeros((B, w))
-        self.meas50 = np.full((B, w), 25.0)
+        # Resident mutable state.
+        self.blockage = np.empty((B, n))
+        self.sec_flow = np.empty((B, n))
+        self.pri_flow = np.empty((B, n))
+        self.hot_t = np.empty((B, n))
+        self.cold_t = np.empty((B, n))
+        self.hx_heat = np.empty((B, n))
+        self.pri_return = np.empty((B, n))
+        self.heat = np.empty((B, n))
+        self.out50 = np.empty((B, w))
+        self.integ50 = np.empty((B, w))
+        self.preve50 = np.empty((B, w))
+        self.sp50 = np.empty((B, w))
+        self.meas50 = np.empty((B, w))
         self.dp_term = np.empty((B, 1))
-        self.htws_col = np.zeros((B, 1))
-        self.rho_w_col = np.zeros((B, 1))
+        self.htws_col = np.empty((B, 1))
+        self.rho_w_col = np.empty((B, 1))
         for bi, plant in enumerate(plants):
             self.gather(bi, plant)
 
@@ -203,21 +176,15 @@ class BatchedPlantKernel:
         self.m50a = np.empty((B, w), dtype=bool)
         self.m50b = np.empty((B, w), dtype=bool)
         self.m50c = np.empty((B, w), dtype=bool)
-        self.b = [np.empty((B, n_max)) for _ in range(10)]
-        self.mb = [np.empty((B, n_max), dtype=bool) for _ in range(3)]
+        self.b = [np.empty((B, n)) for _ in range(10)]
+        self.mb = [np.empty((B, n), dtype=bool) for _ in range(3)]
         # Dedicated volume-advance scratch (may not alias the b pool:
         # volume inputs can be views of it).
-        self.v1 = np.empty((B, n_max))
-        self.v2 = np.empty((B, n_max))
-        self.mv = np.empty((B, n_max), dtype=bool)
+        self.v1 = np.empty((B, n))
+        self.v2 = np.empty((B, n))
+        self.mv = np.empty((B, n), dtype=bool)
 
     # -- state exchange ----------------------------------------------------------
-
-    def _put50(self, dst, bi: int, n: int, src) -> None:
-        """Copy a lane's stacked ``(2n,)`` PID vector into row ``bi``."""
-        n_max = self.n_max
-        dst[bi, :n] = src[:n]
-        dst[bi, n_max:n_max + n] = src[n:]
 
     def gather(self, bi: int, plant) -> None:
         """Pull lane ``bi``'s component graph (``plant``'s) into its
@@ -225,18 +192,17 @@ class BatchedPlantKernel:
         valve draw term (the header dp may have been retuned)."""
         k = self.kernels[bi]
         k.pull(plant)
-        n = k.n
-        self.blockage[bi, :n] = k.blockage
-        self.sec_flow[bi, :n] = k.sec_flow
-        self.pri_flow[bi, :n] = k.pri_flow
-        self.hot_t[bi, :n] = k.hot_t
-        self.cold_t[bi, :n] = k.cold_t
-        self.hx_heat[bi, :n] = k.hx_heat
-        self.pri_return[bi, :n] = k.pri_return
-        self._put50(self.out50, bi, n, k.out50)
-        self._put50(self.integ50, bi, n, k.integ50)
-        self._put50(self.preve50, bi, n, k.preve50)
-        self._put50(self.sp50, bi, n, k.sp50)
+        self.blockage[bi] = k.blockage
+        self.sec_flow[bi] = k.sec_flow
+        self.pri_flow[bi] = k.pri_flow
+        self.hot_t[bi] = k.hot_t
+        self.cold_t[bi] = k.cold_t
+        self.hx_heat[bi] = k.hx_heat
+        self.pri_return[bi] = k.pri_return
+        self.out50[bi] = k.out50
+        self.integ50[bi] = k.integ50
+        self.preve50[bi] = k.preve50
+        self.sp50[bi] = k.sp50
         # Valve draw at the header dp; sqrt is correctly rounded, so
         # math.sqrt == np.sqrt here.
         self.dp_term[bi, 0] = sqrt(k.header_dp / k.valve_dp_rated)
@@ -250,22 +216,16 @@ class BatchedPlantKernel:
     def write_back(self, plants) -> None:
         """Push every lane's resident state onto its component graph
         (``plants`` in lane order)."""
-        n_max = self.n_max
         for bi, (k, plant) in enumerate(zip(self.kernels, plants)):
-            n = k.n
-            k.sec_flow[:] = self.sec_flow[bi, :n]
-            k.pri_flow[:] = self.pri_flow[bi, :n]
-            k.hot_t[:] = self.hot_t[bi, :n]
-            k.cold_t[:] = self.cold_t[bi, :n]
-            k.hx_heat[:] = self.hx_heat[bi, :n]
-            k.pri_return[:] = self.pri_return[bi, :n]
-            for dst, src in (
-                (k.out50, self.out50),
-                (k.integ50, self.integ50),
-                (k.preve50, self.preve50),
-            ):
-                dst[:n] = src[bi, :n]
-                dst[n:] = src[bi, n_max:n_max + n]
+            k.sec_flow[:] = self.sec_flow[bi]
+            k.pri_flow[:] = self.pri_flow[bi]
+            k.hot_t[:] = self.hot_t[bi]
+            k.cold_t[:] = self.cold_t[bi]
+            k.hx_heat[:] = self.hx_heat[bi]
+            k.pri_return[:] = self.pri_return[bi]
+            k.out50[:] = self.out50[bi]
+            k.integ50[:] = self.integ50[bi]
+            k.preve50[:] = self.preve50[bi]
             k.push(plant)
 
     # -- helpers -----------------------------------------------------------------
@@ -299,7 +259,7 @@ class BatchedPlantKernel:
     def advance(self, cdu_heat_w, wetbulb_c, h, n_sub: int, active=None) -> None:
         """Advance the first ``active`` lanes ``n_sub`` substeps of ``h``.
 
-        ``cdu_heat_w`` is a per-lane sequence of ``(n_b,)`` heat arrays,
+        ``cdu_heat_w`` is a per-lane sequence of ``(n,)`` heat arrays,
         ``wetbulb_c`` a per-lane sequence of floats.  Active lanes must
         be a batch prefix (the engine orders lanes longest-first so
         finished lanes drop off the tail and keep their rows untouched).
@@ -307,11 +267,11 @@ class BatchedPlantKernel:
         A = self.batch if active is None else int(active)
         if A == 0:
             return
-        n_max = self.n_max
+        n = self.n
         kernels = self.kernels[:A]
         heat = self.heat[:A]
         for bi, k in enumerate(kernels):
-            heat[bi, :k.n] = cdu_heat_w[bi]
+            heat[bi] = cdu_heat_w[bi]
             k.pump_has_prev = k.valve_has_prev = True
         alphas = [k._alpha_for(h) for k in kernels]
 
@@ -340,8 +300,8 @@ class BatchedPlantKernel:
         m50c = self.m50c[:A]
         htws_col = self.htws_col[:A]
         rho_w_col = self.rho_w_col[:A]
-        pump_speed = out50[:, :n_max]
-        valve_opening = out50[:, n_max:]
+        pump_speed = out50[:, :n]
+        valve_opening = out50[:, n:]
         kp50 = self.kp50[:A]
         ki50 = self.ki50[:A]
         umin50 = self.umin50[:A]
@@ -350,7 +310,7 @@ class BatchedPlantKernel:
         cdu_res_k = self.cdu_res_k[:A]
         cdu_q1 = self.cdu_q1[:A]
         rangeability = self.valve_rangeability[:A]
-        cv_max = self.cv_max[:A]
+        cv_max = self.valve_cv_max[:A]
         hx_ua = self.hx_ua[:A]
         pg_tref = self.pg_tref[:A]
         pg_drho = self.pg_drho[:A]
@@ -367,7 +327,6 @@ class BatchedPlantKernel:
         copyto = np.copyto
         exp = np.exp
         advance_bank = self._advance_volume_bank
-        demands = [0.0] * A
 
         for _ in range(n_sub):
             # --- 1. CDU controls: the stacked pump-speed + valve PID bank.
@@ -375,8 +334,8 @@ class BatchedPlantKernel:
             mul(sec_flow, cdu_res_k, out=b1)
             mul(b1, b0, out=b1)
             mul(b1, blockage, out=b1)  # measured loop dp
-            meas50[:, :n_max] = b1
-            meas50[:, n_max:] = cold_t
+            meas50[:, :n] = b1
+            meas50[:, n:] = cold_t
             sub(sp50, meas50, out=e50)
             mul(e50, sign50, out=e50)
             mul(e50, h, out=c50a)
@@ -414,12 +373,11 @@ class BatchedPlantKernel:
             mul(b0, cv_max, out=pri_flow)
             mul(pri_flow, dp_term, out=pri_flow)
 
-            # --- 4-5. Primary tracking per lane; real-prefix row sums
-            # keep the pairwise-summation tree of the reference's sum.
+            # --- 4-5. Primary tracking per lane; each row of the
+            # contiguous block sums with the reference's pairwise tree.
+            demands = add_reduce(pri_flow, axis=1).tolist()
             for bi, k in enumerate(kernels):
-                demand = float(add_reduce(pri_flow[bi, :k.n]))
-                demands[bi] = demand
-                k._primary_tracking(demand, h)
+                k._primary_tracking(demands[bi], h)
 
             # --- 6. CDU thermal: racks -> hot volume -> HEX-1600 -> cold.
             sub(cold_t, pg_tref, out=b0)
@@ -490,10 +448,11 @@ class BatchedPlantKernel:
 
             # --- 7. Flow-weighted CDU return mix into the HTW header.
             mul(pri_flow, pri_return, out=b0)
+            mixes = add_reduce(b0, axis=1).tolist()
             for bi, k in enumerate(kernels):
                 demand = demands[bi]
                 if demand > 1e-9:
-                    mix_c = float(add_reduce(b0[bi, :k.n]) / demand)
+                    mix_c = mixes[bi] / demand
                 else:
                     mix_c = k.p_return_t
 
@@ -501,16 +460,6 @@ class BatchedPlantKernel:
                 k._facility_thermal(mix_c, wetbulb_c[bi], h)
 
     # -- outputs -----------------------------------------------------------------
-
-    def _unit_sums(self, groups, running, unit_w, A: int) -> np.ndarray:
-        """Per-lane sums of the reference's per-unit power vectors:
-        ``unit_w[b]`` on the first ``running[b]`` units, 0 elsewhere."""
-        rows = np.where(
-            self.unit_cols < np.array(running)[:, None],
-            np.array(unit_w)[:, None],
-            0.0,
-        )
-        return _row_sums(rows, groups, A)
 
     def cooling_records(self, system_power_w, active=None) -> list[dict]:
         """The engine's per-step cooling record for the first ``active``
@@ -520,15 +469,14 @@ class BatchedPlantKernel:
         :meth:`CoolingPlant._snapshot
         <repro.cooling.plant.CoolingPlant._snapshot>` with
         ``system_power_w[b]`` as lane ``b``'s PUE denominator: the CDU
-        fields as ``(A, n_max)`` ufunc passes sliced per lane, the
-        facility fields from the per-lane kernel scalars with the
-        reference's scalar arithmetic (pump and fan powers included),
-        and the reference's vector sums as width-grouped row sums.
+        fields as rows of ``(A, n)`` ufunc passes, the facility fields
+        from the per-lane kernel scalars with the reference's scalar
+        arithmetic (pump and fan powers included), and the reference's
+        vector sums as one row reduce per quantity.
         Every call returns fresh arrays.
         """
         A = self.batch if active is None else int(active)
-        n_max = self.n_max
-        pump_w = self.out50[:A, :n_max].copy()
+        pump_w = self.out50[:A, :self.n].copy()
         if np.any(pump_w < 0) or np.any(pump_w > 1.2):
             raise CoolingModelError("pump speed out of range [0, 1.2]")
         np.power(pump_w, 3, out=pump_w)
@@ -544,7 +492,6 @@ class BatchedPlantKernel:
             [], [], [], [], [], []
         )
         for bi, k in enumerate(self.kernels[:A]):
-            n = k.n
             # Primary loop: staged HTWPs and the header pressure.
             htwps, speed = k.p_n_running, k.p_pump_speed
             n_htwp.append(htwps)
@@ -578,21 +525,21 @@ class BatchedPlantKernel:
                 "num_htwp_staged": htwps,
                 "num_ehx_staged": k.p_n_ehx,
                 "aux_power_w": 0.0,
-                "cdu_primary_flow_m3s": pri_flow[bi, :n],
-                "cdu_primary_return_temp_c": pri_return[bi, :n],
-                "cdu_secondary_supply_temp_c": cold_t[bi, :n],
-                "cdu_pump_power_w": pump_w[bi, :n],
+                "cdu_primary_flow_m3s": pri_flow[bi],
+                "cdu_primary_return_temp_c": pri_return[bi],
+                "cdu_secondary_supply_temp_c": cold_t[bi],
+                "cdu_pump_power_w": pump_w[bi],
             })
 
         # Facility aux power (HTWPs + CTWPs + fans) and PUE, elementwise
         # over lanes in the reference's operation order.
-        aux_cep_w = self._unit_sums(self.htwp_groups, n_htwp, htwp_w, A)
-        aux_cep_w += self._unit_sums(self.ctwp_groups, n_ctwp, ctwp_w, A)
-        aux_cep_w += self._unit_sums(self.cell_groups, n_cells, fan_w, A)
+        aux_cep_w = _unit_sums(self.htwp_cols, n_htwp, htwp_w)
+        aux_cep_w += _unit_sums(self.ctwp_cols, n_ctwp, ctwp_w)
+        aux_cep_w += _unit_sums(self.cell_cols, n_cells, fan_w)
         power = np.array(system_power_w, dtype=np.float64)
         pue = np.ones(A)
         np.divide(power + aux_cep_w, power, out=pue, where=power > 0)
-        aux_w = aux_cep_w + _row_sums(pump_w, self.cdu_groups, A)
+        aux_w = aux_cep_w + np.add.reduce(pump_w, axis=1)
         for record, p, a in zip(records, pue.tolist(), aux_w.tolist()):
             record["pue"] = p
             record["aux_power_w"] = a

@@ -5,10 +5,11 @@
 batched engine's per-lane change detection decides which lanes need a
 fresh evaluation each quantum, and only those pay for the pipeline.
 
-Lanes sharing a spec *object* and a conversion chain (``None``: the
-baseline) share one group — the common case, a campaign over one
-system; a what-if's modified lane brings its own chain and so its own
-group.  Each group is one :meth:`SystemPowerModel.evaluate_lanes
+A batch is one system, so lanes are grouped by conversion chain only:
+lanes on the baseline chain (``None``) share one group — the common
+case, a campaign — and a what-if's modified lane brings its own chain
+and so its own group.  Each group is one
+:meth:`SystemPowerModel.evaluate_lanes
 <repro.power.system.SystemPowerModel.evaluate_lanes>` call, whose K = 1
 case is the serial ``evaluate``: Eq. 3 and the SIVOC curve run once per
 (lane, partition, slot) on the lanes' concatenated slot table, and one
@@ -24,7 +25,7 @@ from repro.power.system import PowerResult, SystemPowerModel
 
 
 class _PowerGroup:
-    """One power model shared by the lanes of one (spec, chain)."""
+    """One power model shared by the lanes of one chain."""
 
     def __init__(self, spec, chain) -> None:
         self.model = SystemPowerModel(spec, chain=chain)
@@ -39,24 +40,20 @@ class _PowerGroup:
 
 
 class BatchedPowerModel:
-    """Subset-batched power evaluation across B heterogeneous lanes.
+    """Subset-batched power evaluation across B lanes of one system.
 
-    ``specs`` is the per-lane :class:`~repro.config.schema.SystemSpec`
-    sequence and ``chains`` the optional per-lane conversion chains
-    (``None`` entries: the baseline chain); lanes sharing a spec *object*
-    and a chain share one group.
+    ``spec`` is the batch's :class:`~repro.config.schema.SystemSpec` and
+    ``chains`` the per-lane conversion chains (``None`` entries: the
+    baseline chain); lanes sharing a chain share one group.
     """
 
-    def __init__(self, specs, chains=None) -> None:
-        specs = list(specs)
-        chains = [None] * len(specs) if chains is None else list(chains)
-        groups: dict[tuple[int, int], _PowerGroup] = {}
+    def __init__(self, spec, chains) -> None:
+        groups: dict[int, _PowerGroup] = {}
         self.lane_group: list[_PowerGroup] = []
-        for spec, chain in zip(specs, chains):
-            key = (id(spec), id(chain))
-            if key not in groups:
-                groups[key] = _PowerGroup(spec, chain)
-            self.lane_group.append(groups[key])
+        for chain in chains:
+            if id(chain) not in groups:
+                groups[id(chain)] = _PowerGroup(spec, chain)
+            self.lane_group.append(groups[id(chain)])
 
     def idle_power(self, lane: int) -> PowerResult:
         """The warmup idle evaluation for ``lane`` (cached per group)."""

@@ -225,6 +225,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         with_cooling=not args.no_cooling,
     )
     mode = getattr(args, "mode", "direct")
+    if mode != "direct" and args.cooling_backend != "fused":
+        # Batch lanes and service workers step the fused plant kernel.
+        raise ExaDigiTError(
+            f"--mode {mode} runs the fused plant kernel; profile "
+            "--cooling-backend reference with --mode direct"
+        )
     if mode in ("direct", "batched"):
         from repro.core.profiling import PhaseProfiler
 
@@ -245,9 +251,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         from repro.batch import BatchedEngine
         from repro.obs import MetricsRegistry, use_registry
 
-        twin = DigitalTwin(
-            args.system, cooling_backend=args.cooling_backend
-        )
+        twin = DigitalTwin(args.system)
         with use_registry(MetricsRegistry()) as reg:
             engine = BatchedEngine([scenario], twin)
             engine.profiler = profiler
@@ -778,7 +782,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
-        if srv.metrics.enabled:
+        if srv.expose_metrics:
             print(
                 f"telemetry: {srv.url}/metrics  {srv.url}/statusz  "
                 f"console: {srv.url}/console",

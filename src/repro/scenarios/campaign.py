@@ -232,7 +232,6 @@ class Campaign:
                         self.twin.spec,
                         s,
                         surrogate_doc,
-                        True,
                         self.twin.cooling_backend,
                     ): (i, s)
                     for i, s in pending

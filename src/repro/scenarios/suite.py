@@ -54,7 +54,6 @@ def execute_scenario(
     spec: SystemSpec,
     scenario: Scenario,
     surrogate_doc: dict | None = None,
-    use_warm_cache: bool = False,
     cooling_backend: str = "fused",
 ) -> ScenarioResult:
     """Run one scenario against a fresh twin built from ``spec``.
@@ -70,15 +69,15 @@ def execute_scenario(
     <repro.scenarios.twin.DigitalTwin.surrogate_doc>`): rebuilding it
     here keeps surrogate-fidelity cells bit-identical between serial
     and worker execution — without it a worker would train its own
-    default bundle.  ``use_warm_cache`` attaches the process-local
-    warm-plant cache, so repeated coupled scenarios in one worker skip
-    the cooling warmup (suite workers pass True by default).
+    default bundle.  The twin carries the process-local warm-plant
+    cache, so repeated coupled scenarios in one worker skip the cooling
+    warmup.
     ``cooling_backend`` forwards the driving twin's plant backend so an
     explicit oracle (``"reference"``) selection survives into workers.
     """
     twin = DigitalTwin(
         spec,
-        warm_cache=_process_warm_cache() if use_warm_cache else None,
+        warm_cache=_process_warm_cache(),
         cooling_backend=cooling_backend,
     )
     if surrogate_doc is not None:
@@ -183,7 +182,6 @@ class ExperimentSuite:
         workers: int = 1,
         *,
         progress: Callable[[Scenario, int, int], None] | None = None,
-        warm_workers: bool = True,
     ) -> SuiteResult:
         """Execute every scenario; ``workers > 1`` uses process parallelism.
 
@@ -192,11 +190,10 @@ class ExperimentSuite:
         scenario is seeded and runs on its own fresh engine either way).
         ``progress(scenario, done, total)`` fires as scenarios finish.
 
-        With ``warm_workers`` (the default), each pool worker keeps a
-        process-local warm-plant cache so repeated coupled scenarios in
-        one suite pay the 1800 s cooling warmup once per worker — the
-        warmup is deterministic, so this changes wall-clock only, never
-        results.
+        Each pool worker keeps a process-local warm-plant cache, so
+        repeated coupled scenarios in one suite pay the 1800 s cooling
+        warmup once per worker — the warmup is deterministic, so this
+        changes wall-clock only, never results.
         """
         scenarios = self.expanded()
         if not scenarios:
@@ -217,7 +214,6 @@ class ExperimentSuite:
                         self.twin.spec,
                         s,
                         surrogate_doc,
-                        warm_workers,
                         self.twin.cooling_backend,
                     ): i
                     for i, s in enumerate(scenarios)

@@ -83,11 +83,7 @@ from repro.obs.alerts import (
 )
 from repro.obs.console import load_console_html
 from repro.obs.history import MetricsRecorder, disabled_history_stats
-from repro.obs.registry import (
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import FlightRecorder, Tracer
 from repro.scenarios.artifacts import _nulled_nans, spec_sha256
 from repro.scenarios.base import Scenario
@@ -160,9 +156,11 @@ class TwinServer:
         ``True`` (default) gives the server its own
         :class:`~repro.obs.registry.MetricsRegistry`, rendered at
         ``GET /metrics`` and snapshotted into ``GET /statusz``;
-        ``False`` serves both endpoints empty at zero recording cost;
-        an explicit registry instance is used as-is (shared registries
-        across servers are allowed).
+        ``False`` keeps a private registry (the ``/healthz`` counters
+        read it) but serves both endpoints' metrics empty and records
+        no history; an explicit registry instance is used as-is (shared
+        registries across servers are allowed, and then share the
+        ``/healthz`` counters too).
     flight_capacity:
         Ring-buffer size of the :class:`~repro.obs.trace.FlightRecorder`
         holding the most recent job spans and worker events; the buffer
@@ -218,7 +216,7 @@ class TwinServer:
         max_retained_jobs: int = 4096,
         result_cache_entries: int = 128,
         execution: str = "processes",
-        metrics: bool | MetricsRegistry | NullRegistry = True,
+        metrics: bool | MetricsRegistry = True,
         flight_capacity: int = 512,
         history_interval: float = 1.0,
         alert_rules: str | Path | list | None = None,
@@ -248,12 +246,13 @@ class TwinServer:
         self.fidelity = fidelity
         self.max_attempts = max_attempts
         self.use_cache_default = use_cache
-        if metrics is True:
-            self.metrics: MetricsRegistry | NullRegistry = MetricsRegistry()
-        elif metrics is False or metrics is None:
-            self.metrics = NULL_REGISTRY
-        else:
-            self.metrics = metrics
+        #: Whether /metrics, /statusz and history expose the registry.
+        self.expose_metrics = bool(metrics)
+        self.metrics = (
+            metrics
+            if isinstance(metrics, MetricsRegistry)
+            else MetricsRegistry()
+        )
         self.flight = FlightRecorder(flight_capacity)
         self.tracer = Tracer(self.flight)
         self.store = (
@@ -264,7 +263,7 @@ class TwinServer:
         self.history_interval = float(history_interval or 0.0)
         self.history: MetricsRecorder | None = None
         self.alerts: AlertManager | None = None
-        if self.metrics.enabled and self.history_interval > 0:
+        if self.expose_metrics and self.history_interval > 0:
             self.history = MetricsRecorder(
                 self.metrics,
                 interval_s=self.history_interval,
@@ -309,17 +308,6 @@ class TwinServer:
         self.result_cache_entries = result_cache_entries
         #: Terminal job ids in completion order (memory-bound eviction).
         self._terminal_order: list[str] = []
-        self.counters = {
-            "executed": 0,
-            "cache_hits": 0,
-            "warm_hits": 0,
-            "requeues": 0,
-            "persist_errors": 0,
-            "timeouts": 0,
-            "admission_rejected": 0,
-            "chaos_injected": 0,
-            "stream_resumes": 0,
-        }
         self.chaos = resolve_chaos(chaos)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         if max_queue_depth < 1 or max_inflight_per_client < 1:
@@ -375,11 +363,7 @@ class TwinServer:
         self._register_metrics()
 
     def _register_metrics(self) -> None:
-        """Register this server's metric families (handles cached).
-
-        With a :class:`NullRegistry` every handle is the inert null
-        metric, so the hot handlers below stay branch-free.
-        """
+        """Register this server's metric families (handles cached)."""
         m = self.metrics
         self._m_submitted = m.counter("repro_service_jobs_submitted_total")
         self._m_finished = m.counter("repro_service_jobs_finished_total")
@@ -422,7 +406,6 @@ class TwinServer:
 
     def _persist_error(self, site: str) -> None:
         """Count a failed store write: ``/healthz`` and ``/metrics``."""
-        self.counters["persist_errors"] += 1
         self._m_persist_errors.labels(site=site).inc()
 
     def _loop_lag_s(self) -> float:
@@ -664,9 +647,7 @@ class TwinServer:
             self.breaker.record_success()
             job.cell = msg.get("cell")
             job.elapsed_s = msg.get("elapsed_s")
-            self.counters["executed"] += 1
             if msg.get("warm_hit"):
-                self.counters["warm_hits"] += 1
                 self._m_warm_hits.inc()
             else:
                 self._m_warm_misses.inc()
@@ -693,7 +674,6 @@ class TwinServer:
             self._release(index, job.id)
 
     def _note_chaos(self, site: str) -> None:
-        self.counters["chaos_injected"] += 1
         self._m_chaos.labels(site=site).inc()
         self.tracer.event("chaos", site=site)
 
@@ -749,7 +729,6 @@ class TwinServer:
                 )
                 self._finish(job, JobState.FAILED)
             else:
-                self.counters["requeues"] += 1
                 self._m_requeues.inc()
                 job.state = JobState.QUEUED
                 job.worker = None
@@ -899,7 +878,6 @@ class TwinServer:
         if state is JobState.TIMEOUT:
             if job.error is None:
                 job.error = f"deadline_s={job.deadline_s} exceeded"
-            self.counters["timeouts"] += 1
             self._m_timeouts.inc()
         span = self._spans.pop(job.id, None)
         if span is not None:
@@ -1107,7 +1085,6 @@ class TwinServer:
                 }
                 job.steps = list(steps)
                 job.elapsed_s = 0.0
-                self.counters["cache_hits"] += 1
                 self._m_cache_hits.inc()
                 self._finish(job, JobState.DONE)
             else:
@@ -1363,7 +1340,8 @@ class TwinServer:
             await _respond_raw(
                 writer,
                 200,
-                self.metrics.render().encode("utf-8"),
+                (self.metrics.render() if self.expose_metrics else "")
+                .encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
             return
@@ -1570,6 +1548,29 @@ class TwinServer:
                 self.tracer.event("health-recovered", check=name)
             self._check_ok[name] = ok
 
+    def health_counters(self) -> dict[str, int]:
+        """The ``/healthz`` counters block, read from the registry.
+
+        Labelled families count across their label sets, and a job is
+        executed when a worker finishes it (a warm hit or a miss).
+        """
+
+        def total(family) -> int:
+            return int(sum(child.get() for _, child in family.samples()))
+
+        return {
+            "executed": total(self._m_warm_hits)
+            + total(self._m_warm_misses),
+            "cache_hits": total(self._m_cache_hits),
+            "warm_hits": total(self._m_warm_hits),
+            "requeues": total(self._m_requeues),
+            "persist_errors": total(self._m_persist_errors),
+            "timeouts": total(self._m_timeouts),
+            "admission_rejected": total(self._m_admission),
+            "chaos_injected": total(self._m_chaos),
+            "stream_resumes": total(self._m_resumes),
+        }
+
     def _health_doc(self) -> dict[str, Any]:
         checks = self._health_checks()
         doc = {
@@ -1598,7 +1599,7 @@ class TwinServer:
                 )
                 for state in JobState
             },
-            "counters": dict(self.counters),
+            "counters": self.health_counters(),
             "draining": self.draining,
             "breaker": self.breaker.snapshot(),
         }
@@ -1628,7 +1629,9 @@ class TwinServer:
             "url": self.url,
             "jobs_total": len(self._job_order),
             "jobs": [self.jobs[jid].summary() for jid in recent],
-            "metrics": self.metrics.snapshot(),
+            "metrics": (
+                self.metrics.snapshot() if self.expose_metrics else {}
+            ),
             "history": (
                 self.history.stats()
                 if self.history is not None
@@ -1675,7 +1678,6 @@ class TwinServer:
         rejection = self._admission_check(client)
         if rejection is not None:
             reason, status, retry_after = rejection
-            self.counters["admission_rejected"] += 1
             self._m_admission.labels(reason=reason).inc()
             await _respond(
                 writer,
@@ -1737,7 +1739,6 @@ class TwinServer:
         cursor = 0
         self._m_stream_clients.inc()
         if from_seq:
-            self.counters["stream_resumes"] += 1
             self._m_resumes.inc()
             if base <= from_seq <= base + len(job.steps):
                 cursor = from_seq - base

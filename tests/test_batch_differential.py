@@ -138,16 +138,10 @@ def _kind_builders(dataset_path: str):
     }
 
 
-def _compare(scenarios, spec, *, twins=None) -> None:
+def _compare(scenarios, spec) -> None:
     """Serial references vs one batched run, exact equality per lane."""
-    if twins is None:
-        serial = [s.run(DigitalTwin(spec)) for s in scenarios]
-        batched = run_batched(scenarios, DigitalTwin(spec))
-    else:
-        serial = [
-            s.run(DigitalTwin(t.spec)) for s, t in zip(scenarios, twins)
-        ]
-        batched = run_batched(scenarios, twins=twins)
+    serial = [s.run(DigitalTwin(spec)) for s in scenarios]
+    batched = run_batched(scenarios, DigitalTwin(spec))
     assert len(batched) == len(scenarios)
     for i, (a, b) in enumerate(zip(batched, serial)):
         assert_bitidentical(
@@ -203,25 +197,6 @@ def test_fault_streams_across_lanes(spec):
         for v in range(4)
     ]
     _compare(scenarios, spec)
-
-
-def test_heterogeneous_specs_pad_cleanly(spec):
-    """Lanes over different node/CDU counts (per-lane twins) — narrow
-    lanes are padded to the widest and must not feel the padding."""
-    small = make_small_spec(total_nodes=96, num_cdus=1)
-    twins = [
-        DigitalTwin(spec),
-        DigitalTwin(small),
-        DigitalTwin(spec),
-        DigitalTwin(small),
-    ]
-    scenarios = [
-        SyntheticScenario(
-            name=f"h-{v}", duration_s=DUR, seed=v, wetbulb_c=11.0 + 3.0 * v
-        )
-        for v in range(4)
-    ]
-    _compare(scenarios, spec, twins=twins)
 
 
 def test_mixed_durations_shrink_the_batch(spec):

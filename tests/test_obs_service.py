@@ -136,7 +136,7 @@ def test_metrics_disabled_server_returns_empty_page(spec):
     with TwinServer(spec, workers=1, metrics=False) as srv:
         client = TwinClient(srv.url)
         assert client.metrics_text() == ""
-        assert not srv.metrics.enabled
+        assert not srv.expose_metrics
         # Health still works without a registry.
         assert client.health()["status"] == "ok"
 

@@ -130,26 +130,12 @@ class TestSuiteWarmCache:
                     small_spec,
                     SyntheticScenario(duration_s=600.0, seed=seed),
                     None,
-                    True,
                 )
             cache = suite_mod._WORKER_WARM_CACHE
             assert cache is not None
             stats = cache.stats()
             assert stats["misses"] == 1
             assert stats["hits"] == 1
-        finally:
-            suite_mod._WORKER_WARM_CACHE = None
-
-    def test_warm_cache_off_means_no_cache(self, small_spec):
-        suite_mod._WORKER_WARM_CACHE = None
-        try:
-            execute_scenario(
-                small_spec,
-                SyntheticScenario(duration_s=600.0, seed=0),
-                None,
-                False,
-            )
-            assert suite_mod._WORKER_WARM_CACHE is None
         finally:
             suite_mod._WORKER_WARM_CACHE = None
 

@@ -114,7 +114,7 @@ class TestNanGuard:
         from repro.batch.power import BatchedPowerModel
 
         spec = frontier_spec()
-        power = BatchedPowerModel([spec, spec])
+        power = BatchedPowerModel(spec, [None, None])
         n = power.lane_group[0].model.nodes.total_nodes
         slot_of_node = np.zeros(n, dtype=np.int64)
         ok = np.array([0.5])
@@ -162,7 +162,7 @@ class TestBatchedChains:
             _make_chain(spec, "direct-dc"),
         ]
         lane_chains = [c for c in chains for _ in range(self.LANES_PER_CHAIN)]
-        power = BatchedPowerModel([spec] * len(lane_chains), lane_chains)
+        power = BatchedPowerModel(spec, lane_chains)
         serial = {
             id(c): SystemPowerModel(spec, chain=c) for c in chains
         }
@@ -233,7 +233,7 @@ class TestStackedKernel:
         ]
         serial = [SystemPowerModel(spec, chain=c) for c in chains]
         lane_chains = [c for c in chains for _ in self.SLOTS]
-        power = BatchedPowerModel([spec] * len(lane_chains), lane_chains)
+        power = BatchedPowerModel(spec, lane_chains)
         return spec, chains, serial, power
 
     def _lanes(self, spec, seed):

@@ -327,7 +327,7 @@ def test_from_seq_resumes_ndjson_and_ws(spec, tmp_path):
         assert_bitidentical(
             docs[1:-1], reference, label="restart replay"
         )
-        assert srv.counters["stream_resumes"] >= 7
+        assert srv.health_counters()["stream_resumes"] >= 7
 
 
 def test_client_resumes_one_past_the_last_seq_held():
@@ -413,7 +413,7 @@ def test_admission_rejects_when_queue_full(spec, tmp_path, execution):
             assert doc["reason"] == "queue_full"
         finally:
             conn.close()
-        assert srv.counters["admission_rejected"] == 2
+        assert srv.health_counters()["admission_rejected"] == 2
         # A retrying client rides out the backpressure window.
         patient = TwinClient(srv.url, retry=FAST_RETRY)
         unblock = threading.Timer(
@@ -485,7 +485,7 @@ def test_deadline_expires_queued_and_running_jobs(spec, tmp_path, execution):
         docs = list(client.watch(running["id"]))
         assert docs[-1]["event"] == "timeout"
         assert docs[-1]["job"]["state"] == "timeout"
-        assert srv.counters["timeouts"] == 2
+        assert srv.health_counters()["timeouts"] == 2
         with pytest.raises(ExaDigiTError, match="timeout"):
             client.steps(running["id"])
         health = client.health()
@@ -708,7 +708,7 @@ def test_store_write_fault_reaches_metrics(spec, tmp_path):
         job = client.submit(SCENARIO, use_cache=False)
         assert client.wait(job["id"])["state"] == "done"
         body = client.metrics_text()
-        legacy = srv.counters["persist_errors"]
+        legacy = srv.health_counters()["persist_errors"]
     sample = 'repro_service_persist_errors_total{site="record"} '
     counts = [
         float(line[len(sample):])
@@ -767,7 +767,7 @@ def _run_chaos_workload(
             for scenario in CHAOS_JOBS:
                 job = client.submit(scenario, use_cache=False)
                 streams.append(client.steps(job["id"]))
-        executed = srv.counters["executed"]
+        executed = srv.health_counters()["executed"]
         assert all(
             record.state.value == "done"
             for record in srv.jobs.values()
