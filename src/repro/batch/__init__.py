@@ -13,8 +13,9 @@ engines hold their coupled lanes' state in its batch rows for the whole
 run.  :class:`~repro.batch.power.BatchedPowerModel` evaluates the power
 pipeline for the changed subset of lanes per macro step, and
 :class:`~repro.batch.engine.BatchedEngine` runs whole scenarios
-lane-parallel (scheduling stays per-lane Python, the array math is
-shared).  A batch is one system: every lane runs on the twin's spec, so
+lane-parallel (scheduling stays per-run Python, the array math is
+shared, and lanes that differ only in weather share one electrical
+run).  A batch is one system: every lane runs on the twin's spec, so
 lane rows share one width and need no padding.
 """
 

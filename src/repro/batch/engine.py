@@ -2,14 +2,16 @@
 
 :class:`BatchedEngine` runs B scenario instances through the same
 per-quantum loop as the serial engine, :func:`~repro.core.engine.lane_loop`,
-with B lanes instead of one.  Each lane keeps its own scheduler, trace
-pool, fault stream and change detection (the event-driven half of
-Algorithm 1 is cheap, per-lane Python); what this module adds is the
-batched half:
+with B lanes instead of one.  Each lane's schedule and power come from
+an :class:`~repro.core.engine.ElectricalRun` (scheduler, trace pool,
+fault stream and change detection — the event-driven half of
+Algorithm 1, cheap per-run Python), and lanes with equal electrical
+inputs share one (see *shared electrical runs* below); what this module
+adds is the batched half:
 
 - lane ordering: lanes run longest-first, so finished lanes drop off the
   batch tail and the active lanes stay a contiguous prefix;
-- power: the lanes whose trace-pool fingerprint changed this quantum are
+- power: the runs whose trace-pool fingerprint changed this quantum are
   evaluated in one :class:`~repro.batch.power.BatchedPowerModel` call;
 - cooling: the coupled plants advance as one
   :class:`~repro.batch.kernel.BatchedPlantKernel` macro step through
@@ -28,6 +30,13 @@ chain.  Every lane's :class:`~repro.core.engine.StepState` stream is
 the differential test suite (`tests/test_batch_differential.py`)
 enforces exactness across the scenario library.
 
+Shared electrical runs: scheduling and power never read the wet-bulb
+or a cooling output, so each ``run`` builds every distinct workload
+once (:class:`~repro.scenarios.base.WorkloadMemo`) and a lane follows
+an earlier lane's run when their plans have the same memo-built jobs,
+resolved policy, duration, replay mode and chain, and no fault events
+(:func:`_run_key`).  Anything else runs alone.
+
 A batch is one system: every lane runs on ``twin.spec``, so the
 plant kernel's rows share one CDU count.  Scenarios a lane cannot
 represent — surrogate fidelity, a reference-backend twin, or scenario
@@ -39,6 +48,8 @@ order.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from functools import partial
 from time import perf_counter
 
@@ -49,11 +60,12 @@ from repro.core.engine import (
     StepState,
     collect_steps,
     lane_loop,
+    lane_runs,
     resident_cooling,
     warm_cooling,
 )
 from repro.obs.registry import get_registry
-from repro.scenarios.base import RunPlan, Scenario
+from repro.scenarios.base import RunPlan, Scenario, WorkloadMemo
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.twin import DigitalTwin, as_twin
 from repro.scheduler.engine import SchedulerEngine
@@ -67,10 +79,19 @@ WARMUP_COOLING_S = 1800.0
 
 
 class _Lane(Lane):
-    """One scenario instance inside the batch."""
+    """One planned run of a scenario inside the batch.
+
+    The lane builds its own electrical run from ``plan``, or, given a
+    ``leader`` lane, follows the leader's run.
+    """
 
     def __init__(
-        self, index: int, scenario: Scenario, twin: DigitalTwin, plan: RunPlan
+        self,
+        index: int,
+        scenario: Scenario,
+        twin: DigitalTwin,
+        plan: RunPlan,
+        leader: Lane | None = None,
     ) -> None:
         self.index = index  # caller-order position
         self.scenario = scenario
@@ -81,22 +102,27 @@ class _Lane(Lane):
                 spec.cooling, substep_s=COOLING_SUBSTEP_S, backend="fused"
             )
             fmu.setup_experiment(start_time=0.0)
-        self.chain = plan.chain
-        super().__init__(
-            SchedulerEngine(
-                spec.total_nodes,
-                policy=scenario.policy or spec.scheduler.policy,
-                allocation="contiguous",
-                honor_recorded_starts=plan.honor_recorded,
-                max_queue_depth=spec.scheduler.max_queue_depth,
-                down_nodes=None,
-            ),
-            plan.jobs,
-            plan.duration_s,
-            plan.wetbulb,
-            plan.events,
-            fmu,
-        )
+        #: Whether the lane follows another lane's electrical run.
+        self.follower = leader is not None
+        if leader is not None:
+            self.attach(leader.run, plan.wetbulb, fmu)
+        else:
+            super().__init__(
+                SchedulerEngine(
+                    spec.total_nodes,
+                    policy=_policy(scenario, twin),
+                    allocation="contiguous",
+                    honor_recorded_starts=plan.honor_recorded,
+                    max_queue_depth=spec.scheduler.max_queue_depth,
+                    down_nodes=None,
+                ),
+                plan.jobs,
+                plan.duration_s,
+                plan.wetbulb,
+                plan.events,
+                fmu,
+                chain=plan.chain,
+            )
         self.steps: list[StepState] = []
         # The scenario's neighbouring planned runs, and the steps sent.
         self.prev: _Lane | None = None
@@ -113,6 +139,25 @@ class _Lane(Lane):
         self.sent = len(self.steps)
         if self.next is not None and self.sent == self.n_steps:
             self.next.forward(on_step)
+
+
+def _policy(scenario: Scenario, twin: DigitalTwin):
+    """The scheduler policy a scenario's runs resolve to."""
+    return scenario.policy or twin.spec.scheduler.policy
+
+
+def _run_key(plan: RunPlan, policy, memo: WorkloadMemo):
+    """The key of the electrical run ``plan`` may share, or None when it
+    runs alone (fault events, or jobs the memo did not build)."""
+    if plan.events or not memo.built(plan.jobs):
+        return None
+    return (
+        id(plan.jobs),
+        policy,
+        plan.duration_s,
+        plan.honor_recorded,
+        id(plan.chain),
+    )
 
 
 def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
@@ -149,12 +194,17 @@ class BatchedEngine:
     def __init__(self, scenarios, twin) -> None:
         self.scenarios = list(scenarios)
         self.twin = as_twin(twin)
-        #: Per-run counters, aggregated over lanes (bench observability).
+        #: Per-run counters, summed over the electrical runs (lanes
+        #: sharing a run count once; bench observability).
         self.power_evals = 0
         self.power_reuses = 0
-        #: Optional :class:`~repro.core.profiling.PhaseProfiler`: the lane
-        #: loop's warmup / schedule / power / cooling / collect phases,
-        #: as :class:`~repro.core.engine.RapsEngine` reports them.
+        #: Lanes of the last run that followed another lane's
+        #: electrical run.
+        self.shared_lanes = 0
+        #: Optional :class:`~repro.core.profiling.PhaseProfiler`: the
+        #: scenarios' ``plan`` building, then the lane loop's warmup /
+        #: schedule / power / cooling (split into ``cooling.advance``
+        #: and ``cooling.records``) / collect phases.
         self.profiler = None
 
     # -- execution ---------------------------------------------------------------
@@ -173,18 +223,38 @@ class BatchedEngine:
         total = len(self.scenarios)
         out: list[ScenarioResult | None] = [None] * total
         done = 0
+        twin = self.twin
+        laneable: list[tuple[int, Scenario]] = []
+        fallback: list[int] = []
+        for index, scenario in enumerate(self.scenarios):
+            if _laneable(scenario, twin):
+                laneable.append((index, scenario))
+            else:
+                fallback.append(index)
+        prof = self.profiler
+        if laneable and prof is not None:
+            prof.begin_run()
         lanes: list[_Lane] = []
         runs: dict[int, list[_Lane]] = {}
-        fallback: list[int] = []
-        twin = self.twin
-        for index, scenario in enumerate(self.scenarios):
-            if not _laneable(scenario, twin):
-                fallback.append(index)
-                continue
-            own = [
-                _Lane(index, scenario, twin, plan)
-                for plan in scenario.plans(twin)
-            ]
+        memo = WorkloadMemo()
+        leaders: dict[tuple, _Lane] = {}
+        for index, scenario in laneable:
+            t0 = perf_counter()
+            plans = scenario.plans(twin, workloads=memo)
+            if prof is not None:
+                prof.add("plan", perf_counter() - t0)
+            own = []
+            for plan in plans:
+                key = _run_key(plan, _policy(scenario, twin), memo)
+                leader = leaders.get(key)
+                if leader is None:
+                    plan = dataclasses.replace(
+                        plan, jobs=memo.checkout(plan.jobs)
+                    )
+                lane = _Lane(index, scenario, twin, plan, leader)
+                if key is not None and leader is None:
+                    leaders[key] = lane
+                own.append(lane)
             for prev, lane in zip(own, own[1:]):
                 prev.next, lane.prev = lane, prev
             runs[index] = own
@@ -192,16 +262,28 @@ class BatchedEngine:
 
         if lanes:
             self._run_lanes(lanes, on_step=on_step)
-        for index, own in runs.items():
-            results = [
-                collect_steps(
-                    iter(lane.steps),
-                    jobs=lane.jobs,
-                    num_cdus=twin.spec.cooling.num_cdus,
-                    scheduler_stats=lane.scheduler.stats,
+            if prof is not None:
+                prof.end_run(
+                    sum(lane.n_steps for lane in lanes),
+                    power_evals=self.power_evals,
+                    power_reuses=self.power_reuses,
                 )
-                for lane in own
-            ]
+        for index, own in runs.items():
+            results = []
+            for lane in own:
+                jobs, stats = lane.run.jobs, lane.run.scheduler.stats
+                if lane.follower:
+                    # A follower's result owns its jobs and stats.
+                    jobs = [copy.copy(job) for job in jobs]
+                    stats = copy.deepcopy(stats)
+                results.append(
+                    collect_steps(
+                        iter(lane.steps),
+                        jobs=jobs,
+                        num_cdus=twin.spec.cooling.num_cdus,
+                        scheduler_stats=stats,
+                    )
+                )
             out[index] = own[0].scenario._finish(twin, results)
             done += 1
             if progress is not None:
@@ -223,18 +305,17 @@ class BatchedEngine:
         # prefix as shorter lanes finish (sort is stable, so equal
         # lengths keep caller order).
         lanes.sort(key=lambda lane: -lane.n_steps)
+        runs = lane_runs(lanes)
         power = BatchedPowerModel(
-            self.twin.spec, [lane.chain for lane in lanes]
+            self.twin.spec, [run.chain for run in runs]
         )
         prof = self.profiler
-        if prof is not None:
-            prof.begin_run()
         coupled = [lane for lane in lanes if lane.fmu is not None]
         cool = finish = None
         if coupled:
             t0 = perf_counter()
             self._warmup(lanes, power)
-            cool, finish = resident_cooling(coupled)
+            cool, finish = resident_cooling(coupled, prof)
             if prof is not None:
                 prof.add("warmup", perf_counter() - t0)
         reg = get_registry()
@@ -248,18 +329,13 @@ class BatchedEngine:
                 lane.steps.append(lane.step)
                 if on_step is not None:
                     lane.forward(on_step)
-        self.power_evals = sum(lane.power_evals for lane in lanes)
-        self.power_reuses = sum(lane.power_reuses for lane in lanes)
+        self.power_evals = sum(run.power_evals for run in runs)
+        self.power_reuses = sum(run.power_reuses for run in runs)
+        self.shared_lanes = len(lanes) - len(runs)
         if finish is not None:
             finish()
-        lane_steps = sum(lane.n_steps for lane in lanes)
-        if prof is not None:
-            prof.end_run(
-                lane_steps,
-                power_evals=self.power_evals,
-                power_reuses=self.power_reuses,
-            )
         if reg.enabled:
+            lane_steps = sum(lane.n_steps for lane in lanes)
             # Bulk fold at end of sweep; lanes bypass RapsEngine, so
             # these batch-level counters are the only registry traffic
             # for laned execution.
@@ -268,27 +344,31 @@ class BatchedEngine:
             reg.counter("repro_batch_padded_lane_steps_total").inc(
                 len(lanes) * lanes[0].n_steps - lane_steps
             )
+            reg.counter("repro_batch_shared_lanes_total").inc(
+                self.shared_lanes
+            )
 
     def _warmup(self, lanes: list[_Lane], power: BatchedPowerModel) -> None:
         """Shared cooling warmup: lanes sharing (chain, initial wet-bulb)
         share one warmed plant state, so each group warms its first lane
         and replicates the snapshot onto the rest.  The warm cache key
         has no chain, so a modified chain bypasses it."""
-        groups: dict[tuple, list[tuple[int, _Lane]]] = {}
-        for pid, lane in enumerate(lanes):
+        groups: dict[tuple, list[_Lane]] = {}
+        for lane in lanes:
             if lane.fmu is not None:
-                key = (id(lane.chain), lane.wb0)
-                groups.setdefault(key, []).append((pid, lane))
+                key = (id(lane.run.chain), lane.wb0)
+                groups.setdefault(key, []).append(lane)
         cache = getattr(self.twin, "warm_cache", None)
-        for (pid0, first), *rest in groups.values():
+        for first, *rest in groups.values():
+            chain = first.run.chain
             warm_cooling(
                 first.fmu,
                 self.twin.spec,
                 first.wb0,
                 WARMUP_COOLING_S,
-                lambda: power.idle_power(pid0),
-                cache=cache if first.chain is None else None,
-                replicas=[lane.fmu for _, lane in rest],
+                lambda: power.idle_power(chain),
+                cache=cache if chain is None else None,
+                replicas=[lane.fmu for lane in rest],
             )
 
 

@@ -2,8 +2,10 @@
 
 :class:`BatchedPowerModel` evaluates the whole-system power pipeline
 (:mod:`repro.power.system`) for a *subset* of lanes per call — the
-batched engine's per-lane change detection decides which lanes need a
+batched engine's per-run change detection decides which lanes need a
 fresh evaluation each quantum, and only those pay for the pipeline.
+Its lanes are the batch's electrical runs: engine lanes that share a
+run (weather variants of one workload) share its evaluations.
 
 A batch is one system, so lanes are grouped by conversion chain only:
 lanes on the baseline chain (``None``) share one group — the common
@@ -44,20 +46,22 @@ class BatchedPowerModel:
 
     ``spec`` is the batch's :class:`~repro.config.schema.SystemSpec` and
     ``chains`` the per-lane conversion chains (``None`` entries: the
-    baseline chain); lanes sharing a chain share one group.
+    baseline chain); lanes sharing a chain share one group.  The
+    batched engine gives it one lane per electrical run
+    (:class:`~repro.core.engine.ElectricalRun`).
     """
 
     def __init__(self, spec, chains) -> None:
-        groups: dict[int, _PowerGroup] = {}
+        self._groups: dict[int, _PowerGroup] = {}
         self.lane_group: list[_PowerGroup] = []
         for chain in chains:
-            if id(chain) not in groups:
-                groups[id(chain)] = _PowerGroup(spec, chain)
-            self.lane_group.append(groups[id(chain)])
+            if id(chain) not in self._groups:
+                self._groups[id(chain)] = _PowerGroup(spec, chain)
+            self.lane_group.append(self._groups[id(chain)])
 
-    def idle_power(self, lane: int) -> PowerResult:
-        """The warmup idle evaluation for ``lane`` (cached per group)."""
-        return self.lane_group[lane].idle_power()
+    def idle_power(self, chain) -> PowerResult:
+        """The warmup idle evaluation on ``chain`` (cached per group)."""
+        return self._groups[id(chain)].idle_power()
 
     def evaluate(
         self, lanes, cpu_rows, gpu_rows, slot_maps

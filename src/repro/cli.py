@@ -262,6 +262,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "lane_steps": int(
                 _snapshot_value(metrics, "repro_batch_lane_steps_total")
             ),
+            "shared_lanes": engine.shared_lanes,
             "padded_lane_steps": int(
                 _snapshot_value(
                     metrics, "repro_batch_padded_lane_steps_total"

@@ -439,16 +439,67 @@ def collect_steps(
     )
 
 
-class Lane:
-    """One run's state in the Algorithm-1 loop (:func:`lane_loop`).
+class ElectricalRun:
+    """The electrical half of one run in the Algorithm-1 loop.
 
     Holds the scheduler the run drives, its trace pool and the
-    :func:`drive_schedule` generator over both, the wet-bulb input, the
-    power change-detection fields, and the run's latest
-    :class:`StepState`.  A coupled lane holds its cooling ``fmu``, and
-    while :func:`resident_cooling` keeps its plant resident, the
-    ``kernel`` holding it; ``row`` indexes the lane's record in what the
-    loop's cooling section returns (-1: the lane is uncoupled).
+    :func:`drive_schedule` generator over both, the run's conversion
+    ``chain`` (None: the spec's baseline chain), and the power
+    change-detection fields with the latest :class:`PowerResult`.
+    Nothing here reads the wet-bulb or a cooling output, so lanes that
+    differ only in their plant or weather can follow one run
+    (:meth:`Lane.attach`); ``on_blockage`` receives the run's
+    ``cdu-blockage`` events, which only a run with one lane has.
+    """
+
+    def __init__(
+        self,
+        scheduler: SchedulerEngine,
+        jobs: list[Job],
+        duration_s: float,
+        *,
+        events=(),
+        chain=None,
+        on_blockage=None,
+    ) -> None:
+        if duration_s <= 0:
+            raise SimulationError("duration must be positive")
+        self.scheduler = scheduler
+        self.jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+        self.n_steps = int(np.ceil(duration_s / TRACE_QUANTA_S))
+        self.pool = _TracePool(self.jobs)
+        self.slot_of_node = scheduler.allocator.slot_of_node
+        self.chain = chain
+        self.gen = drive_schedule(
+            scheduler,
+            self.pool,
+            self.jobs,
+            self.n_steps,
+            TRACE_QUANTA_S,
+            events=events,
+            on_blockage=on_blockage,
+        )
+        # Change detection: the latest PowerResult and the fingerprint
+        # (slot events + gathered per-slot traces) it was computed from.
+        self.result: PowerResult | None = None
+        self.last_events = -1
+        self.last_cpu: np.ndarray | None = None
+        self.last_gpu: np.ndarray | None = None
+        self.power_evals = 0
+        self.power_reuses = 0
+
+
+class Lane:
+    """One lane of the Algorithm-1 loop (:func:`lane_loop`).
+
+    A lane reads its schedule and power from its :class:`ElectricalRun`
+    ``run`` — its own, built from the arguments here, or another lane's
+    when it follows that run (:meth:`attach`) — and holds what is its
+    alone: the wet-bulb input and the run's latest :class:`StepState`.
+    A coupled lane holds its cooling ``fmu``, and while
+    :func:`resident_cooling` keeps its plant resident, the ``kernel``
+    holding it; ``row`` indexes the lane's record in what the loop's
+    cooling section returns (-1: the lane is uncoupled).
     """
 
     def __init__(
@@ -459,23 +510,30 @@ class Lane:
         wetbulb: TimeSeries | float = 15.0,
         events=(),
         fmu: CoolingFMU | None = None,
+        *,
+        chain=None,
     ) -> None:
-        if duration_s <= 0:
-            raise SimulationError("duration must be positive")
-        self.scheduler = scheduler
-        self.jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        self.n_steps = int(np.ceil(duration_s / TRACE_QUANTA_S))
-        self.pool = _TracePool(self.jobs)
-        self.slot_of_node = scheduler.allocator.slot_of_node
-        self.gen = drive_schedule(
+        run = ElectricalRun(
             scheduler,
-            self.pool,
-            self.jobs,
-            self.n_steps,
-            TRACE_QUANTA_S,
+            jobs,
+            duration_s,
             events=events,
+            chain=chain,
             on_blockage=None if fmu is None else self._block,
         )
+        self.attach(run, wetbulb, fmu)
+
+    def attach(
+        self,
+        run: ElectricalRun,
+        wetbulb: TimeSeries | float = 15.0,
+        fmu: CoolingFMU | None = None,
+    ) -> None:
+        """Make ``run`` this lane's electrical run (the constructor's
+        last step; a lane following another lane's run calls it in
+        place of the constructor)."""
+        self.run = run
+        self.n_steps = run.n_steps
         self.fmu = fmu
         self.kernel = None
         self.wb_cursor = None
@@ -487,14 +545,6 @@ class Lane:
         #: The wet-bulb the resident kernel last stepped this lane at.
         self.wetbulb_c = self.wb0
         self.row = -1
-        # Change detection: the latest PowerResult and the fingerprint
-        # (slot events + gathered per-slot traces) it was computed from.
-        self.result: PowerResult | None = None
-        self.last_events = -1
-        self.last_cpu: np.ndarray | None = None
-        self.last_gpu: np.ndarray | None = None
-        self.power_evals = 0
-        self.power_reuses = 0
         self.step: StepState | None = None
 
     def wetbulb_at(self, t_sample: float) -> float:
@@ -508,6 +558,12 @@ class Lane:
             self.kernel.set_blockage(self.row, cdu_index, severity)
 
 
+def lane_runs(lanes: list[Lane]) -> list[ElectricalRun]:
+    """The distinct electrical runs of ``lanes``, in first-lane order
+    (so longest-first lanes give longest-first runs)."""
+    return list(dict.fromkeys(lane.run for lane in lanes))
+
+
 def lane_loop(
     lanes: list[Lane],
     evaluate,
@@ -518,19 +574,22 @@ def lane_loop(
 ) -> Iterator[list[Lane]]:
     """Algorithm 1's per-quantum sequence, written once for B lanes.
 
-    Each quantum it advances every active lane's schedule, fingerprints
-    the lane's trace pool and either reuses its previous power result or
-    evaluates it — the changed lanes in one
-    ``evaluate(ids, cpu_rows, gpu_rows, slot_maps)`` call, ``ids`` being
-    positions in ``lanes``, the rows per-slot utilizations and the maps
-    each lane's node-to-slot map — then steps cooling with one
-    ``cool(t_sample, active)`` call returning the records the coupled
-    lanes index by ``row``, sets each active lane's ``step`` and yields
-    the active lanes.
+    Each quantum it advances the schedule of every active electrical
+    run (:func:`lane_runs`), fingerprints the run's trace pool and
+    either reuses its previous power result or evaluates it — the
+    changed runs in one ``evaluate(ids, cpu_rows, gpu_rows, slot_maps)``
+    call, ``ids`` being positions in ``lane_runs(lanes)``, the rows
+    per-slot utilizations and the maps each run's node-to-slot map —
+    then steps cooling with one ``cool(t_sample, active)`` call
+    returning the records the coupled lanes index by ``row``, sets each
+    active lane's ``step`` and yields the active lanes.  Lanes sharing
+    a run share its schedule and power work; each keeps its own plant,
+    wet-bulb and steps.
 
     ``lanes`` are ordered longest-first so the lanes still running are
-    always a prefix (the batched plant kernel requires it).  One lane is
-    :class:`RapsEngine`; B lanes are
+    always a prefix (the batched plant kernel requires it); a run's
+    lanes have its length, so the live runs are a prefix too.  One lane
+    is :class:`RapsEngine`; B lanes are
     :class:`~repro.batch.engine.BatchedEngine`.  ``detect=False``
     evaluates every quantum (the change-detection oracle); a
     ``profiler`` accumulates the schedule / power / cooling / collect
@@ -538,52 +597,57 @@ def lane_loop(
     """
     quanta = TRACE_QUANTA_S
     prof = profiler
+    runs = lane_runs(lanes)
     records = ()
     n_active = len(lanes)
+    n_live = len(runs)
     for k in range(lanes[0].n_steps):
         while lanes[n_active - 1].n_steps <= k:
             n_active -= 1
+        while runs[n_live - 1].n_steps <= k:
+            n_live -= 1
         active = lanes[:n_active]
+        live = runs[:n_live]
         t_sample = k * quanta
         t0 = perf_counter() if prof is not None else 0.0
-        for lane in active:
-            next(lane.gen)
+        for run in live:
+            next(run.gen)
         if prof is not None:
             prof.add("schedule", perf_counter() - t0)
             t0 = perf_counter()
 
         # --- power at the quantum boundary (vectorized over nodes),
-        # reusing a lane's previous result when nothing in its trace
+        # reusing a run's previous result when nothing in its trace
         # pool changed.
         changed: list[int] = []
         cpu_rows: list[np.ndarray] = []
         gpu_rows: list[np.ndarray] = []
         slot_maps: list[np.ndarray] = []
-        for pid, lane in enumerate(active):
-            events, slot_cpu, slot_gpu = lane.pool.slot_fingerprint(
+        for pid, run in enumerate(live):
+            events, slot_cpu, slot_gpu = run.pool.slot_fingerprint(
                 t_sample, quanta
             )
             if (
                 detect
-                and lane.result is not None
-                and events == lane.last_events
-                and np.array_equal(slot_cpu, lane.last_cpu)
-                and np.array_equal(slot_gpu, lane.last_gpu)
+                and run.result is not None
+                and events == run.last_events
+                and np.array_equal(slot_cpu, run.last_cpu)
+                and np.array_equal(slot_gpu, run.last_gpu)
             ):
-                lane.power_reuses += 1
+                run.power_reuses += 1
                 continue
             changed.append(pid)
             cpu_rows.append(slot_cpu)
             gpu_rows.append(slot_gpu)
-            slot_maps.append(lane.slot_of_node)
-            lane.last_events = events
-            lane.last_cpu = slot_cpu
-            lane.last_gpu = slot_gpu
+            slot_maps.append(run.slot_of_node)
+            run.last_events = events
+            run.last_cpu = slot_cpu
+            run.last_gpu = slot_gpu
         if changed:
             results = evaluate(changed, cpu_rows, gpu_rows, slot_maps)
             for pid, result in zip(changed, results):
-                lanes[pid].result = result
-                lanes[pid].power_evals += 1
+                runs[pid].result = result
+                runs[pid].power_evals += 1
         if prof is not None:
             prof.add("power", perf_counter() - t0)
             t0 = perf_counter()
@@ -595,7 +659,8 @@ def lane_loop(
                 prof.add("cooling", perf_counter() - t0)
 
         for lane in active:
-            result = lane.result
+            run = lane.run
+            result = run.result
             lane.step = StepState(
                 index=k,
                 time_s=t_sample,
@@ -604,8 +669,8 @@ def lane_loop(
                 sivoc_loss_w=result.sivoc_loss_w,
                 rectifier_loss_w=result.rectifier_loss_w,
                 chain_efficiency=result.chain_efficiency,
-                utilization=lane.scheduler.utilization,
-                num_running=lane.scheduler.num_running,
+                utilization=run.scheduler.utilization,
+                num_running=run.scheduler.num_running,
                 cdu_power_w=result.cdu_power_w,
                 cdu_heat_w=result.cdu_heat_w,
                 cooling=records[lane.row] if lane.row >= 0 else {},
@@ -616,11 +681,11 @@ def lane_loop(
             t0 = perf_counter()
             yield active
             prof.add("collect", perf_counter() - t0)
-    # Release the suspended schedule generators: a batched lane's
+    # Release the suspended schedule generators: a coupled lane's
     # blockage callback refers back to the lane, so an open generator
     # would keep every lane (and its recorded steps) alive in a cycle.
-    for lane in lanes:
-        lane.gen.close()
+    for run in runs:
+        run.gen.close()
 
 
 def warm_cooling(
@@ -674,7 +739,7 @@ def warm_cooling(
         replica._plant.time_s = 0.0
 
 
-def resident_cooling(lanes: list[Lane]):
+def resident_cooling(lanes: list[Lane], profiler=None):
     """Hold the coupled ``lanes``' warmed plants resident in one kernel.
 
     The cooling half of both engines: the lanes' plants are gathered
@@ -687,7 +752,9 @@ def resident_cooling(lanes: list[Lane]):
     kernel one macro step and returns its cooling records — and
     ``finish()`` writes every lane back onto its component graph and
     leaves its FMU (clocks, inputs, outputs, ``last_state``) as if each
-    step had gone through ``do_step``.
+    step had gone through ``do_step``.  A ``profiler`` splits the
+    cooling phase into ``cooling.advance`` (wet-bulb checks and the
+    kernel step) and ``cooling.records``.
     """
     from repro.batch.kernel import BatchedPlantKernel
 
@@ -703,18 +770,26 @@ def resident_cooling(lanes: list[Lane]):
         rows = [lane for lane in active if lane.row >= 0]
         if not rows:
             return []
+        t0 = perf_counter() if profiler is not None else 0.0
         for lane in rows:
             lane.wetbulb_c = check_wetbulb(lane.wetbulb_at(t_sample))
         kernel.advance(
-            [lane.result.cdu_heat_w for lane in rows],
+            [lane.run.result.cdu_heat_w for lane in rows],
             [lane.wetbulb_c for lane in rows],
             h,
             n_sub,
             active=len(rows),
         )
-        return kernel.cooling_records(
-            [lane.result.system_power_w for lane in rows], active=len(rows)
+        if profiler is not None:
+            t1 = perf_counter()
+            profiler.add("cooling.advance", t1 - t0)
+        records = kernel.cooling_records(
+            [lane.run.result.system_power_w for lane in rows],
+            active=len(rows),
         )
+        if profiler is not None:
+            profiler.add("cooling.records", perf_counter() - t1)
+        return records
 
     def finish() -> None:
         kernel.write_back(plants)
@@ -928,14 +1003,15 @@ class RapsEngine(StreamingEngine):
                 cache=self.warm_cache,
             )
             if fmu.backend == "fused":
-                cool, finish = resident_cooling([lane])
+                cool, finish = resident_cooling([lane], prof)
             else:
                 lane.row = 0
+                run = lane.run
 
                 def cool(t_sample: float, active: list[Lane]) -> tuple[dict]:
-                    fmu.set_cdu_heat(lane.result.cdu_heat_w)
+                    fmu.set_cdu_heat(run.result.cdu_heat_w)
                     fmu.set_wetbulb(lane.wetbulb_at(t_sample))
-                    fmu.set_system_power(lane.result.system_power_w)
+                    fmu.set_system_power(run.result.system_power_w)
                     fmu.do_step(fmu.time, TRACE_QUANTA_S)
                     state = fmu.get_state()
                     # PlantState fields are freshly allocated by each
@@ -963,11 +1039,11 @@ class RapsEngine(StreamingEngine):
             loop.close()
             # An early close leaves the schedule generator suspended, and
             # its blockage callback refers back to the lane.
-            lane.gen.close()
+            lane.run.gen.close()
             if finish is not None:
                 finish()
-            self.power_evals = lane.power_evals
-            self.power_reuses = lane.power_reuses
+            self.power_evals = lane.run.power_evals
+            self.power_reuses = lane.run.power_reuses
             steps_done = 0 if lane.step is None else lane.step.index + 1
             if prof is not None:
                 prof.end_run(
@@ -1011,7 +1087,9 @@ __all__ = [
     "SimulationResult",
     "StepState",
     "DEFAULT_COOLING_RECORD",
+    "ElectricalRun",
     "Lane",
+    "lane_runs",
     "drive_schedule",
     "resident_cooling",
     "lane_loop",

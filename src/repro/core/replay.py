@@ -26,13 +26,17 @@ def replay_workload(
     dataset: TelemetryDataset,
 ) -> tuple[list[Job], TimeSeries | float]:
     """A dataset's jobs (to dispatch at their recorded starts) and its
-    wet-bulb series (15 degC when it records none)."""
-    wetbulb = (
+    wet-bulb series (:func:`replay_wetbulb`)."""
+    return jobs_from_dataset(dataset), replay_wetbulb(dataset)
+
+
+def replay_wetbulb(dataset: TelemetryDataset) -> TimeSeries | float:
+    """A dataset's wet-bulb series (15 degC when it records none)."""
+    return (
         dataset["wetbulb_temperature"]
         if "wetbulb_temperature" in dataset
         else 15.0
     )
-    return jobs_from_dataset(dataset), wetbulb
 
 
 def replay_dataset(
@@ -127,4 +131,9 @@ class ReplayValidation:
         return comp.mae / mean_measured * 100.0
 
 
-__all__ = ["replay_workload", "replay_dataset", "ReplayValidation"]
+__all__ = [
+    "replay_workload",
+    "replay_wetbulb",
+    "replay_dataset",
+    "ReplayValidation",
+]

@@ -40,7 +40,7 @@ import numpy as np
 from repro.config.schema import SystemSpec
 from repro.core.engine import (
     DEFAULT_COOLING_RECORD,
-    Lane,
+    ElectricalRun,
     StepState,
     StreamingEngine,
 )
@@ -130,16 +130,16 @@ class SurrogateEngine(StreamingEngine):
         transient plant to block (a documented screening approximation).
         """
         # --- pass 1: exact scheduling, O(slots) feature extraction.
-        lane = Lane(self.scheduler, jobs, duration_s, events=events)
-        n_steps = lane.n_steps
+        run = ElectricalRun(self.scheduler, jobs, duration_s, events=events)
+        n_steps = run.n_steps
         total_nodes = self.spec.total_nodes
         fracs = np.empty(n_steps)
         cpus = np.empty(n_steps)
         gpus = np.empty(n_steps)
         utils = np.empty(n_steps)
         nrun = np.empty(n_steps, dtype=np.int64)
-        for k, t_sample in lane.gen:
-            fracs[k], cpus[k], gpus[k] = lane.pool.active_aggregates(
+        for k, t_sample in run.gen:
+            fracs[k], cpus[k], gpus[k] = run.pool.active_aggregates(
                 t_sample, self.quanta, total_nodes
             )
             utils[k] = self.scheduler.utilization

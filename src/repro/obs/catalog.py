@@ -45,7 +45,8 @@ METRICS: dict[str, dict] = {
     "repro_engine_phase_seconds_total": {
         "kind": "counter",
         "help": "Wall seconds per engine phase (folded from an attached "
-                "PhaseProfiler at end of run).",
+                "PhaseProfiler at end of run; a dotted phase such as "
+                "cooling.advance is a sub-phase inside its parent).",
         "labels": ("phase",),
     },
     # -- batched engine ---------------------------------------------------
@@ -61,6 +62,11 @@ METRICS: dict[str, dict] = {
         "kind": "counter",
         "help": "Padded (idle) lane-steps: allocated lanes minus active "
                 "lanes, summed over quanta — the vectorization waste.",
+    },
+    "repro_batch_shared_lanes_total": {
+        "kind": "counter",
+        "help": "Lanes that followed another lane's electrical run "
+                "(schedule and power computed once for both).",
     },
     "repro_batch_lanes_active": {
         "kind": "gauge",

@@ -73,6 +73,78 @@ class RunPlan:
     events: tuple = ()
 
 
+class WorkloadMemo:
+    """The workloads one batched run builds, each built once.
+
+    :class:`~repro.batch.engine.BatchedEngine` passes one memo to every
+    scenario's :meth:`Scenario.plans` as ``workloads=``, and a plan hook
+    builds its job list through :meth:`jobs`: equal keys get the one
+    list built first.  Those jobs are templates.  They never run, their
+    trace arrays are read-only views, and :meth:`checkout` gives each
+    engine run its own unstarted jobs over the same arrays.  A memo
+    lives for one ``BatchedEngine.run`` over one twin; it is not a
+    process cache.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict[Any, list[Job]] = {}
+        self._lists: set[int] = set()
+        self._kept: list[Any] = []
+
+    def jobs(
+        self, key: Any, build: Callable[[], list[Job]], *, keep: Any = None
+    ) -> list[Job]:
+        """The job list built for ``key``, calling ``build()`` on a miss.
+
+        ``keep`` is an object that ``key`` names by ``id`` (a dataset):
+        the memo holds it, so the id stays unique while the memo lives.
+        """
+        jobs = self._built.get(key)
+        if jobs is None:
+            jobs = build()
+            for job in jobs:
+                job.cpu_util = _read_only(job.cpu_util)
+                job.gpu_util = _read_only(job.gpu_util)
+            self._built[key] = jobs
+            self._lists.add(id(jobs))
+            if keep is not None:
+                self._kept.append(keep)
+        return jobs
+
+    def built(self, jobs: list[Job]) -> bool:
+        """Whether ``jobs`` is a template list this memo built."""
+        return id(jobs) in self._lists
+
+    def checkout(self, jobs: list[Job]) -> list[Job]:
+        """Jobs one engine run may start: unstarted copies of a template
+        list, any other list as it is."""
+        if not self.built(jobs):
+            return jobs
+        return [job.unstarted() for job in jobs]
+
+
+def memo_jobs(
+    workloads: WorkloadMemo | None,
+    key: Any,
+    build: Callable[[], list[Job]],
+    *,
+    keep: Any = None,
+) -> list[Job]:
+    """A plan hook's job list: through ``workloads`` when the caller
+    passed a memo (built once per ``key``), else built directly."""
+    if workloads is None:
+        return build()
+    return workloads.jobs(key, build, keep=keep)
+
+
+def _read_only(trace: np.ndarray) -> np.ndarray:
+    # A view, so an array shared with its source (a dataset's job
+    # record) stays writable there.
+    view = trace.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Base class for declarative scenarios.
@@ -338,6 +410,8 @@ def _from_jsonable(value: Any) -> Any:
 
 __all__ = [
     "RunPlan",
+    "WorkloadMemo",
+    "memo_jobs",
     "Scenario",
     "SCENARIO_TYPES",
     "register_scenario",

@@ -33,11 +33,17 @@ from typing import Any, ClassVar
 import numpy as np
 
 from repro.core.engine import SimulationResult
-from repro.core.replay import replay_workload
+from repro.core.replay import replay_wetbulb
 from repro.core.whatif import MODIFICATIONS, _make_chain, compare_results
 from repro.core.stats import compute_statistics
 from repro.exceptions import ScenarioError
-from repro.scenarios.base import RunPlan, Scenario, register_scenario
+from repro.scenarios.base import (
+    RunPlan,
+    Scenario,
+    WorkloadMemo,
+    memo_jobs,
+    register_scenario,
+)
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.twin import DigitalTwin, as_twin
 from repro.seeding import spawn_rng
@@ -45,6 +51,7 @@ from repro.scheduler.workloads import (
     benchmark_sequence,
     hpl_verification_workload,
     idle_workload,
+    jobs_from_dataset,
     peak_workload,
     synthetic_workload,
 )
@@ -60,8 +67,20 @@ class SyntheticScenario(Scenario):
 
     wetbulb_c: float = 15.0
 
-    def plan(self, twin: DigitalTwin, **kwargs: Any) -> RunPlan:
-        jobs = synthetic_workload(twin.spec, self.duration_s, seed=self.seed)
+    def plan(
+        self,
+        twin: DigitalTwin,
+        *,
+        workloads: WorkloadMemo | None = None,
+        **kwargs: Any,
+    ) -> RunPlan:
+        jobs = memo_jobs(
+            workloads,
+            ("synthetic", self.duration_s, self.seed),
+            lambda: synthetic_workload(
+                twin.spec, self.duration_s, seed=self.seed
+            ),
+        )
         return RunPlan(
             jobs=jobs,
             duration_s=self.duration_s,
@@ -99,22 +118,34 @@ class ReplayScenario(Scenario):
         twin: DigitalTwin,
         *,
         dataset: TelemetryDataset | None = None,
+        workloads: WorkloadMemo | None = None,
         **kwargs: Any,
     ) -> RunPlan:
         return _replay_plan(
-            self.resolve_dataset(twin, dataset), self.duration_s
+            self.resolve_dataset(twin, dataset),
+            self.duration_s,
+            workloads=workloads,
         )
 
 
 def _replay_plan(
-    data: TelemetryDataset, duration_s: float, chain: Any = None
+    data: TelemetryDataset,
+    duration_s: float,
+    chain: Any = None,
+    workloads: WorkloadMemo | None = None,
 ) -> RunPlan:
-    """A dataset's jobs at their recorded starts, under its weather."""
-    jobs, wetbulb = replay_workload(data)
+    """A dataset's jobs at their recorded starts, under its weather
+    (the job list built once per dataset through ``workloads``)."""
+    jobs = memo_jobs(
+        workloads,
+        ("replay", id(data)),
+        lambda: jobs_from_dataset(data),
+        keep=data,
+    )
     return RunPlan(
         jobs=jobs,
         duration_s=duration_s,
-        wetbulb=wetbulb,
+        wetbulb=replay_wetbulb(data),
         honor_recorded=True,
         chain=chain,
     )
@@ -243,16 +274,19 @@ class WhatIfScenario(Scenario):
         twin: DigitalTwin,
         *,
         dataset: TelemetryDataset | None = None,
+        workloads: WorkloadMemo | None = None,
         **kwargs: Any,
     ) -> list[RunPlan]:
-        """The baseline replay, then the modified one (own jobs each)."""
+        """The baseline replay, then the modified one: own jobs each,
+        or through ``workloads`` one job list both runs check out."""
         data = self.resolve_dataset(twin, dataset)
         return [
-            _replay_plan(data, self.duration_s),
+            _replay_plan(data, self.duration_s, workloads=workloads),
             _replay_plan(
                 data,
                 self.duration_s,
                 chain=_make_chain(twin.spec, self.modification),
+                workloads=workloads,
             ),
         ]
 

