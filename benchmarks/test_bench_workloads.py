@@ -4,15 +4,15 @@ Times the generator subsystem the stress suites are built on:
 
 - raw generation throughput (jobs/s) for a dense 24 h diurnal workload
   on the miniature Frontier-flavored system,
-- the content-addressed generation cache: checkout (clone) speed vs
-  regeneration — the ratio that makes sweeping engine parameters over a
-  fixed workload cheap,
+- the run's workload memo: a checkout (spec-SHA key, memo lookup and
+  clone) vs regeneration — the ratio that makes sweeping engine
+  parameters over a fixed workload within one executor call cheap,
 - stress-suite cell throughput (cells/s through generate -> run ->
   validate on a small persisted grid).
 
 Results land in ``benchmarks/BENCH_workloads.json``.  As with
 ``BENCH_core.json``, the committed file is the regression baseline and
-the guard is *ratio*-based (cached-vs-fresh generation speedup), which
+the guard is *ratio*-based (memo-vs-fresh generation speedup), which
 is hardware-independent to first order: a >20 % regression against the
 committed ratio fails the bench.  Ratios come from per-process CPU time
 over interleaved measurement rounds, and the baseline is only rewritten
@@ -38,18 +38,14 @@ from benchmarks.conftest import (
 )
 from repro.scenarios import GeneratedScenario, GridSweepScenario
 from repro.scenarios.artifacts import git_revision
-from repro.workloads import (
-    DiurnalWorkload,
-    StressSuite,
-    clear_generation_cache,
-    generate_cached,
-)
+from repro.scenarios.base import WorkloadMemo
+from repro.workloads import DiurnalWorkload, StressSuite
 from tests.conftest import make_small_spec
 
 _BENCH_JSON = bench_json_path("workloads")
 
 GEN_HOURS = 24.0
-#: Cached checkouts per timing sample (a single clone pass is too fast
+#: Memo checkouts per timing sample (a single clone pass is too fast
 #: to time stably on its own).
 CHECKOUTS = 50
 
@@ -75,20 +71,27 @@ def test_bench_workload_trajectory():
     cached_wall = cached_cpu = np.inf
     jobs = []
     for _ in range(3):
-        clear_generation_cache()
         wall, cpu, jobs = _timed(lambda: gen.generate(spec, duration_s))
         fresh_wall = min(fresh_wall, wall)
         fresh_cpu = min(fresh_cpu, cpu)
-        generate_cached(gen, spec, duration_s)  # warm the cache
+        memo = WorkloadMemo()
 
         def checkout():
-            for _ in range(CHECKOUTS):
-                generate_cached(gen, spec, duration_s)
+            # What a generated plan and its engine do: key, look up, clone.
+            key = ("generated", gen.spec_sha(), duration_s)
+            return memo.checkout(
+                memo.jobs(key, lambda: gen.generate(spec, duration_s))
+            )
 
-        wall, cpu, _ = _timed(checkout)
+        checkout()  # build the template
+
+        def checkouts():
+            for _ in range(CHECKOUTS):
+                checkout()
+
+        wall, cpu, _ = _timed(checkouts)
         cached_wall = min(cached_wall, wall / CHECKOUTS)
         cached_cpu = min(cached_cpu, cpu / CHECKOUTS)
-    clear_generation_cache()
 
     jobs_per_s = len(jobs) / fresh_wall
     cache_speedup = fresh_cpu / cached_cpu
@@ -136,10 +139,10 @@ def test_bench_workload_trajectory():
         json.dumps(doc, indent=2),
     )
 
-    # --- acceptance: checking a cached workload out must beat
+    # --- acceptance: checking a memo-built workload out must beat
     # regenerating it by a wide margin, or memoized generation is moot.
     assert cache_speedup >= 2.0, (
-        f"cache checkout only {cache_speedup:.2f}x over regeneration"
+        f"memo checkout only {cache_speedup:.2f}x over regeneration"
     )
 
     # --- machine-independent regression guard vs the committed

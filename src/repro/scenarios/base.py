@@ -74,22 +74,23 @@ class RunPlan:
 
 
 class WorkloadMemo:
-    """The workloads one batched run builds, each built once.
+    """The workloads one run of many cells builds, each built once.
 
-    :class:`~repro.batch.engine.BatchedEngine` passes one memo to every
+    The cell executor (:func:`~repro.scenarios.suite.run_cells`) and
+    :class:`~repro.batch.engine.BatchedEngine` pass one memo to every
     scenario's :meth:`Scenario.plans` as ``workloads=``, and a plan hook
     builds its job list through :meth:`jobs`: equal keys get the one
     list built first.  Those jobs are templates.  They never run, their
     trace arrays are read-only views, and :meth:`checkout` gives each
-    engine run its own unstarted jobs over the same arrays.  A memo
-    lives for one ``BatchedEngine.run`` over one twin; it is not a
-    process cache.
+    engine run its own unstarted jobs over the same arrays.  Immutable
+    inputs (faults, weather, a synthesised day) go through
+    :meth:`payload`, shared as is.  A memo lives for one executor call
+    or one ``BatchedEngine.run`` over one twin: not a process cache.
     """
 
     def __init__(self) -> None:
-        self._built: dict[Any, list[Job]] = {}
+        self._built: dict[Any, Any] = {}
         self._lists: set[int] = set()
-        self._kept: list[Any] = []
 
     def jobs(
         self, key: Any, build: Callable[[], list[Job]], *, keep: Any = None
@@ -99,17 +100,23 @@ class WorkloadMemo:
         ``keep`` is an object that ``key`` names by ``id`` (a dataset):
         the memo holds it, so the id stays unique while the memo lives.
         """
-        jobs = self._built.get(key)
-        if jobs is None:
+
+        def template():
             jobs = build()
             for job in jobs:
                 job.cpu_util = _read_only(job.cpu_util)
                 job.gpu_util = _read_only(job.gpu_util)
-            self._built[key] = jobs
             self._lists.add(id(jobs))
-            if keep is not None:
-                self._kept.append(keep)
-        return jobs
+            return jobs, keep
+
+        return self.payload(key, template)[0]
+
+    def payload(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The immutable payload built for ``key``, calling ``build()``
+        on a miss; every caller gets that one object, never a copy."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def built(self, jobs: list[Job]) -> bool:
         """Whether ``jobs`` is a template list this memo built."""
@@ -135,6 +142,15 @@ def memo_jobs(
     if workloads is None:
         return build()
     return workloads.jobs(key, build, keep=keep)
+
+
+def memo_payload(
+    workloads: WorkloadMemo | None, key: Any, build: Callable[[], Any]
+) -> Any:
+    """A plan hook's immutable payload, as :func:`memo_jobs` does it."""
+    if workloads is None:
+        return build()
+    return workloads.payload(key, build)
 
 
 def _read_only(trace: np.ndarray) -> np.ndarray:
@@ -225,7 +241,8 @@ class Scenario:
         """Execute against ``twin`` (a DigitalTwin, spec, name, or path).
 
         The planned runs execute in plan order; ``progress`` /
-        ``stop_when`` hook into each run's streaming step loop.
+        ``stop_when`` hook into each run's streaming step loop.  Calls
+        sharing a ``workloads=`` :class:`WorkloadMemo` build once.
         """
         twin = as_twin(twin)
         results = [
@@ -250,10 +267,13 @@ class Scenario:
 
     def _engines(self, twin: DigitalTwin, plan_kwargs: dict[str, Any]):
         # Built before any run starts, so a rejected plan fails up front.
-        return [
-            (plan, self.build_engine(twin, plan))
-            for plan in self.plans(twin, **plan_kwargs)
-        ]
+        memo = plan_kwargs.get("workloads")
+        engines = []
+        for plan in self.plans(twin, **plan_kwargs):
+            if memo is not None:  # each engine starts its own copies
+                plan = dataclasses.replace(plan, jobs=memo.checkout(plan.jobs))
+            engines.append((plan, self.build_engine(twin, plan)))
+        return engines
 
     def effective_fidelity(self, twin: DigitalTwin) -> str:
         """This scenario's backend: its own field, else the twin's."""
@@ -412,6 +432,7 @@ __all__ = [
     "RunPlan",
     "WorkloadMemo",
     "memo_jobs",
+    "memo_payload",
     "Scenario",
     "SCENARIO_TYPES",
     "register_scenario",

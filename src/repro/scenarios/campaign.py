@@ -11,8 +11,9 @@ and returns the merged :class:`~repro.scenarios.suite.SuiteResult`
 Scenarios are declarative and seeded, so a resumed cell is bit-identical
 to what the interrupted run would have produced; the artifact directory
 is therefore a faithful record of the whole campaign no matter how many
-sessions it took.  Parallel execution reuses the suite's worker-process
-entry point and keeps the same determinism guarantee.
+sessions it took.  Cells run through the suite's cell executor
+(:func:`~repro.scenarios.suite.run_cells`): a suite is a campaign
+without a store, with the same determinism guarantee.
 
 Quickstart::
 
@@ -31,7 +32,6 @@ Quickstart::
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -41,7 +41,7 @@ from repro.obs.registry import get_registry
 from repro.scenarios.artifacts import CampaignStore
 from repro.scenarios.base import Scenario
 from repro.scenarios.result import ScenarioResult
-from repro.scenarios.suite import SuiteResult, execute_scenario
+from repro.scenarios.suite import SuiteResult, check_execution, run_cells
 from repro.scenarios.twin import DigitalTwin, as_twin
 
 
@@ -153,31 +153,20 @@ class Campaign:
         """Execute the missing cells, persisting each as it finishes.
 
         Already-completed cells are loaded from the store and never
-        re-simulated.  ``workers > 1`` runs pending cells across
-        processes (same bit-identical guarantee as
-        :meth:`ExperimentSuite.run <repro.scenarios.suite.ExperimentSuite.run>`).
+        re-simulated; the pending ones run through
+        :func:`~repro.scenarios.suite.run_cells` (``workers > 1``:
+        worker processes; ``execution="batched"``: the lanes of one
+        :class:`~repro.batch.engine.BatchedEngine`), each path
+        bit-identical, so the persisted artifacts do not depend on it.
         ``progress(scenario, done, total)`` counts persisted cells,
         so a resumed campaign starts partway through.  ``stop_after``
         limits how many *new* cells run this call (used by tests to
         simulate interruption; the store stays consistent).
 
-        ``execution="batched"`` runs the pending cells through one
-        :class:`~repro.batch.engine.BatchedEngine` — a single
-        vectorized sweep in this process instead of B worker processes
-        (``workers`` is ignored).  Lanes are bit-identical to the
-        serial path, so the persisted artifacts are indistinguishable
-        from a serial run; a what-if is two lanes, and cells the
-        batched engine cannot lane-align (sweeps, reduced fidelity)
-        fall back to ``scenario.run`` internally.
-
         Returns the merged suite result in cell order: stored results
         for old cells, live results for the ones just run.
         """
-        if execution not in ("serial", "batched"):
-            raise ScenarioError(
-                f"unknown execution backend {execution!r} "
-                "(expected 'serial' or 'batched')"
-            )
+        check_execution(execution)
         total = len(self.cells)
         if total == 0:
             raise ScenarioError("campaign has no cells to run")
@@ -191,7 +180,6 @@ class Campaign:
         ]
         if stop_after is not None:
             pending = pending[: max(stop_after, 0)]
-        done_count = len(stored)
         reg = get_registry()
         if stored:
             reg.counter("repro_campaign_cells_skipped_total").inc(
@@ -199,48 +187,20 @@ class Campaign:
             )
 
         def finish(index: int, scenario: Scenario, outcome: ScenarioResult):
-            nonlocal done_count
             self.store.record(index, outcome)
             merged[index] = outcome
-            done_count += 1
             reg.counter("repro_campaign_cells_done_total").inc()
             if progress is not None:
-                progress(scenario, done_count, total)
+                progress(scenario, len(merged), total)
 
-        if execution == "batched":
-            if pending:
-                from repro.batch import BatchedEngine
-
-                engine = BatchedEngine(
-                    [scenario for _, scenario in pending], self.twin
-                )
-                for (index, scenario), outcome in zip(
-                    pending, engine.run()
-                ):
-                    finish(index, scenario, outcome)
-        elif workers <= 1:
-            for index, scenario in pending:
-                finish(index, scenario, scenario.run(self.twin))
-        elif pending:
-            surrogate_doc = self.twin.surrogate_doc()
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        execute_scenario,
-                        self.twin.spec,
-                        s,
-                        surrogate_doc,
-                        self.twin.cooling_backend,
-                    ): (i, s)
-                    for i, s in pending
-                }
-                for future in as_completed(futures):
-                    index, scenario = futures[future]
-                    finish(index, scenario, future.result())
-        results = [merged[i] for i in sorted(merged)]
-        return SuiteResult(results=results)  # type: ignore[arg-type]
+        run_cells(
+            self.twin,
+            pending,
+            workers=workers,
+            execution=execution,
+            on_result=finish,
+        )
+        return SuiteResult(results=[merged[i] for i in sorted(merged)])
 
     def load(self) -> SuiteResult:
         """Reload persisted results only — never simulates."""

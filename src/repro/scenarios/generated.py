@@ -11,10 +11,10 @@ into a runnable, JSON-round-trippable scenario:
 - ``grid`` (role ``grid``) supplies a carbon/price signal for
   emissions post-processing (it does not affect the physics).
 
-Generation is memoized (:func:`~repro.workloads.base.generate_cached`),
-so sweeping engine-side parameters over a fixed workload re-generates
-nothing, and :meth:`GeneratedScenario.workload_provenance` exposes the
-spec-SHA content addresses that campaign artifacts persist.
+Jobs, faults and weather are built once per executor call through its
+:class:`~repro.scenarios.base.WorkloadMemo`, keyed by the generator's
+spec-SHA and the duration; :meth:`GeneratedScenario.workload_provenance`
+exposes the spec-SHA content addresses that campaign artifacts persist.
 """
 
 from __future__ import annotations
@@ -23,9 +23,16 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import ScenarioError
-from repro.scenarios.base import RunPlan, Scenario, register_scenario
+from repro.scenarios.base import (
+    RunPlan,
+    Scenario,
+    WorkloadMemo,
+    memo_jobs,
+    memo_payload,
+    register_scenario,
+)
 from repro.scenarios.twin import DigitalTwin
-from repro.workloads.base import WorkloadGenerator, generate_cached
+from repro.workloads.base import WorkloadGenerator
 
 
 def _check_role(value, role: str, field_name: str) -> None:
@@ -64,28 +71,24 @@ class GeneratedScenario(Scenario):
         _check_role(self.grid, "grid", "grid")
         object.__setattr__(self, "wetbulb_c", float(self.wetbulb_c))
 
-    def plan(self, twin: DigitalTwin, **kwargs: Any) -> RunPlan:
+    def plan(
+        self,
+        twin: DigitalTwin,
+        *,
+        workloads: WorkloadMemo | None = None,
+        **kwargs: Any,
+    ) -> RunPlan:
         if self.workload is None:
             raise ScenarioError(
                 f"generated scenario {self.name!r} has no workload generator"
             )
-        jobs = generate_cached(self.workload, twin.spec, self.duration_s)
-        events = (
-            tuple(generate_cached(self.faults, twin.spec, self.duration_s))
-            if self.faults is not None
-            else ()
-        )
-        wetbulb = (
-            generate_cached(self.weather, twin.spec, self.duration_s)
-            if self.weather is not None
-            else self.wetbulb_c
-        )
+        weather = self._generate(self.weather, twin, workloads)
         return RunPlan(
-            jobs=jobs,
+            jobs=self._generate(self.workload, twin, workloads),
             duration_s=self.duration_s,
-            wetbulb=wetbulb,
+            wetbulb=self.wetbulb_c if weather is None else weather,
             honor_recorded=False,
-            events=events,
+            events=tuple(self._generate(self.faults, twin, workloads) or ()),
         )
 
     def grid_signal(self, twin: DigitalTwin):
@@ -96,9 +99,18 @@ class GeneratedScenario(Scenario):
         <repro.power.emissions.EmissionsModel.co2_tons_timeseries>` /
         ``energy_cost_usd_timeseries`` over the run's power series.
         """
-        if self.grid is None:
+        return self._generate(self.grid, twin, None)
+
+    def _generate(self, gen, twin: DigitalTwin, workloads):
+        """``gen``'s payload (None without ``gen``): jobs as a memo
+        template list, the immutable roles shared as they are."""
+        if gen is None:
             return None
-        return generate_cached(self.grid, twin.spec, self.duration_s)
+        key = ("generated", gen.spec_sha(), self.duration_s)
+        memo = memo_jobs if gen.role == "jobs" else memo_payload
+        return memo(
+            workloads, key, lambda: gen.generate(twin.spec, self.duration_s)
+        )
 
     def workload_provenance(self) -> dict[str, dict]:
         """Content addresses of every attached generator, by role field.

@@ -42,6 +42,7 @@ from repro.scenarios.base import (
     Scenario,
     WorkloadMemo,
     memo_jobs,
+    memo_payload,
     register_scenario,
 )
 from repro.scenarios.result import ScenarioResult
@@ -259,15 +260,23 @@ class WhatIfScenario(Scenario):
             )
 
     def resolve_dataset(
-        self, twin: DigitalTwin, dataset: TelemetryDataset | None = None
+        self,
+        twin: DigitalTwin,
+        dataset: TelemetryDataset | None = None,
+        workloads: WorkloadMemo | None = None,
     ) -> TelemetryDataset:
+        """The replayed day; a synthesised one is built once per seed
+        through ``workloads``, so what-ifs on one seed share it."""
         if dataset is not None:
             return dataset
         if self.dataset_path:
             return twin.dataset(self.dataset_path)
         from repro.telemetry.synthesis import SyntheticTelemetryGenerator
 
-        return SyntheticTelemetryGenerator(twin.spec, seed=self.seed).day(0)
+        synth = SyntheticTelemetryGenerator(twin.spec, seed=self.seed)
+        return memo_payload(
+            workloads, ("whatif-day", self.seed), lambda: synth.day(0)
+        )
 
     def plans(
         self,
@@ -279,7 +288,7 @@ class WhatIfScenario(Scenario):
     ) -> list[RunPlan]:
         """The baseline replay, then the modified one: own jobs each,
         or through ``workloads`` one job list both runs check out."""
-        data = self.resolve_dataset(twin, dataset)
+        data = self.resolve_dataset(twin, dataset, workloads)
         return [
             _replay_plan(data, self.duration_s, workloads=workloads),
             _replay_plan(

@@ -2,11 +2,10 @@
 
 An :class:`ExperimentSuite` resolves the system spec once, flattens any
 sweep scenarios into their concrete children, and executes every
-scenario either serially or across worker processes
-(``suite.run(workers=4)``).  Scenarios are declarative and seeded, so
-each run is independent and deterministic: the parallel path produces
-results bit-identical to the serial path (both dispatch through the
-same single-scenario executor).
+scenario through :func:`run_cells`, the cell executor suites and
+campaigns share (``suite.run(workers=4)`` for worker processes).
+Scenarios are declarative and seeded, so every path is bit-identical
+to a direct ``scenario.run(twin)``.
 
 The returned :class:`SuiteResult` keeps per-scenario artifacts in
 submission order and renders a cross-scenario comparison table.
@@ -22,7 +21,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.config.schema import SystemSpec
 from repro.exceptions import ScenarioError
-from repro.scenarios.base import Scenario
+from repro.scenarios.base import Scenario, WorkloadMemo
 from repro.scenarios.library import BaseSweepScenario
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.twin import DigitalTwin, as_twin
@@ -59,21 +58,16 @@ def execute_scenario(
     """Run one scenario against a fresh twin built from ``spec``.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it — this
-    is the worker-process entry point.  The serial path shares the
-    suite's twin instead (amortizing its dataset cache); results are
-    identical either way because scenarios are seeded and every run
-    builds a fresh engine.
+    is :func:`run_cells`' worker-process entry point.
 
     ``surrogate_doc`` is the serialized fast-path bundle of the
     driving twin (:meth:`DigitalTwin.surrogate_doc
     <repro.scenarios.twin.DigitalTwin.surrogate_doc>`): rebuilding it
     here keeps surrogate-fidelity cells bit-identical between serial
     and worker execution — without it a worker would train its own
-    default bundle.  The twin carries the process-local warm-plant
-    cache, so repeated coupled scenarios in one worker skip the cooling
-    warmup.
-    ``cooling_backend`` forwards the driving twin's plant backend so an
-    explicit oracle (``"reference"``) selection survives into workers.
+    default bundle.  ``cooling_backend`` forwards the driving twin's
+    plant backend, so an explicit oracle (``"reference"``) selection
+    survives into workers.
     """
     twin = DigitalTwin(
         spec,
@@ -85,6 +79,65 @@ def execute_scenario(
 
         twin.use_surrogates(SurrogateBundle.from_doc(surrogate_doc))
     return scenario.run(twin)
+
+
+def check_execution(execution: str) -> None:
+    """Reject an ``execution`` backend :func:`run_cells` does not know."""
+    if execution not in ("serial", "batched"):
+        raise ScenarioError(
+            f"unknown execution backend {execution!r} "
+            "(expected 'serial' or 'batched')"
+        )
+
+
+def run_cells(
+    twin: DigitalTwin,
+    pending: list[tuple[int, Scenario]],
+    *,
+    workers: int = 1,
+    execution: str = "serial",
+    on_result: Callable[[int, Scenario, ScenarioResult], None],
+) -> None:
+    """Run ``(index, scenario)`` cells on ``twin``, handing each outcome
+    to ``on_result(index, scenario, outcome)`` as it finishes.
+
+    ``execution="batched"`` runs the cells as the lanes of one
+    :class:`~repro.batch.engine.BatchedEngine` (``workers`` ignored);
+    else ``workers > 1`` spreads them over worker processes, each cell
+    building its own workload, and the serial path shares one
+    :class:`~repro.scenarios.base.WorkloadMemo` across the call.  Every
+    path is bit-identical to ``scenario.run(twin)``.
+    """
+    check_execution(execution)
+    if not pending:
+        return
+    if execution == "batched":
+        from repro.batch import BatchedEngine
+
+        outcomes = BatchedEngine([s for _, s in pending], twin).run()
+        for (index, scenario), outcome in zip(pending, outcomes):
+            on_result(index, scenario, outcome)
+    elif workers <= 1:
+        memo = WorkloadMemo()
+        for index, scenario in pending:
+            on_result(index, scenario, scenario.run(twin, workloads=memo))
+    else:
+        surrogate_doc = twin.surrogate_doc()
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(pending))
+        ) as pool:
+            futures = {
+                pool.submit(
+                    execute_scenario,
+                    twin.spec,
+                    scenario,
+                    surrogate_doc,
+                    twin.cooling_backend,
+                ): (index, scenario)
+                for index, scenario in pending
+            }
+            for future in as_completed(futures):
+                on_result(*futures[future], future.result())
 
 
 @dataclass
@@ -185,45 +238,30 @@ class ExperimentSuite:
     ) -> SuiteResult:
         """Execute every scenario; ``workers > 1`` uses process parallelism.
 
-        Results come back in submission order regardless of completion
-        order, and are bit-identical to a ``workers=1`` run (each
-        scenario is seeded and runs on its own fresh engine either way).
+        Cells run through :func:`run_cells`.  Results come back in
+        submission order, bit-identical to a ``workers=1`` run.
         ``progress(scenario, done, total)`` fires as scenarios finish.
-
         Each pool worker keeps a process-local warm-plant cache, so
-        repeated coupled scenarios in one suite pay the 1800 s cooling
-        warmup once per worker — the warmup is deterministic, so this
-        changes wall-clock only, never results.
+        repeated coupled scenarios pay the deterministic 1800 s cooling
+        warmup once per worker: wall-clock changes, results never do.
         """
         scenarios = self.expanded()
         if not scenarios:
             raise ScenarioError("suite has no scenarios to run")
-        total = len(scenarios)
-        results: list[ScenarioResult | None] = [None] * total
-        if workers <= 1:
-            for i, scenario in enumerate(scenarios):
-                results[i] = scenario.run(self.twin)
-                if progress is not None:
-                    progress(scenario, i + 1, total)
-        else:
-            surrogate_doc = self.twin.surrogate_doc()
-            with ProcessPoolExecutor(max_workers=min(workers, total)) as pool:
-                futures = {
-                    pool.submit(
-                        execute_scenario,
-                        self.twin.spec,
-                        s,
-                        surrogate_doc,
-                        self.twin.cooling_backend,
-                    ): i
-                    for i, s in enumerate(scenarios)
-                }
-                for done, future in enumerate(as_completed(futures), start=1):
-                    i = futures[future]
-                    results[i] = future.result()
-                    if progress is not None:
-                        progress(scenarios[i], done, total)
-        return SuiteResult(results=list(results))  # type: ignore[arg-type]
+        results: dict[int, ScenarioResult] = {}
+
+        def finish(index: int, scenario: Scenario, outcome: ScenarioResult):
+            results[index] = outcome
+            if progress is not None:
+                progress(scenario, len(results), len(scenarios))
+
+        run_cells(
+            self.twin,
+            list(enumerate(scenarios)),
+            workers=workers,
+            on_result=finish,
+        )
+        return SuiteResult(results=[results[i] for i in sorted(results)])
 
     # -- declarative suite files ----------------------------------------------
 
@@ -264,4 +302,4 @@ class ExperimentSuite:
         return cls(chosen, [Scenario.from_dict(e) for e in entries])
 
 
-__all__ = ["ExperimentSuite", "SuiteResult", "execute_scenario"]
+__all__ = ["ExperimentSuite", "SuiteResult", "execute_scenario", "run_cells"]

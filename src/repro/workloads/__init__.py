@@ -42,8 +42,6 @@ from repro.workloads.base import (
     GENERATOR_ROLES,
     GENERATOR_TYPES,
     WorkloadGenerator,
-    clear_generation_cache,
-    generate_cached,
     register_generator,
 )
 from repro.workloads.arrivals import (
@@ -65,8 +63,6 @@ __all__ = [
     "GENERATOR_TYPES",
     "WorkloadGenerator",
     "register_generator",
-    "generate_cached",
-    "clear_generation_cache",
     "DiurnalWorkload",
     "BurstyWorkload",
     "HeavyTailWorkload",

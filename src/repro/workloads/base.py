@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config.loader import dumps_system
 from repro.config.schema import SystemSpec
 from repro.exceptions import ExaDigiTError
 from repro.seeding import spawn_rng
@@ -202,49 +201,10 @@ class WorkloadGenerator:
         return {"generator": self.generator, "spec_sha": self.spec_sha()}
 
 
-# ---------------------------------------------------------------------------
-# Generation cache
-# ---------------------------------------------------------------------------
-
-_GENERATION_CACHE: dict[tuple[str, str, float], object] = {}
-
-
-def _system_sha(spec: SystemSpec) -> str:
-    text = dumps_system(spec, indent=None)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def generate_cached(
-    gen: WorkloadGenerator, spec: SystemSpec, duration_s: float
-):
-    """Memoized :meth:`WorkloadGenerator.generate`.
-
-    Keyed by ``(spec_sha, system-sha, duration)`` — exactly the inputs
-    that determine the payload.  Job payloads are cloned on checkout
-    because engines mutate job lifecycle state; the other roles return
-    immutable payloads and are shared.
-    """
-    key = (gen.spec_sha(), _system_sha(spec), float(duration_s))
-    payload = _GENERATION_CACHE.get(key)
-    if payload is None:
-        payload = gen.generate(spec, duration_s)
-        _GENERATION_CACHE[key] = payload
-    if gen.role == "jobs":
-        return [job.unstarted() for job in payload]
-    return payload
-
-
-def clear_generation_cache() -> None:
-    """Drop all memoized payloads (tests, memory pressure)."""
-    _GENERATION_CACHE.clear()
-
-
 __all__ = [
     "WorkloadError",
     "GENERATOR_TYPES",
     "GENERATOR_ROLES",
     "register_generator",
     "WorkloadGenerator",
-    "generate_cached",
-    "clear_generation_cache",
 ]

@@ -25,8 +25,8 @@ Two execution shapes, chosen at :meth:`StressSuite.create`:
   phases are validated.
 
 Either way the suite is resumable: re-running a killed suite simulates
-only the missing cells (workload generation itself is memoized by
-spec-SHA, so even re-planned cells regenerate nothing).
+only the missing cells, generating each of their workloads once per
+call (by spec-SHA; nothing is kept between calls).
 """
 
 from __future__ import annotations

@@ -24,10 +24,12 @@ from repro.config.loader import load_builtin_system
 from repro.core.events import FaultEvent
 from repro.core.profiling import PhaseProfiler
 from repro.obs import MetricsRegistry, use_registry
-from repro.scenarios import DigitalTwin, SyntheticScenario
+from repro.scenarios import DigitalTwin, GeneratedScenario, SyntheticScenario
 from repro.scenarios.base import WorkloadMemo
 from repro.scenarios.library import WhatIfScenario
 from repro.service.warmcache import WarmStateCache
+from repro.telemetry.synthesis import SyntheticTelemetryGenerator
+from repro.workloads import DiurnalWorkload
 from tests.conftest import assert_bitidentical
 
 CELL_S = 900.0
@@ -154,6 +156,49 @@ def test_whatif_shares_its_workload_build_not_its_run(twin, monkeypatch):
     builds.clear()
     assert_bitidentical(result, scenario.run(twin), label="what-if")
     assert len(builds) == 2  # serial runs build per plan, as before
+
+
+def test_generated_weather_grid_shares_one_run(twin):
+    """Four wet-bulbs over one generated workload build it once and run
+    one schedule and power stream: three lanes follow, 8 power
+    evaluations in all, and every lane equals its solo run."""
+    scenarios = [
+        GeneratedScenario(
+            name=f"gen-wb{wb:g}",
+            duration_s=300.0,
+            workload=DiurnalWorkload(seed=1),
+            wetbulb_c=wb,
+        )
+        for wb in (12.0, 16.0, 20.0, 24.0)
+    ]
+    results, engine, reg = _batched(scenarios, twin)
+    assert engine.shared_lanes == 3
+    assert reg.value("repro_batch_shared_lanes_total") == 3
+    assert engine.power_evals == 8
+    _assert_solo(results, scenarios, twin)
+
+
+def test_whatifs_on_one_seed_share_day_and_baseline(twin, monkeypatch):
+    """Two what-ifs on one seed synthesise one telemetry day, and their
+    baseline replays (both on the spec's chain) share one run."""
+    days = []
+    day = SyntheticTelemetryGenerator.day
+
+    def counting(self, index):
+        days.append(index)
+        return day(self, index)
+
+    monkeypatch.setattr(SyntheticTelemetryGenerator, "day", counting)
+    scenarios = [
+        WhatIfScenario(
+            name=mod, modification=mod, duration_s=300.0, seed=3
+        )
+        for mod in ("direct-dc", "smart-rectifier")
+    ]
+    results, engine, _ = _batched(scenarios, twin)
+    assert days == [0]
+    assert engine.shared_lanes == 1
+    _assert_solo(results, scenarios, twin)
 
 
 def test_each_run_builds_its_own_workloads(twin, monkeypatch):

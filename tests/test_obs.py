@@ -15,7 +15,7 @@ import pytest
 
 from repro.batch.engine import BatchedEngine
 from repro.core.profiling import PhaseProfiler
-from repro.exceptions import ExaDigiTError
+from repro.exceptions import ExaDigiTError, ScenarioError
 from repro.obs import (
     METRICS,
     DEFAULT_BUCKETS,
@@ -352,6 +352,11 @@ def test_campaign_counters_done_and_skipped(small_spec, tmp_path):
         resumed.run()
     assert reg.value("repro_campaign_cells_skipped_total") == 2
     assert reg.value("repro_campaign_cells_done_total") == 1
+    # An unknown backend is rejected by name before the store is read.
+    with use_registry(MetricsRegistry()) as reg:
+        with pytest.raises(ScenarioError, match="'batchd'"):
+            Campaign.open(tmp_path / "camp").run(execution="batchd")
+    assert reg.value("repro_campaign_cells_skipped_total") is None
 
 
 def test_store_counters_appends_and_replays(small_spec, tmp_path):

@@ -2,10 +2,11 @@
 
 Covers the :mod:`repro.workloads` subsystem end to end: the seeding
 idiom every generator draws through, per-kind payload determinism and
-JSON/spec-SHA round-trips, the generation cache, fault-event plumbing
-through the scheduler and both cooling backends (bit-identity), the
-grid-signal emissions hooks, dotted sweep paths over generator fields,
-trace rendering, and the ``repro workload`` CLI group.
+JSON/spec-SHA round-trips, generation through a run's workload memo,
+fault-event plumbing through the scheduler and both cooling backends
+(bit-identity), the grid-signal emissions hooks, dotted sweep paths
+over generator fields, trace rendering, and the ``repro workload`` CLI
+group.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.scenarios import (
     GridSweepScenario,
     Scenario,
 )
+from repro.scenarios.base import WorkloadMemo
 from repro.scheduler.engine import SchedulerEngine
 from repro.scheduler.job import Job
 from repro.scheduler.workloads import synthetic_workload
@@ -52,8 +54,6 @@ from repro.workloads import (
     JobMixMorph,
     WeatherYear,
     WorkloadGenerator,
-    clear_generation_cache,
-    generate_cached,
 )
 from repro.workloads.base import WorkloadError
 from tests.conftest import make_small_spec
@@ -346,38 +346,41 @@ class TestJobMixMorph:
 
 
 class TestGenerationCache:
+    """Generated payloads go through the run's :class:`WorkloadMemo`."""
+
     def test_jobs_cloned_per_checkout(self, spec):
-        clear_generation_cache()
-        gen = DiurnalWorkload(seed=1, mean_arrival_s=120.0)
-        first = generate_cached(gen, spec, 900.0)
+        memo = WorkloadMemo()
+        scenario = GeneratedScenario(
+            duration_s=900.0,
+            workload=DiurnalWorkload(seed=1, mean_arrival_s=120.0),
+        )
+        twin = DigitalTwin(spec)
+        template = scenario.plan(twin, workloads=memo).jobs
+        assert scenario.plan(twin, workloads=memo).jobs is template
+        first = memo.checkout(template)
         first[0].recorded_start = 123.0  # engine-style lifecycle mutation
-        second = generate_cached(gen, spec, 900.0)
+        second = memo.checkout(template)
         assert second[0] is not first[0]
         assert second[0].recorded_start is None
         # Trace arrays are shared read-only state across clones.
         assert second[0].cpu_util is first[0].cpu_util
 
     def test_immutable_roles_share_payload(self, spec):
-        clear_generation_cache()
-        gen = WeatherYear(seed=1)
-        assert generate_cached(gen, spec, 900.0) is generate_cached(
-            gen, spec, 900.0
+        memo = WorkloadMemo()
+        twin = DigitalTwin(spec)
+        scenario = GeneratedScenario(
+            duration_s=900.0,
+            workload=DiurnalWorkload(seed=1),
+            faults=FaultInjection(seed=2, node_mtbf_s=300.0),
+            weather=WeatherYear(seed=1),
+            grid=GridSignalGenerator(seed=4),
         )
-
-    def test_cache_keys_on_system(self, spec):
-        clear_generation_cache()
-        gen = WeatherYear(seed=1)
-        a = generate_cached(gen, spec, 900.0)
-        b = generate_cached(gen, make_small_spec(total_nodes=128), 900.0)
-        assert a is not b
-
-    def test_clear_cache(self, spec):
-        gen = WeatherYear(seed=1)
-        a = generate_cached(gen, spec, 900.0)
-        clear_generation_cache()
-        b = generate_cached(gen, spec, 900.0)
-        assert a is not b
-        assert np.array_equal(a.values, b.values)
+        first = scenario.plan(twin, workloads=memo)
+        again = scenario.plan(twin, workloads=memo)
+        assert first.events and again.events is first.events
+        assert again.wetbulb is first.wetbulb
+        # Without a memo every plan generates its own payload.
+        assert scenario.plan(twin).wetbulb is not first.wetbulb
 
 
 # -- fault-injection content ---------------------------------------------------
