@@ -1,8 +1,9 @@
 """Batched multi-scenario execution: B scenario instances per NumPy call.
 
-The fused plant mirror (:mod:`repro.cooling.kernel`) flattens one
-plant's state into flat arrays; this package gives those arrays a
-leading batch axis so *B* independent scenarios advance together.  The
+The plant kernel (:mod:`repro.batch.kernel`) holds each plant's CDU
+bank as one row of arrays with a leading batch axis, beside a per-lane
+mirror of its facility half (:mod:`repro.cooling.kernel`), so *B*
+independent scenarios advance together.  The
 contract is **bit-identity** per lane against the serial engine and the
 reference plant — batching is an overhead eliminator, never a
 different model.

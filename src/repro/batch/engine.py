@@ -56,6 +56,8 @@ from time import perf_counter
 from repro.batch.power import BatchedPowerModel
 from repro.cooling.fmu import CoolingFMU
 from repro.core.engine import (
+    COOLING_SUBSTEP_S,
+    WARMUP_COOLING_S,
     Lane,
     StepState,
     collect_steps,
@@ -69,13 +71,6 @@ from repro.scenarios.base import RunPlan, Scenario, WorkloadMemo
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.twin import DigitalTwin, as_twin
 from repro.scheduler.engine import SchedulerEngine
-
-#: The plant integration substep every batched lane runs at (the
-#: engine-wide default; lanes in one batch share the substep loop).
-COOLING_SUBSTEP_S = 3.0
-
-#: Cooling warmup horizon per lane (the serial engine's default).
-WARMUP_COOLING_S = 1800.0
 
 
 class _Lane(Lane):
@@ -111,10 +106,8 @@ class _Lane(Lane):
                 SchedulerEngine(
                     spec.total_nodes,
                     policy=_policy(scenario, twin),
-                    allocation="contiguous",
                     honor_recorded_starts=plan.honor_recorded,
                     max_queue_depth=spec.scheduler.max_queue_depth,
-                    down_nodes=None,
                 ),
                 plan.jobs,
                 plan.duration_s,

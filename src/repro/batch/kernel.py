@@ -1,15 +1,16 @@
 """The plant kernel: B cooling plants per substep, bit-identical lanes.
 
 :class:`BatchedPlantKernel` is the one implementation of the fused
-plant backend's macro step.  It stacks B :class:`FusedPlantKernel
-<repro.cooling.kernel.FusedPlantKernel>` mirrors of plants with one
-layout (one system: the same CDU, pump and cell counts) and advances
-them together: the CDU-bank array sections (PID bank, hydraulics, CDU
-thermal, return mix) run as ``(B, n)`` / ``(B, 2 * n)`` ufunc calls,
-while the facility half of a substep — tower controls, primary
-tracking, primary/tower thermal — stays per-lane Python-float state and
-runs through the mirrors' scalar section methods.  A plant stepped on
-its own is the one-lane case.
+plant backend's macro step, for B plants of one layout (one system: the
+same CDU, pump and cell counts).  Plant state has one resident copy.
+The CDU bank sits in the batch rows (``(B, 1)`` constant columns,
+``(B, n)`` / ``(B, 2 * n)`` state rows), synced with each plant's
+``CduLoopBank`` directly; its array sections (PID bank, hydraulics, CDU
+thermal, return mix) run as one ufunc call over all lanes.  The
+facility half — tower controls, primary tracking, primary/tower thermal
+— sits in each lane's :class:`FusedPlantKernel
+<repro.cooling.kernel.FusedPlantKernel>` mirror as Python floats.  A
+plant stepped on its own is the one-lane case.
 
 Each way of stepping a plant picks one of two sync rules:
 
@@ -17,10 +18,11 @@ Each way of stepping a plant picks one of two sync rules:
   <repro.cooling.plant.CoolingPlant.step>` (and so
   :meth:`CoolingFMU.do_step <repro.cooling.fmu.CoolingFMU.do_step>`)
   drives a one-lane kernel: :meth:`~BatchedPlantKernel.gather` pulls
-  the component graph into the row, :meth:`~BatchedPlantKernel.advance`
-  runs the substeps, and :meth:`~BatchedPlantKernel.write_back` pushes
-  the row back.  Setpoint tuning, ``restore`` and CDU blockages on the
-  graph therefore reach the next step.
+  the component graph into the row and the mirror,
+  :meth:`~BatchedPlantKernel.advance` runs the substeps, and
+  :meth:`~BatchedPlantKernel.write_back` pushes them back.
+  Setpoint tuning, ``restore`` and CDU blockages on the graph therefore
+  reach the next step.
 - **Resident lanes.** The engines (the serial one with one lane, the
   batched one with B) gather every lane once, after warmup or a
   warm-cache restore, and then keep its CDU-bank state in the batch rows
@@ -86,12 +88,12 @@ class BatchedPlantKernel:
     ``plants`` are the per-lane :class:`~repro.cooling.plant.CoolingPlant`
     objects (any backend) of one layout: the same CDU, pump and cell
     counts, else :class:`~repro.exceptions.CoolingModelError`.  The
-    kernel builds their fused mirrors and gathers every lane into its
-    batch row; from then on the rows hold the state, and a plant's
-    component graph is stale until :meth:`write_back` (see the module
-    docstring for when each caller syncs).  The kernel keeps no
-    reference to the plants, so a plant can own its one-lane kernel
-    without a reference cycle.
+    kernel builds each lane's CDU-bank constants and facility mirror
+    from its plant and gathers every lane; from then on the rows and
+    mirrors hold the state, and a plant's component graph is stale
+    until :meth:`write_back` (see the module docstring for when each
+    caller syncs).  The kernel keeps no reference to the plants, so a
+    plant can own its one-lane kernel without a reference cycle.
     """
 
     def __init__(self, plants) -> None:
@@ -122,17 +124,31 @@ class BatchedPlantKernel:
         def col(values) -> np.ndarray:
             return np.array([[float(v)] for v in values])
 
-        # Per-lane scalar constants as (B, 1) broadcast columns.
-        for attr in (
-            "cdu_res_k", "cdu_q1", "valve_rangeability", "valve_cv_max",
-            "hx_ua", "pg_tref", "pg_drho", "pg_rho_ref", "pg_cp", "w_cp",
-            "hot_mcp", "cold_mcp",
-        ):
-            setattr(self, attr, col(getattr(k, attr) for k in self.kernels))
-        self.cdu_pump_rated = col(
-            p.cdus.pumps.spec.rated_power_w for p in plants
+        # Per-lane CDU-bank constants as (B, 1) broadcast columns, derived
+        # from each plant's freshly built component objects.
+        cdus = [p.cdus for p in plants]
+        self.cdu_res_k = col(c.resistance.k for c in cdus)
+        self.cdu_q1 = col(
+            c.pumps.operating_point(c.resistance, 1.0)[0] for c in cdus
         )
-        self.cdu_pumps_running = col(p.cdus.pumps.n_running for p in plants)
+        self.valve_rangeability = col(c.valve.rangeability for c in cdus)
+        self.valve_cv_max = col(c.valve.cv_max_flow for c in cdus)
+        self.valve_dp_rated = [c.valve.dp_rated for c in cdus]
+        self.hx_ua = col(c.hx.ua for c in cdus)
+        pg = [c.hot.fluid for c in cdus]
+        self.pg_tref = col(f.t_ref_c for f in pg)
+        self.pg_drho = col(f.drho_dt for f in pg)
+        self.pg_rho_ref = col(f.rho_ref_kg_m3 for f in pg)
+        self.pg_cp = col(f.cp_j_kg_c for f in pg)
+        self.w_cp = col(k.w_cp for k in self.kernels)
+        self.hot_mcp = col(
+            f.thermal_mass(c.hot.volume_m3) for f, c in zip(pg, cdus)
+        )
+        self.cold_mcp = col(
+            f.thermal_mass(c.cold.volume_m3) for f, c in zip(pg, cdus)
+        )
+        self.cdu_pump_rated = col(c.pumps.spec.rated_power_w for c in cdus)
+        self.cdu_pumps_running = col(c.pumps.n_running for c in cdus)
         # Facility output constants: rated powers per lane, and the unit
         # columns of the per-unit power vectors.
         self.htwp_rated = [p.primary.pumps.spec.rated_power_w for p in plants]
@@ -142,12 +158,21 @@ class BatchedPlantKernel:
         self.ctwp_cols = np.arange(ctwps)
         self.cell_cols = np.arange(cells)
 
-        # PID bank constants, one stacked (2n,) row per lane.
-        self.kp50 = np.stack([k.kp50 for k in self.kernels])
-        self.ki50 = np.stack([k.ki50 for k in self.kernels])
-        self.umin50 = np.stack([k.umin50 for k in self.kernels])
-        self.umax50 = np.stack([k.umax50 for k in self.kernels])
-        self.sign50 = np.stack([k.sign50 for k in self.kernels])
+        # Stacked PID bank constants: per lane, channels [:n] are the
+        # pump-speed PID and [n:] the valve PID.  Per-channel
+        # gain/bound/sign rows make one fused update bit-identical to
+        # the two scalar-gain reference updates.
+        pids = [(c.pump_pid, c.valve_pid) for c in cdus]
+        if any(pp.kd or vp.kd for pp, vp in pids):
+            raise CoolingModelError("fused CDU PID bank assumes kd == 0")
+        for attr, pid_attr in (
+            ("kp50", "kp"), ("ki50", "ki"), ("umin50", "u_min"),
+            ("umax50", "u_max"), ("sign50", "sign"),
+        ):
+            setattr(self, attr, np.array([
+                [getattr(pp, pid_attr)] * n + [getattr(vp, pid_attr)] * n
+                for pp, vp in pids
+            ]))
 
         # Resident mutable state.
         self.blockage = np.empty((B, n))
@@ -166,6 +191,8 @@ class BatchedPlantKernel:
         self.dp_term = np.empty((B, 1))
         self.htws_col = np.empty((B, 1))
         self.rho_w_col = np.empty((B, 1))
+        # The two CDU PIDs' ``_has_prev`` flags per lane (pump, valve).
+        self.has_prev = np.zeros((B, 2), dtype=bool)
         for bi, plant in enumerate(plants):
             self.gather(bi, plant)
 
@@ -188,24 +215,34 @@ class BatchedPlantKernel:
 
     def gather(self, bi: int, plant) -> None:
         """Pull lane ``bi``'s component graph (``plant``'s) into its
-        mirror and its batch row: the state, the CDU setpoints and the
-        valve draw term (the header dp may have been retuned)."""
-        k = self.kernels[bi]
-        k.pull(plant)
-        self.blockage[bi] = k.blockage
-        self.sec_flow[bi] = k.sec_flow
-        self.pri_flow[bi] = k.pri_flow
-        self.hot_t[bi] = k.hot_t
-        self.cold_t[bi] = k.cold_t
-        self.hx_heat[bi] = k.hx_heat
-        self.pri_return[bi] = k.pri_return
-        self.out50[bi] = k.out50
-        self.integ50[bi] = k.integ50
-        self.preve50[bi] = k.preve50
-        self.sp50[bi] = k.sp50
+        batch row and its facility mirror: the state, the setpoints and
+        the valve draw term (the header dp may have been retuned)."""
+        header_dp = float(plant.primary_header_dp_pa)
+        if header_dp < 0:
+            raise CoolingModelError("header dp must be non-negative")
+        cdus, n = plant.cdus, self.n
+        # Setpoints are pulled on every gather: runtime tuning (the
+        # setpoint optimizer) must reach the kernel.
+        self.sp50[bi, :n] = cdus.dp_setpoint_pa
+        self.sp50[bi, n:] = cdus.supply_setpoint_c
+        self.blockage[bi] = cdus.blockage_factor
+        self.sec_flow[bi] = cdus.secondary_flow
+        self.pri_flow[bi] = cdus.primary_flow
+        self.hot_t[bi] = cdus.hot.temp_c
+        self.cold_t[bi] = cdus.cold.temp_c
+        self.hx_heat[bi] = cdus.hx_heat_w
+        self.pri_return[bi] = cdus.primary_return_c
+        self.out50[bi, :n] = cdus.pump_speed
+        self.out50[bi, n:] = cdus.valve_opening
+        self.integ50[bi, :n] = cdus.pump_pid._integral
+        self.integ50[bi, n:] = cdus.valve_pid._integral
+        self.preve50[bi, :n] = cdus.pump_pid._prev_error
+        self.preve50[bi, n:] = cdus.valve_pid._prev_error
+        self.has_prev[bi] = (cdus.pump_pid._has_prev, cdus.valve_pid._has_prev)
         # Valve draw at the header dp; sqrt is correctly rounded, so
         # math.sqrt == np.sqrt here.
-        self.dp_term[bi, 0] = sqrt(k.header_dp / k.valve_dp_rated)
+        self.dp_term[bi, 0] = sqrt(header_dp / self.valve_dp_rated[bi])
+        self.kernels[bi].pull(plant)
 
     def set_blockage(self, lane: int, cdu_index: int, severity: float) -> None:
         """Mirror a CDU blockage already set on lane ``lane``'s graph
@@ -216,16 +253,25 @@ class BatchedPlantKernel:
     def write_back(self, plants) -> None:
         """Push every lane's resident state onto its component graph
         (``plants`` in lane order)."""
+        n = self.n
         for bi, (k, plant) in enumerate(zip(self.kernels, plants)):
-            k.sec_flow[:] = self.sec_flow[bi]
-            k.pri_flow[:] = self.pri_flow[bi]
-            k.hot_t[:] = self.hot_t[bi]
-            k.cold_t[:] = self.cold_t[bi]
-            k.hx_heat[:] = self.hx_heat[bi]
-            k.pri_return[:] = self.pri_return[bi]
-            k.out50[:] = self.out50[bi]
-            k.integ50[:] = self.integ50[bi]
-            k.preve50[:] = self.preve50[bi]
+            cdus = plant.cdus
+            cdus.secondary_flow = self.sec_flow[bi].copy()
+            cdus.primary_flow = self.pri_flow[bi].copy()
+            cdus.hot.temp_c = self.hot_t[bi].copy()
+            cdus.cold.temp_c = self.cold_t[bi].copy()
+            cdus.hx_heat_w = self.hx_heat[bi].copy()
+            cdus.primary_return_c = self.pri_return[bi].copy()
+            cdus.pump_speed = self.out50[bi, :n].copy()
+            cdus.valve_opening = self.out50[bi, n:].copy()
+            cdus.pump_pid.output = self.out50[bi, :n].copy()
+            cdus.valve_pid.output = self.out50[bi, n:].copy()
+            cdus.pump_pid._integral = self.integ50[bi, :n].copy()
+            cdus.valve_pid._integral = self.integ50[bi, n:].copy()
+            cdus.pump_pid._prev_error = self.preve50[bi, :n].copy()
+            cdus.valve_pid._prev_error = self.preve50[bi, n:].copy()
+            (cdus.pump_pid._has_prev,
+             cdus.valve_pid._has_prev) = self.has_prev[bi].tolist()
             k.push(plant)
 
     # -- helpers -----------------------------------------------------------------
@@ -270,9 +316,9 @@ class BatchedPlantKernel:
         n = self.n
         kernels = self.kernels[:A]
         heat = self.heat[:A]
-        for bi, k in enumerate(kernels):
+        for bi in range(A):
             heat[bi] = cdu_heat_w[bi]
-            k.pump_has_prev = k.valve_has_prev = True
+        self.has_prev[:A] = True
         alphas = [k._alpha_for(h) for k in kernels]
 
         blockage = self.blockage[:A]

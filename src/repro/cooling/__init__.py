@@ -15,9 +15,9 @@ temperature; outputs: the 317 quantities enumerated in section III-C4.
 Two interchangeable stepping backends share one state representation,
 the component object graph: the default ``backend="fused"`` steps it
 through a one-lane :class:`repro.batch.kernel.BatchedPlantKernel` (the
-one plant kernel, built from the per-lane
-:class:`repro.cooling.kernel.FusedPlantKernel` mirror; several times
-faster), and ``backend="reference"`` walks the graph itself (kept as the
+one plant kernel: the CDU bank in its batch row, the facility in the
+per-lane :class:`repro.cooling.kernel.FusedPlantKernel` mirror; several
+times faster), and ``backend="reference"`` walks the graph itself (kept as the
 oracle the fused backend equals bit for bit).
 """
 

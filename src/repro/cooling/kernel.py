@@ -1,4 +1,4 @@
-"""Fused cooling-plant kernel: one plant's state as flat arrays and floats.
+"""Fused cooling-plant mirror: one plant's facility half as Python floats.
 
 The reference :class:`~repro.cooling.plant.CoolingPlant` advances each
 3 s substep by walking a deep object graph (`CduLoopBank` →
@@ -7,15 +7,16 @@ The reference :class:`~repro.cooling.plant.CoolingPlant` advances each
 overhead — method dispatch, ``asarray``/``broadcast_to`` validation,
 ``errstate`` contexts, temporaries — dominates every coupled run.
 
-:class:`FusedPlantKernel` is the per-lane mirror of that graph which the
-one plant kernel, :class:`~repro.batch.kernel.BatchedPlantKernel`, is
-built from.  It holds:
+:class:`FusedPlantKernel` is the per-lane mirror of the graph's
+*facility* half (primary and tower loops); the CDU bank lives in the
+batch rows of the one plant kernel,
+:class:`~repro.batch.kernel.BatchedPlantKernel`.  The mirror holds:
 
-- the plant's constants, derived from its freshly built component
-  objects (one source of truth — pump curves, resistances, HX UA
-  values, PID gains, staging thresholds);
+- the facility constants, derived from the plant's freshly built
+  component objects (one source of truth — pump curves, resistances,
+  the EHX UA, staging thresholds, the tower PID gains);
 - :meth:`~FusedPlantKernel.pull` and :meth:`~FusedPlantKernel.push`,
-  which copy the mutable state from and onto the component graph;
+  which copy the facility's mutable state from and onto the graph;
 - the facility half of a substep (tower controls, primary tracking,
   primary and tower thermal) as pure Python-float sections, which the
   batched kernel runs per lane while it advances the CDU-bank arrays
@@ -149,58 +150,22 @@ class _ScalarPid:
 
 
 class FusedPlantKernel:
-    """Flat mirror of one :class:`CoolingPlant`: constants, state, and
-    the facility substep sections.
+    """Flat mirror of one :class:`CoolingPlant`'s facility half:
+    constants, state, and the facility substep sections.
 
     Built once per plant from its component objects and pulled from
     them on construction; see the module docstring.
     """
 
     def __init__(self, plant) -> None:
-        cdus, primary, tower = plant.cdus, plant.primary, plant.tower
-        n = cdus.n
-        self.n = n
+        primary, tower = plant.primary, plant.tower
 
-        # --- CDU-bank constants -------------------------------------------------
-        self.cdu_res_k = cdus.resistance.k
-        q1, _ = cdus.pumps.operating_point(cdus.resistance, 1.0)
-        self.cdu_q1 = q1
-        valve = cdus.valve
-        self.valve_cv_max = valve.cv_max_flow
-        self.valve_dp_rated = valve.dp_rated
-        self.valve_rangeability = valve.rangeability
-        self.hx_ua = cdus.hx.ua
-        pg = cdus.hot.fluid
-        self.pg_rho_ref = pg.rho_ref_kg_m3
-        self.pg_drho = pg.drho_dt
-        self.pg_tref = pg.t_ref_c
-        self.pg_cp = pg.cp_j_kg_c
+        # --- facility water constants -------------------------------------------
         water = primary.supply.fluid
         self.w_rho_ref = water.rho_ref_kg_m3
         self.w_drho = water.drho_dt
         self.w_tref = water.t_ref_c
         self.w_cp = water.cp_j_kg_c
-        self.hot_mcp = pg.thermal_mass(cdus.hot.volume_m3)
-        self.cold_mcp = pg.thermal_mass(cdus.cold.volume_m3)
-
-        # Stacked PID bank: channels [:n] = pump-speed PID, [n:] = valve
-        # PID.  Per-channel gain/bound/sign vectors make one fused
-        # update bit-identical to the two scalar-gain reference updates.
-        w = 2 * n
-        pp, vp = cdus.pump_pid, cdus.valve_pid
-        if pp.kd or vp.kd:
-            raise CoolingModelError("fused CDU PID bank assumes kd == 0")
-        self.kp50 = np.concatenate([np.full(n, pp.kp), np.full(n, vp.kp)])
-        self.ki50 = np.concatenate([np.full(n, pp.ki), np.full(n, vp.ki)])
-        self.umin50 = np.concatenate(
-            [np.full(n, pp.u_min), np.full(n, vp.u_min)]
-        )
-        self.umax50 = np.concatenate(
-            [np.full(n, pp.u_max), np.full(n, vp.u_max)]
-        )
-        self.sign50 = np.concatenate(
-            [np.full(n, pp.sign), np.full(n, vp.sign)]
-        )
 
         # --- primary-loop constants ---------------------------------------------
         self.p_res_k = primary.resistance.k
@@ -232,20 +197,7 @@ class FusedPlantKernel:
         self._alpha_h = None
         self._alpha = 0.0
 
-        # --- flat state ---------------------------------------------------------
-        self.blockage = np.empty(n)
-        self.sec_flow = np.empty(n)
-        self.pri_flow = np.empty(n)
-        self.hot_t = np.empty(n)
-        self.cold_t = np.empty(n)
-        self.hx_heat = np.empty(n)
-        self.pri_return = np.empty(n)
-        self.out50 = np.empty(w)
-        self.integ50 = np.empty(w)
-        self.preve50 = np.empty(w)
-        self.sp50 = np.empty(w)
-        self.pump_has_prev = False
-        self.valve_has_prev = False
+        # --- facility state mirrors ---------------------------------------------
         self.fan_pid = _ScalarPid(tower.fan_pid)
         self.speed_pid = _ScalarPid(tower.speed_pid)
         self.p_stage = _StageState(primary.pump_staging)
@@ -257,34 +209,12 @@ class FusedPlantKernel:
     # -- state exchange ----------------------------------------------------------
 
     def pull(self, plant) -> None:
-        """Copy all mutable state from the component objects."""
-        cdus, primary, tower = plant.cdus, plant.primary, plant.tower
-        n = self.n
-        self.header_dp = float(plant.primary_header_dp_pa)
-        if self.header_dp < 0:
-            raise CoolingModelError("header dp must be non-negative")
+        """Copy the facility's mutable state from the component objects."""
+        primary, tower = plant.primary, plant.tower
         # Setpoints are pulled on every direct plant step: runtime
         # tuning (the setpoint optimizer) must reach the kernel.
-        self.sp50[:n] = cdus.dp_setpoint_pa
-        self.sp50[n:] = cdus.supply_setpoint_c
         self.p_supply_sp = float(primary.supply_setpoint_c)
         self.t_press_sp = float(tower.pressure_setpoint_pa)
-
-        self.blockage[:] = cdus.blockage_factor
-        self.sec_flow[:] = cdus.secondary_flow
-        self.pri_flow[:] = cdus.primary_flow
-        self.hot_t[:] = cdus.hot.temp_c
-        self.cold_t[:] = cdus.cold.temp_c
-        self.hx_heat[:] = cdus.hx_heat_w
-        self.pri_return[:] = cdus.primary_return_c
-        self.out50[:n] = cdus.pump_speed
-        self.out50[n:] = cdus.valve_opening
-        self.integ50[:n] = cdus.pump_pid._integral
-        self.integ50[n:] = cdus.valve_pid._integral
-        self.preve50[:n] = cdus.pump_pid._prev_error
-        self.preve50[n:] = cdus.valve_pid._prev_error
-        self.pump_has_prev = bool(cdus.pump_pid._has_prev)
-        self.valve_has_prev = bool(cdus.valve_pid._has_prev)
 
         self.p_n_running = primary.pumps.n_running
         self.p_n_ehx = primary.n_ehx
@@ -309,26 +239,9 @@ class FusedPlantKernel:
         self.speed_pid.pull(tower.speed_pid)
 
     def push(self, plant) -> None:
-        """Write the advanced state back onto the component objects."""
-        cdus, primary, tower = plant.cdus, plant.primary, plant.tower
-        n = self.n
-        cdus.secondary_flow = self.sec_flow.copy()
-        cdus.primary_flow = self.pri_flow.copy()
-        cdus.hot.temp_c = self.hot_t.copy()
-        cdus.cold.temp_c = self.cold_t.copy()
-        cdus.hx_heat_w = self.hx_heat.copy()
-        cdus.primary_return_c = self.pri_return.copy()
-        cdus.pump_speed = self.out50[:n].copy()
-        cdus.valve_opening = self.out50[n:].copy()
-        cdus.pump_pid.output = self.out50[:n].copy()
-        cdus.valve_pid.output = self.out50[n:].copy()
-        cdus.pump_pid._integral = self.integ50[:n].copy()
-        cdus.valve_pid._integral = self.integ50[n:].copy()
-        cdus.pump_pid._prev_error = self.preve50[:n].copy()
-        cdus.valve_pid._prev_error = self.preve50[n:].copy()
-        cdus.pump_pid._has_prev = self.pump_has_prev
-        cdus.valve_pid._has_prev = self.valve_has_prev
-
+        """Write the advanced facility state back onto the component
+        objects."""
+        primary, tower = plant.primary, plant.tower
         primary.pumps.n_running = self.p_n_running
         primary.n_ehx = self.p_n_ehx
         primary.supply.temp_c = np.array([self.p_supply_t])

@@ -136,6 +136,15 @@ class StepState:
         return float(np.asarray(self.cooling["pue"]))
 
 
+#: The plant integration substep every coupled run steps at (the serial
+#: engine's and every batched lane's; lanes in one batch share the
+#: substep loop).
+COOLING_SUBSTEP_S = 3.0
+
+#: Default cooling warmup horizon: the plant is stepped at idle load
+#: this long before a coupled run starts.
+WARMUP_COOLING_S = 1800.0
+
 #: Cooling outputs recorded by default (the Fig. 7 validation set).
 DEFAULT_COOLING_RECORD = (
     "pue",
@@ -828,7 +837,7 @@ class StreamingEngine:
         duration_s: float,
         *,
         wetbulb: TimeSeries | float = 15.0,
-        warmup_cooling_s: float = 1800.0,
+        warmup_cooling_s: float = WARMUP_COOLING_S,
         events=(),
         progress=None,
         stop_when=None,
@@ -905,8 +914,6 @@ class RapsEngine(StreamingEngine):
         with_cooling: bool = True,
         honor_recorded_starts: bool = False,
         policy: str | None = None,
-        allocation: str = "contiguous",
-        cooling_substep_s: float = 3.0,
         cooling_backend: str = "fused",
         down_nodes: np.ndarray | None = None,
         warm_cache=None,
@@ -922,7 +929,6 @@ class RapsEngine(StreamingEngine):
         self.scheduler = SchedulerEngine(
             spec.total_nodes,
             policy=policy or spec.scheduler.policy,
-            allocation=allocation,
             honor_recorded_starts=honor_recorded_starts,
             max_queue_depth=spec.scheduler.max_queue_depth,
             down_nodes=down_nodes,
@@ -931,7 +937,7 @@ class RapsEngine(StreamingEngine):
         if with_cooling:
             self.fmu = CoolingFMU(
                 spec.cooling,
-                substep_s=cooling_substep_s,
+                substep_s=COOLING_SUBSTEP_S,
                 backend=cooling_backend,
             )
         self.quanta = TRACE_QUANTA_S
@@ -957,7 +963,7 @@ class RapsEngine(StreamingEngine):
         duration_s: float,
         *,
         wetbulb: TimeSeries | float = 15.0,
-        warmup_cooling_s: float = 1800.0,
+        warmup_cooling_s: float = WARMUP_COOLING_S,
         events=(),
     ) -> Iterator[StepState]:
         """Stream the simulation one trace quantum at a time.
@@ -1087,6 +1093,8 @@ __all__ = [
     "SimulationResult",
     "StepState",
     "DEFAULT_COOLING_RECORD",
+    "COOLING_SUBSTEP_S",
+    "WARMUP_COOLING_S",
     "ElectricalRun",
     "Lane",
     "lane_runs",

@@ -40,6 +40,7 @@ import numpy as np
 from repro.config.schema import SystemSpec
 from repro.core.engine import (
     DEFAULT_COOLING_RECORD,
+    WARMUP_COOLING_S,
     ElectricalRun,
     StepState,
     StreamingEngine,
@@ -73,8 +74,6 @@ class SurrogateEngine(StreamingEngine):
         with_cooling: bool = True,
         honor_recorded_starts: bool = False,
         policy: str | None = None,
-        allocation: str = "contiguous",
-        down_nodes: np.ndarray | None = None,
     ) -> None:
         bundle.check_spec(spec)
         if with_cooling and not bundle.has_cooling:
@@ -89,10 +88,8 @@ class SurrogateEngine(StreamingEngine):
         self.scheduler = SchedulerEngine(
             spec.total_nodes,
             policy=policy or spec.scheduler.policy,
-            allocation=allocation,
             honor_recorded_starts=honor_recorded_starts,
             max_queue_depth=spec.scheduler.max_queue_depth,
-            down_nodes=down_nodes,
         )
         self.quanta = TRACE_QUANTA_S
 
@@ -104,7 +101,7 @@ class SurrogateEngine(StreamingEngine):
         duration_s: float,
         *,
         wetbulb: TimeSeries | float = 15.0,
-        warmup_cooling_s: float = 1800.0,
+        warmup_cooling_s: float = WARMUP_COOLING_S,
         events=(),
     ) -> Iterator[StepState]:
         """Stream surrogate-fidelity steps, one per 15 s trace quantum.

@@ -416,11 +416,15 @@ def _to_jsonable(value: Any) -> Any:
 
 def _from_jsonable(value: Any) -> Any:
     if isinstance(value, dict):
+        if "kind" in value:
+            return Scenario.from_dict(value)
         if "generator" in value:
             from repro.workloads.base import WorkloadGenerator
 
             return WorkloadGenerator.from_dict(value)
-        return Scenario.from_dict(value)
+        # Any other object is a plain mapping (a sweep's grid or
+        # ranges); the field's own validation decides what it accepts.
+        return {k: _from_jsonable(v) for k, v in value.items()}
     if isinstance(value, list):
         # Sequence fields are declared as tuples so scenarios stay
         # hashable/frozen; JSON arrays come back as tuples.

@@ -355,6 +355,14 @@ class BaseSweepScenario(Scenario):
 
     base: Scenario | None = None
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.base is not None and not isinstance(self.base, Scenario):
+            raise ScenarioError(
+                f"{type(self).__name__} field 'base' must be a scenario "
+                f"(an object with a 'kind'), got {type(self.base).__name__}"
+            )
+
     def points(self) -> list[dict[str, Any]]:
         """Per-child field assignments, in expansion order (subclass hook)."""
         raise NotImplementedError

@@ -53,8 +53,6 @@ class SchedulerEngine:
         System size.
     policy:
         Policy name or instance (``fcfs``/``sjf``/``priority``/``backfill``).
-    allocation:
-        Node-placement strategy for the allocator.
     honor_recorded_starts:
         Replay mode — jobs start at ``job.recorded_start`` regardless of
         the policy (the paper's telemetry replay).
@@ -67,14 +65,11 @@ class SchedulerEngine:
         total_nodes: int,
         *,
         policy: str | SchedulingPolicy = "fcfs",
-        allocation: str = "contiguous",
         honor_recorded_starts: bool = False,
         max_queue_depth: int = 0,
         down_nodes: np.ndarray | None = None,
     ) -> None:
-        self.allocator = NodeAllocator(
-            total_nodes, policy=allocation, down_nodes=down_nodes
-        )
+        self.allocator = NodeAllocator(total_nodes, down_nodes=down_nodes)
         self.policy: SchedulingPolicy = (
             make_policy(policy) if isinstance(policy, str) else policy
         )

@@ -11,6 +11,8 @@ from repro.config.loader import dump_system
 from repro.exceptions import ScenarioError
 from repro.scenarios import (
     ExperimentSuite,
+    GridSweepScenario,
+    Scenario,
     SweepScenario,
     SyntheticScenario,
     VerificationScenario,
@@ -172,6 +174,58 @@ class TestSuiteFiles:
         suite = ExperimentSuite.from_file(suite_path)
         assert suite.twin.spec.name == "mini"
         assert len(suite.scenarios) == 1
+
+    def test_from_file_object_grids_and_ranges(self, tmp_path):
+        """A hand-written suite may give a grid-sweep's ``grid`` and an
+        lhs-sweep's ``ranges`` as JSON objects, not only as the pair
+        lists ``to_dict`` writes."""
+        base = {
+            "kind": "synthetic", "duration_s": 300.0, "with_cooling": False
+        }
+        doc = [
+            {
+                "kind": "grid-sweep",
+                "name": "grid",
+                "base": base,
+                "grid": {"wetbulb_c": [12, 20], "seed": [0, 1]},
+            },
+            {
+                "kind": "lhs-sweep",
+                "name": "lhs",
+                "base": base,
+                "ranges": {"seed": [0, 9]},
+                "samples": 3,
+            },
+        ]
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(doc))
+        grid, lhs = ExperimentSuite.from_file(
+            suite_path, system=make_small_spec()
+        ).scenarios
+        assert grid == GridSweepScenario(
+            name="grid",
+            base=SyntheticScenario(duration_s=300.0, with_cooling=False),
+            grid=(("wetbulb_c", (12, 20)), ("seed", (0, 1))),
+        )
+        assert len(grid.expand()) == 4
+        assert lhs.ranges == (("seed", 0, 9),)
+        assert len(lhs.expand()) == 3
+        # The written form still round-trips.
+        assert Scenario.from_json(grid.to_json()) == grid
+        assert Scenario.from_json(lhs.to_json()) == lhs
+
+    def test_from_file_non_scenario_base_names_the_field(self, tmp_path):
+        doc = [
+            {
+                "kind": "grid-sweep",
+                "base": {"duration_s": 300.0},
+                "grid": {"seed": [0, 1]},
+            }
+        ]
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match="'base' must be a scenario"):
+            ExperimentSuite.from_file(suite_path, system=make_small_spec())
 
     def test_from_file_missing_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
