@@ -81,7 +81,7 @@ from repro.core import (
     PhysicalTwin,
     ReplayValidation,
 )
-from repro.cooling import CoolingFMU, CoolingPlant, FusedPlantKernel, generate_plant
+from repro.cooling import CoolingFMU, CoolingPlant, generate_plant
 from repro.fastpath import (
     MultiFidelityCampaign,
     SurrogateBundle,
@@ -140,7 +140,6 @@ __all__ = [
     "ReplayValidation",
     "CoolingFMU",
     "CoolingPlant",
-    "FusedPlantKernel",
     "PhaseProfiler",
     "generate_plant",
     "SystemPowerModel",

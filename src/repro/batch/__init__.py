@@ -1,9 +1,10 @@
 """Batched multi-scenario execution: B scenario instances per NumPy call.
 
 The plant kernel (:mod:`repro.batch.kernel`) holds each plant's CDU
-bank as one row of arrays with a leading batch axis, beside a per-lane
-mirror of its facility half (:mod:`repro.cooling.kernel`), so *B*
-independent scenarios advance together.  The
+bank as one row of arrays with a leading batch axis, and its facility
+half (primary and tower loops) as a per-lane record of Python floats
+beside it, with every plant constant held once, so *B* independent
+scenarios of one system advance together.  The
 contract is **bit-identity** per lane against the serial engine and the
 reference plant — batching is an overhead eliminator, never a
 different model.

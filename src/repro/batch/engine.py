@@ -374,4 +374,4 @@ def run_batched(scenarios, twin, *, progress=None) -> list[ScenarioResult]:
     return BatchedEngine(scenarios, twin).run(progress=progress)
 
 
-__all__ = ["BatchedEngine", "run_batched", "COOLING_SUBSTEP_S"]
+__all__ = ["BatchedEngine", "run_batched"]

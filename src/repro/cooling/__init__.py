@@ -15,15 +15,14 @@ temperature; outputs: the 317 quantities enumerated in section III-C4.
 Two interchangeable stepping backends share one state representation,
 the component object graph: the default ``backend="fused"`` steps it
 through a one-lane :class:`repro.batch.kernel.BatchedPlantKernel` (the
-one plant kernel: the CDU bank in its batch row, the facility in the
-per-lane :class:`repro.cooling.kernel.FusedPlantKernel` mirror; several
-times faster), and ``backend="reference"`` walks the graph itself (kept as the
-oracle the fused backend equals bit for bit).
+one plant kernel, which holds the CDU bank in its batch row and the
+primary and tower loops in the lane's facility record beside it;
+several times faster), and ``backend="reference"`` walks the graph
+itself (kept as the oracle the fused backend equals bit for bit).
 """
 
 from repro.cooling.properties import CoolantProperties, WATER
 from repro.cooling.plant import BACKENDS, CoolingPlant, PlantState
-from repro.cooling.kernel import FusedPlantKernel
 from repro.cooling.fmu import CoolingFMU, FmuState
 from repro.cooling.autocsm import generate_plant, autocsm_report
 
@@ -32,7 +31,6 @@ __all__ = [
     "WATER",
     "BACKENDS",
     "CoolingPlant",
-    "FusedPlantKernel",
     "PlantState",
     "CoolingFMU",
     "FmuState",

@@ -93,7 +93,7 @@ class DelayedSignal:
         """Advance the lag by ``dt`` toward input ``u``."""
         if dt <= 0:
             raise CoolingModelError("dt must be positive")
-        # float(): y stays a Python float (the fused mirror's type).
+        # float(): y stays a Python float (the fused kernel's type).
         alpha = 1.0 - float(np.exp(-dt / self.tau_s))
         self.y += alpha * (u - self.y)
         return self.y

@@ -1,7 +1,8 @@
 """A batch is one system on the fused plant kernel: the guards.
 
 - :class:`~repro.batch.kernel.BatchedPlantKernel` rows share one plant
-  layout, so plants with different CDU counts are refused;
+  layout and one set of plant constants, so plants with different CDU
+  counts, or of one layout but different ``CoolingSpec``, are refused;
 - a reference-backend twin's cells never become lanes (lanes step the
   fused kernel): ``run_batched`` runs them serially, and ``repro
   profile`` refuses ``--cooling-backend reference`` in the modes that
@@ -9,6 +10,8 @@
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -29,6 +32,18 @@ def test_kernel_rejects_mixed_cdu_counts():
     ]
     with pytest.raises(CoolingModelError, match="one plant layout"):
         BatchedPlantKernel(plants)
+
+
+def test_kernel_rejects_mixed_specs_of_one_layout():
+    cooling = make_small_spec(num_cdus=2).cooling
+    retuned = dataclasses.replace(
+        cooling,
+        cdu_hx=dataclasses.replace(
+            cooling.cdu_hx, ua_w_per_k=1.5 * cooling.cdu_hx.ua_w_per_k
+        ),
+    )
+    with pytest.raises(CoolingModelError, match="one plant layout"):
+        BatchedPlantKernel([CoolingPlant(cooling), CoolingPlant(retuned)])
 
 
 def test_reference_twin_cell_runs_serially(monkeypatch):

@@ -4,10 +4,14 @@
 batch row and ``write_back`` writes the row straight onto the graph, so
 a gather followed by a write-back with no advance must leave every
 CDU-bank field bit-equal, with fresh arrays that alias neither the rows
-nor each other.
+nor each other.  The facility half (primary and tower loops, their
+scalar PIDs and staging controllers) lives in the same kernel and must
+round-trip the same way, sharing no object with the graph.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
@@ -113,3 +117,141 @@ def test_negative_header_dp_fails_before_any_row_write():
     now = (kernel.sp50, kernel.hot_t, kernel.dp_term)
     for before, after in zip(rows, now):
         np.testing.assert_array_equal(after, before)
+
+
+def _facility_fields(plant) -> dict:
+    """Every primary/tower field the kernel owns, by graph path."""
+    primary, tower = plant.primary, plant.tower
+    fields = {
+        "primary.pumps.n_running": primary.pumps.n_running,
+        "primary.n_ehx": primary.n_ehx,
+        "primary.supply.temp_c": primary.supply.temp_c,
+        "primary.return_.temp_c": primary.return_.temp_c,
+        "primary.pump_speed": primary.pump_speed,
+        "primary.total_flow": primary.total_flow,
+        "primary.ehx_heat_w": primary.ehx_heat_w,
+        "tower.pumps.n_running": tower.pumps.n_running,
+        "tower.supply.temp_c": tower.supply.temp_c,
+        "tower.return_.temp_c": tower.return_.temp_c,
+        "tower.pump_speed": tower.pump_speed,
+        "tower.total_flow": tower.total_flow,
+        "tower.fan_speed": tower.fan_speed,
+        "tower.htws_delay.y": tower.htws_delay.y,
+        "tower._prev_htws_c": tower._prev_htws_c,
+    }
+    for name, pid in _facility_pids(plant).items():
+        fields[f"{name}._integral"] = pid._integral
+        fields[f"{name}._prev_error"] = pid._prev_error
+        fields[f"{name}._has_prev"] = pid._has_prev
+        fields[f"{name}.output"] = pid.output
+    for name, ctl in _staging(plant).items():
+        fields[f"{name}.count"] = ctl.count
+        fields[f"{name}._above_s"] = ctl._above_s
+        fields[f"{name}._below_s"] = ctl._below_s
+    return fields
+
+
+def _facility_pids(plant) -> dict:
+    return {
+        "tower.fan_pid": plant.tower.fan_pid,
+        "tower.speed_pid": plant.tower.speed_pid,
+    }
+
+
+def _staging(plant) -> dict:
+    return {
+        "primary.pump_staging": plant.primary.pump_staging,
+        "tower.pump_staging": plant.tower.pump_staging,
+        "tower.cell_staging": plant.tower.cell_staging,
+    }
+
+
+def _scribble_facility(plant) -> None:
+    """Overwrite every kernel-owned primary/tower field on the graph."""
+    primary, tower = plant.primary, plant.tower
+    primary.pumps.n_running = tower.pumps.n_running = -1
+    primary.n_ehx = -1
+    for volume in (primary.supply, primary.return_,
+                   tower.supply, tower.return_):
+        volume.temp_c.fill(np.nan)
+    primary.pump_speed = primary.total_flow = np.nan
+    primary.ehx_heat_w = np.nan
+    tower.pump_speed = tower.total_flow = tower.fan_speed = np.nan
+    tower.htws_delay.y = np.nan
+    tower._prev_htws_c = None
+    for pid in _facility_pids(plant).values():
+        for a in (pid._integral, pid._prev_error, pid.output):
+            a.fill(np.nan)
+        pid._has_prev = not pid._has_prev
+    for ctl in _staging(plant).values():
+        ctl.count = -1
+        ctl._above_s = ctl._below_s = np.nan
+
+
+def _reachable_ids(root) -> set[int]:
+    """Ids of every instance, container and array reachable from
+    ``root`` (types and modules excluded)."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        stack.extend(
+            r for r in gc.get_referents(obj)
+            if not isinstance(r, (type, type(gc)))
+        )
+    return seen
+
+
+def _assert_same(after: dict, before: dict) -> None:
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(after[name], value, err_msg=name)
+        else:
+            assert type(after[name]) is type(value), name
+            assert after[name] == value, name
+
+
+def test_gather_then_write_back_round_trips_the_facility():
+    cooling = make_small_spec(num_cdus=N_CDUS, racks_per_cdu=1).cooling
+    fresh = CoolingPlant(cooling)
+    lane = _stepped_plant(cooling)
+    # Off the design dp, so the CTWP dwell timer is running.
+    lane.tower.pressure_setpoint_pa *= 0.2
+    heat = np.linspace(1.5e5, 6.0e5, N_CDUS)
+    for _ in range(8):
+        lane.step(heat, 21.0)
+    before = {
+        k: (v.copy() if isinstance(v, np.ndarray) else v)
+        for k, v in _facility_fields(lane).items()
+    }
+    fresh_fields = _facility_fields(fresh)
+    assert any(
+        not np.array_equal(before[k], fresh_fields[k])
+        for k in before if k != "tower._prev_htws_c"
+    )
+    assert before["tower.pump_staging._below_s"] > 0.0
+
+    kernel = BatchedPlantKernel([fresh, fresh])
+    kernel.gather(1, lane)
+    _scribble_facility(lane)
+    kernel.write_back([fresh, lane])
+
+    after = _facility_fields(lane)
+    _assert_same(after, before)
+    arrays = [v for v in after.values() if isinstance(v, np.ndarray)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+    owned = _reachable_ids(kernel)
+    graph = [*_facility_pids(lane).values(), *_staging(lane).values(), *arrays]
+    for obj in graph:
+        assert id(obj) not in owned
+    # The graph's controllers are the graph's own: scribbling them again
+    # leaves the kernel's copy intact.
+    _scribble_facility(lane)
+    kernel.write_back([fresh, lane])
+    _assert_same(_facility_fields(lane), before)

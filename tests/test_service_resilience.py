@@ -477,7 +477,7 @@ def test_deadline_expires_queued_and_running_jobs(spec, tmp_path, execution):
         client.cancel(blocker["id"])
         client.wait(blocker["id"])
         running = client.submit(
-            SyntheticScenario(duration_s=14400.0, with_cooling=True,
+            SyntheticScenario(duration_s=86400.0, with_cooling=True,
                               seed=13),
             use_cache=False,
             deadline_s=0.5,
