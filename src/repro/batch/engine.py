@@ -13,15 +13,14 @@ adds is the batched half:
   batch tail and the active lanes stay a contiguous prefix;
 - power: the runs whose trace-pool fingerprint changed this quantum are
   evaluated in one :class:`~repro.batch.power.BatchedPowerModel` call;
-- cooling: the coupled plants advance as one
-  :class:`~repro.batch.kernel.BatchedPlantKernel` macro step through
-  :func:`~repro.core.engine.resident_cooling` (the serial engine's
-  cooling path too), which holds every coupled lane's plant state for
-  the whole run, builds each step's cooling records in batch form and
-  writes the state back onto the component graphs when the run ends;
-- warmup: lanes with the same (chain, wet-bulb) warm once through
-  :func:`~repro.core.engine.warm_cooling` and replicate the warmed
-  snapshot, honoring ``twin.warm_cache`` (baseline chain only).
+- warmup and cooling: :func:`~repro.core.engine.lane_loop` itself, the
+  serial engine's driver too: lanes with the same (chain, wet-bulb)
+  warm once (``twin.warm_cache`` serving the baseline chain only), and
+  on the fused backend the coupled plants advance as one
+  :class:`~repro.batch.kernel.BatchedPlantKernel` macro step, held
+  resident for the whole run and written back onto the component
+  graphs when it ends; on the reference backend each lane's FMU steps
+  through ``do_step``.
 
 Each planned run (:meth:`~repro.scenarios.base.Scenario.plans`) is one
 lane: a what-if is two, the modified one carrying its own conversion
@@ -37,9 +36,9 @@ an earlier lane's run when their plans have the same memo-built jobs,
 resolved policy, duration, replay mode and chain, and no fault events
 (:func:`_run_key`).  Anything else runs alone.
 
-A batch is one system: every lane runs on ``twin.spec``, so the
-plant kernel's rows share one CDU count.  Scenarios a lane cannot
-represent — surrogate fidelity, a reference-backend twin, or scenario
+A batch is one system: every lane runs on ``twin.spec`` and its
+``cooling_backend``, so the plant kernel's rows share one CDU count.
+Scenarios a lane cannot represent — surrogate fidelity, or scenario
 classes overriding the run protocol (sweep containers) — fall back to
 ``scenario.run(twin)`` serially, so ``run_batched`` accepts any
 scenario list and always returns correct results, in the caller's
@@ -57,14 +56,11 @@ from repro.batch.power import BatchedPowerModel
 from repro.cooling.fmu import CoolingFMU
 from repro.core.engine import (
     COOLING_SUBSTEP_S,
-    WARMUP_COOLING_S,
     Lane,
     StepState,
     collect_steps,
     lane_loop,
     lane_runs,
-    resident_cooling,
-    warm_cooling,
 )
 from repro.obs.registry import get_registry
 from repro.scenarios.base import RunPlan, Scenario, WorkloadMemo
@@ -94,7 +90,9 @@ class _Lane(Lane):
         fmu = None
         if scenario.with_cooling:
             fmu = CoolingFMU(
-                spec.cooling, substep_s=COOLING_SUBSTEP_S, backend="fused"
+                spec.cooling,
+                substep_s=COOLING_SUBSTEP_S,
+                backend=twin.cooling_backend,
             )
             fmu.setup_experiment(start_time=0.0)
         #: Whether the lane follows another lane's electrical run.
@@ -157,10 +155,9 @@ def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
     """Whether a scenario can run as a batch lane.
 
     Lanes replicate the base ``Scenario.run`` protocol over a full-
-    fidelity :class:`~repro.core.engine.RapsEngine` with the fused
-    cooling backend (the plant kernel); anything that customizes
-    execution (sweep containers, surrogate fidelity, a reference-backend
-    twin) falls back to serial.
+    fidelity :class:`~repro.core.engine.RapsEngine`; anything that
+    customizes execution (sweep containers, surrogate fidelity) falls
+    back to serial.
     """
     cls = type(scenario)
     return (
@@ -168,7 +165,6 @@ def _laneable(scenario: Scenario, twin: DigitalTwin) -> bool:
         and cls.iter_steps is Scenario.iter_steps
         and cls.build_engine is Scenario.build_engine
         and scenario.effective_fidelity(twin) == "full"
-        and twin.cooling_backend == "fused"
     )
 
 
@@ -302,20 +298,19 @@ class BatchedEngine:
         power = BatchedPowerModel(
             self.twin.spec, [run.chain for run in runs]
         )
-        prof = self.profiler
-        coupled = [lane for lane in lanes if lane.fmu is not None]
-        cool = finish = None
-        if coupled:
-            t0 = perf_counter()
-            self._warmup(lanes, power)
-            cool, finish = resident_cooling(coupled, prof)
-            if prof is not None:
-                prof.add("warmup", perf_counter() - t0)
         reg = get_registry()
         lanes_gauge = (
             reg.gauge("repro_batch_lanes_active") if reg.enabled else None
         )
-        for active in lane_loop(lanes, power.evaluate, cool, profiler=prof):
+        loop = lane_loop(
+            lanes,
+            power.evaluate,
+            power.idle,
+            self.twin.spec,
+            warm_cache=self.twin.warm_cache,
+            profiler=self.profiler,
+        )
+        for active in loop:
             if lanes_gauge is not None:
                 lanes_gauge.set(len(active))
             for lane in active:
@@ -325,8 +320,6 @@ class BatchedEngine:
         self.power_evals = sum(run.power_evals for run in runs)
         self.power_reuses = sum(run.power_reuses for run in runs)
         self.shared_lanes = len(lanes) - len(runs)
-        if finish is not None:
-            finish()
         if reg.enabled:
             lane_steps = sum(lane.n_steps for lane in lanes)
             # Bulk fold at end of sweep; lanes bypass RapsEngine, so
@@ -339,29 +332,6 @@ class BatchedEngine:
             )
             reg.counter("repro_batch_shared_lanes_total").inc(
                 self.shared_lanes
-            )
-
-    def _warmup(self, lanes: list[_Lane], power: BatchedPowerModel) -> None:
-        """Shared cooling warmup: lanes sharing (chain, initial wet-bulb)
-        share one warmed plant state, so each group warms its first lane
-        and replicates the snapshot onto the rest.  The warm cache key
-        has no chain, so a modified chain bypasses it."""
-        groups: dict[tuple, list[_Lane]] = {}
-        for lane in lanes:
-            if lane.fmu is not None:
-                key = (id(lane.run.chain), lane.wb0)
-                groups.setdefault(key, []).append(lane)
-        cache = getattr(self.twin, "warm_cache", None)
-        for first, *rest in groups.values():
-            chain = first.run.chain
-            warm_cooling(
-                first.fmu,
-                self.twin.spec,
-                first.wb0,
-                WARMUP_COOLING_S,
-                lambda: power.idle_power(chain),
-                cache=cache if chain is None else None,
-                replicas=[lane.fmu for lane in rest],
             )
 
 

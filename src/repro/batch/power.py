@@ -21,24 +21,7 @@ gets its serial bits.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.power.system import PowerResult, SystemPowerModel
-
-
-class _PowerGroup:
-    """One power model shared by the lanes of one chain."""
-
-    def __init__(self, spec, chain) -> None:
-        self.model = SystemPowerModel(spec, chain=chain)
-        self._idle: PowerResult | None = None
-
-    def idle_power(self) -> PowerResult:
-        """The all-idle evaluation that seeds cooling warmup (serial)."""
-        if self._idle is None:
-            n = self.model.nodes.total_nodes
-            self._idle = self.model.evaluate(np.zeros(n), np.zeros(n))
-        return self._idle
 
 
 class BatchedPowerModel:
@@ -52,16 +35,17 @@ class BatchedPowerModel:
     """
 
     def __init__(self, spec, chains) -> None:
-        self._groups: dict[int, _PowerGroup] = {}
-        self.lane_group: list[_PowerGroup] = []
+        models: dict[int, SystemPowerModel] = {}
+        #: Each lane's power model (one per distinct chain).
+        self.lane_group: list[SystemPowerModel] = []
         for chain in chains:
-            if id(chain) not in self._groups:
-                self._groups[id(chain)] = _PowerGroup(spec, chain)
-            self.lane_group.append(self._groups[id(chain)])
+            if id(chain) not in models:
+                models[id(chain)] = SystemPowerModel(spec, chain=chain)
+            self.lane_group.append(models[id(chain)])
 
-    def idle_power(self, chain) -> PowerResult:
-        """The warmup idle evaluation on ``chain`` (cached per group)."""
-        return self._groups[id(chain)].idle_power()
+    def idle(self, lane: int) -> PowerResult:
+        """Lane ``lane``'s warmup idle evaluation (memoised per model)."""
+        return self.lane_group[lane].idle()
 
     def evaluate(
         self, lanes, cpu_rows, gpu_rows, slot_maps
@@ -73,13 +57,13 @@ class BatchedPowerModel:
         lane's node-to-slot map (-1: idle).  Returns one
         :class:`PowerResult` per requested lane, in order.
         """
-        by_group: dict[int, tuple[_PowerGroup, list[int]]] = {}
+        by_group: dict[int, tuple[SystemPowerModel, list[int]]] = {}
         for pos, lane in enumerate(lanes):
-            group = self.lane_group[lane]
-            by_group.setdefault(id(group), (group, []))[1].append(pos)
+            model = self.lane_group[lane]
+            by_group.setdefault(id(model), (model, []))[1].append(pos)
         out: list[PowerResult | None] = [None] * len(lanes)
-        for group, positions in by_group.values():
-            results = group.model.evaluate_lanes(
+        for model, positions in by_group.values():
+            results = model.evaluate_lanes(
                 [cpu_rows[pos] for pos in positions],
                 [gpu_rows[pos] for pos in positions],
                 [slot_maps[pos] for pos in positions],

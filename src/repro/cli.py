@@ -226,9 +226,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     mode = getattr(args, "mode", "direct")
     if mode != "direct" and args.cooling_backend != "fused":
-        # Batch lanes and service workers step the fused plant kernel.
+        # The batched profile splits out the fused kernel's phases
+        # (cooling.advance / cooling.records), and service workers run
+        # fused twins.
         raise ExaDigiTError(
-            f"--mode {mode} runs the fused plant kernel; profile "
+            f"--mode {mode} profiles the fused plant kernel; profile "
             "--cooling-backend reference with --mode direct"
         )
     if mode in ("direct", "batched"):

@@ -12,9 +12,11 @@ Couples the scheduler, the vectorized power model, and the cooling FMU:
 - the cooling FMU steps every 15 s with the per-CDU heat (paper: the
   cooling model is called every 15 s during the simulation).
 
-That per-quantum sequence is written once, in :func:`lane_loop`, over an
-active prefix of :class:`Lane`\\ s: :class:`RapsEngine` runs it with one
-lane, :class:`~repro.batch.engine.BatchedEngine` with B.
+The whole run is written once, in :func:`lane_loop`, over an active
+prefix of :class:`Lane`\\ s: it warms the coupled plants, runs that
+per-quantum sequence and syncs the FMUs when the run ends.
+:class:`RapsEngine` is its one-lane call and
+:class:`~repro.batch.engine.BatchedEngine` its B-lane call.
 
 A 24-hour Frontier replay runs in seconds (the paper's Modelica stack
 takes ~9 minutes with cooling).
@@ -23,6 +25,7 @@ takes ~9 minutes with cooling).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Iterator
 
@@ -576,12 +579,23 @@ def lane_runs(lanes: list[Lane]) -> list[ElectricalRun]:
 def lane_loop(
     lanes: list[Lane],
     evaluate,
-    cool=None,
+    idle,
+    spec: SystemSpec,
     *,
+    warmup_s: float = WARMUP_COOLING_S,
+    warm_cache=None,
     detect: bool = True,
     profiler=None,
 ) -> Iterator[list[Lane]]:
-    """Algorithm 1's per-quantum sequence, written once for B lanes.
+    """Algorithm 1 for B lanes, written once: warm, couple, sync.
+
+    Before the first quantum it warms the coupled lanes' plants: lanes
+    sharing (chain, initial wet-bulb) warm once through
+    :func:`warm_cooling` — ``idle(pid)`` giving run ``pid``'s idle
+    :class:`PowerResult`, ``warm_cache`` serving the baseline chain only
+    — and share the snapshot.  Fused plants are then held resident
+    through :func:`resident_cooling`; reference plants step through
+    their FMU's ``do_step`` / ``get_state`` (:func:`reference_cooling`).
 
     Each quantum it advances the schedule of every active electrical
     run (:func:`lane_runs`), fingerprints the run's trace pool and
@@ -589,11 +603,12 @@ def lane_loop(
     changed runs in one ``evaluate(ids, cpu_rows, gpu_rows, slot_maps)``
     call, ``ids`` being positions in ``lane_runs(lanes)``, the rows
     per-slot utilizations and the maps each run's node-to-slot map —
-    then steps cooling with one ``cool(t_sample, active)`` call
-    returning the records the coupled lanes index by ``row``, sets each
-    active lane's ``step`` and yields the active lanes.  Lanes sharing
-    a run share its schedule and power work; each keeps its own plant,
-    wet-bulb and steps.
+    then steps cooling, whose records the coupled lanes index by
+    ``row``, sets each active lane's ``step`` and yields the active
+    lanes.  Lanes sharing a run share its schedule and power work; each
+    keeps its own plant, wet-bulb and steps.  When the loop ends —
+    normally, on an error or by an early close — it closes every run's
+    schedule generator and syncs the FMUs to the steps taken.
 
     ``lanes`` are ordered longest-first so the lanes still running are
     always a prefix (the batched plant kernel requires it); a run's
@@ -601,100 +616,132 @@ def lane_loop(
     is :class:`RapsEngine`; B lanes are
     :class:`~repro.batch.engine.BatchedEngine`.  ``detect=False``
     evaluates every quantum (the change-detection oracle); a
-    ``profiler`` accumulates the schedule / power / cooling / collect
-    phases.
+    ``profiler`` accumulates the warmup / schedule / power / cooling /
+    collect phases.
     """
     quanta = TRACE_QUANTA_S
     prof = profiler
     runs = lane_runs(lanes)
     records = ()
-    n_active = len(lanes)
-    n_live = len(runs)
-    for k in range(lanes[0].n_steps):
-        while lanes[n_active - 1].n_steps <= k:
-            n_active -= 1
-        while runs[n_live - 1].n_steps <= k:
-            n_live -= 1
-        active = lanes[:n_active]
-        live = runs[:n_live]
-        t_sample = k * quanta
-        t0 = perf_counter() if prof is not None else 0.0
-        for run in live:
-            next(run.gen)
-        if prof is not None:
-            prof.add("schedule", perf_counter() - t0)
+    cool = finish = None
+    try:
+        coupled = [lane for lane in lanes if lane.fmu is not None]
+        if coupled:
             t0 = perf_counter()
-
-        # --- power at the quantum boundary (vectorized over nodes),
-        # reusing a run's previous result when nothing in its trace
-        # pool changed.
-        changed: list[int] = []
-        cpu_rows: list[np.ndarray] = []
-        gpu_rows: list[np.ndarray] = []
-        slot_maps: list[np.ndarray] = []
-        for pid, run in enumerate(live):
-            events, slot_cpu, slot_gpu = run.pool.slot_fingerprint(
-                t_sample, quanta
-            )
-            if (
-                detect
-                and run.result is not None
-                and events == run.last_events
-                and np.array_equal(slot_cpu, run.last_cpu)
-                and np.array_equal(slot_gpu, run.last_gpu)
-            ):
-                run.power_reuses += 1
-                continue
-            changed.append(pid)
-            cpu_rows.append(slot_cpu)
-            gpu_rows.append(slot_gpu)
-            slot_maps.append(run.slot_of_node)
-            run.last_events = events
-            run.last_cpu = slot_cpu
-            run.last_gpu = slot_gpu
-        if changed:
-            results = evaluate(changed, cpu_rows, gpu_rows, slot_maps)
-            for pid, result in zip(changed, results):
-                runs[pid].result = result
-                runs[pid].power_evals += 1
-        if prof is not None:
-            prof.add("power", perf_counter() - t0)
-            t0 = perf_counter()
-
-        # --- cooling step (15 s coupling, Algorithm 1 line 23).
-        if cool is not None:
-            records = cool(t_sample, active)
+            groups: dict[tuple, list[Lane]] = {}
+            for lane in coupled:
+                key = (id(lane.run.chain), lane.wb0)
+                groups.setdefault(key, []).append(lane)
+            for first, *rest in groups.values():
+                # The cache key has no chain, and a chain override
+                # changes the idle heat the warmup runs at: only the
+                # baseline chain shares warmed state through the cache.
+                warm_cooling(
+                    first.fmu,
+                    spec,
+                    first.wb0,
+                    warmup_s,
+                    partial(idle, runs.index(first.run)),
+                    cache=warm_cache if first.run.chain is None else None,
+                    replicas=[lane.fmu for lane in rest],
+                )
+            if coupled[0].fmu.backend == "fused":
+                cool, finish = resident_cooling(coupled, prof)
+            else:
+                cool = reference_cooling(coupled)
             if prof is not None:
-                prof.add("cooling", perf_counter() - t0)
+                prof.add("warmup", perf_counter() - t0)
+        n_active = len(lanes)
+        n_live = len(runs)
+        for k in range(lanes[0].n_steps):
+            while lanes[n_active - 1].n_steps <= k:
+                n_active -= 1
+            while runs[n_live - 1].n_steps <= k:
+                n_live -= 1
+            active = lanes[:n_active]
+            live = runs[:n_live]
+            t_sample = k * quanta
+            t0 = perf_counter() if prof is not None else 0.0
+            for run in live:
+                next(run.gen)
+            if prof is not None:
+                prof.add("schedule", perf_counter() - t0)
+                t0 = perf_counter()
 
-        for lane in active:
-            run = lane.run
-            result = run.result
-            lane.step = StepState(
-                index=k,
-                time_s=t_sample,
-                system_power_w=result.system_power_w,
-                loss_w=result.loss_w,
-                sivoc_loss_w=result.sivoc_loss_w,
-                rectifier_loss_w=result.rectifier_loss_w,
-                chain_efficiency=result.chain_efficiency,
-                utilization=run.scheduler.utilization,
-                num_running=run.scheduler.num_running,
-                cdu_power_w=result.cdu_power_w,
-                cdu_heat_w=result.cdu_heat_w,
-                cooling=records[lane.row] if lane.row >= 0 else {},
-            )
-        if prof is None:
-            yield active
-        else:
-            t0 = perf_counter()
-            yield active
-            prof.add("collect", perf_counter() - t0)
-    # Release the suspended schedule generators: a coupled lane's
-    # blockage callback refers back to the lane, so an open generator
-    # would keep every lane (and its recorded steps) alive in a cycle.
-    for run in runs:
-        run.gen.close()
+            # --- power at the quantum boundary (vectorized over nodes),
+            # reusing a run's previous result when nothing in its trace
+            # pool changed.
+            changed: list[int] = []
+            cpu_rows: list[np.ndarray] = []
+            gpu_rows: list[np.ndarray] = []
+            slot_maps: list[np.ndarray] = []
+            for pid, run in enumerate(live):
+                events, slot_cpu, slot_gpu = run.pool.slot_fingerprint(
+                    t_sample, quanta
+                )
+                if (
+                    detect
+                    and run.result is not None
+                    and events == run.last_events
+                    and np.array_equal(slot_cpu, run.last_cpu)
+                    and np.array_equal(slot_gpu, run.last_gpu)
+                ):
+                    run.power_reuses += 1
+                    continue
+                changed.append(pid)
+                cpu_rows.append(slot_cpu)
+                gpu_rows.append(slot_gpu)
+                slot_maps.append(run.slot_of_node)
+                run.last_events = events
+                run.last_cpu = slot_cpu
+                run.last_gpu = slot_gpu
+            if changed:
+                results = evaluate(changed, cpu_rows, gpu_rows, slot_maps)
+                for pid, result in zip(changed, results):
+                    runs[pid].result = result
+                    runs[pid].power_evals += 1
+            if prof is not None:
+                prof.add("power", perf_counter() - t0)
+                t0 = perf_counter()
+
+            # --- cooling step (15 s coupling, Algorithm 1 line 23).
+            if cool is not None:
+                records = cool(t_sample, active)
+                if prof is not None:
+                    prof.add("cooling", perf_counter() - t0)
+
+            for lane in active:
+                run = lane.run
+                result = run.result
+                lane.step = StepState(
+                    index=k,
+                    time_s=t_sample,
+                    system_power_w=result.system_power_w,
+                    loss_w=result.loss_w,
+                    sivoc_loss_w=result.sivoc_loss_w,
+                    rectifier_loss_w=result.rectifier_loss_w,
+                    chain_efficiency=result.chain_efficiency,
+                    utilization=run.scheduler.utilization,
+                    num_running=run.scheduler.num_running,
+                    cdu_power_w=result.cdu_power_w,
+                    cdu_heat_w=result.cdu_heat_w,
+                    cooling=records[lane.row] if lane.row >= 0 else {},
+                )
+            if prof is None:
+                yield active
+            else:
+                t0 = perf_counter()
+                yield active
+                prof.add("collect", perf_counter() - t0)
+    finally:
+        # Release the suspended schedule generators: a coupled lane's
+        # blockage callback refers back to the lane, so an open
+        # generator would keep every lane (and its recorded steps)
+        # alive in a cycle.
+        for run in runs:
+            run.gen.close()
+        if finish is not None:
+            finish()
 
 
 def warm_cooling(
@@ -822,6 +869,37 @@ def resident_cooling(lanes: list[Lane], profiler=None):
     return cool, finish
 
 
+def reference_cooling(lanes: list[Lane]):
+    """:func:`lane_loop`'s cooling section for reference-backend plants.
+
+    Each active coupled lane's FMU takes the lane's heat, wet-bulb and
+    system power and steps through ``do_step``, and its ``get_state``
+    is the lane's record, so every FMU is in sync after each step.
+    """
+    for row, lane in enumerate(lanes):
+        lane.row = row
+
+    def cool(t_sample: float, active: list[Lane]) -> list[dict]:
+        records = []
+        for lane in active:
+            if lane.row < 0:
+                continue
+            fmu, result = lane.fmu, lane.run.result
+            fmu.set_cdu_heat(result.cdu_heat_w)
+            fmu.set_wetbulb(lane.wetbulb_at(t_sample))
+            fmu.set_system_power(result.system_power_w)
+            fmu.do_step(fmu.time, TRACE_QUANTA_S)
+            state = fmu.get_state()
+            # PlantState fields are freshly allocated by each plant
+            # step, so recording can alias them directly.
+            records.append(
+                {key: getattr(state, key) for key in DEFAULT_COOLING_RECORD}
+            )
+        return records
+
+    return cool
+
+
 class StreamingEngine:
     """The streaming engine protocol every fidelity implements.
 
@@ -896,6 +974,7 @@ class RapsEngine(StreamingEngine):
         cached, the cooling warmup restores it instead of re-stepping
         the plant — bit-identical, since warmup is deterministic —
         and a miss stores the freshly warmed state for the next run.
+        Only baseline-chain runs use it (see :func:`lane_loop`).
     cooling_backend:
         Plant stepping backend for the coupled cooling FMU: the fused
         flat-array kernel (``"fused"``, default) or the reference
@@ -920,11 +999,8 @@ class RapsEngine(StreamingEngine):
         profiler=None,
     ) -> None:
         self.spec = spec
-        # A chain override changes the idle heat the warmup runs at, so
-        # its warmed state must not be shared with baseline runs: the
-        # cache key is (spec, wetbulb, warmup, substep) only, and
-        # what-if engines simply bypass the cache.
-        self.warm_cache = warm_cache if chain is None else None
+        self.chain = chain
+        self.warm_cache = warm_cache
         self.power = SystemPowerModel(spec, chain=chain)
         self.scheduler = SchedulerEngine(
             spec.total_nodes,
@@ -950,10 +1026,6 @@ class RapsEngine(StreamingEngine):
         #: Per-run counters (set as each iter_steps run ends).
         self.power_evals = 0
         self.power_reuses = 0
-        # The idle PowerResult that seeds every cooling warmup is a pure
-        # function of the spec/chain: computed once per engine, reused
-        # across runs.
-        self._idle_power: PowerResult | None = None
 
     # -- main loop ------------------------------------------------------------
 
@@ -982,59 +1054,32 @@ class RapsEngine(StreamingEngine):
         :class:`~repro.core.events.FaultEvent`\\ s (node outages, CDU
         blockages) applied while the run advances.
 
-        The run is the one-lane case of :func:`lane_loop`: power through
-        :class:`~repro.power.system.SystemPowerModel`; cooling, on the
-        fused backend, through :func:`resident_cooling` as in
-        :class:`~repro.batch.engine.BatchedEngine` (the FMU is synced
-        when the run ends, early close included), and on the reference
-        backend through the FMU's ``do_step`` / ``get_state``.
+        The run is the one-lane call of :func:`lane_loop`, with power
+        through :class:`~repro.power.system.SystemPowerModel`; on the
+        fused backend the FMU is synced when the run ends (early close
+        included), on the reference backend after every step.
         """
         fmu = self.fmu
-        lane = Lane(self.scheduler, jobs, duration_s, wetbulb, events, fmu)
+        lane = Lane(
+            self.scheduler, jobs, duration_s, wetbulb, events, fmu,
+            chain=self.chain,
+        )
         prof = self.profiler
         if prof is not None:
             prof.begin_run()
-        cool = finish = None
         if fmu is not None:
             if fmu.state is not FmuState.INSTANTIATED:
                 fmu.reset()  # allow repeated runs on one engine
             fmu.setup_experiment(start_time=0.0)
-            t0 = perf_counter() if prof is not None else 0.0
-            warm_cooling(
-                fmu,
-                self.spec,
-                lane.wb0,
-                warmup_cooling_s,
-                self._idle,
-                cache=self.warm_cache,
-            )
-            if fmu.backend == "fused":
-                cool, finish = resident_cooling([lane], prof)
-            else:
-                lane.row = 0
-                run = lane.run
-
-                def cool(t_sample: float, active: list[Lane]) -> tuple[dict]:
-                    fmu.set_cdu_heat(run.result.cdu_heat_w)
-                    fmu.set_wetbulb(lane.wetbulb_at(t_sample))
-                    fmu.set_system_power(run.result.system_power_w)
-                    fmu.do_step(fmu.time, TRACE_QUANTA_S)
-                    state = fmu.get_state()
-                    # PlantState fields are freshly allocated by each
-                    # plant step, so recording can alias them directly.
-                    return (
-                        {key: getattr(state, key)
-                         for key in DEFAULT_COOLING_RECORD},
-                    )
-            if prof is not None:
-                prof.add("warmup", perf_counter() - t0)
-
         loop = lane_loop(
             [lane],
             lambda ids, cpu_rows, gpu_rows, slot_maps: (
                 self.power.evaluate(cpu_rows[0], gpu_rows[0], slot_maps[0]),
             ),
-            cool,
+            lambda pid: self.power.idle(),
+            self.spec,
+            warmup_s=warmup_cooling_s,
+            warm_cache=self.warm_cache,
             detect=self.power_change_detection,
             profiler=prof,
         )
@@ -1043,11 +1088,6 @@ class RapsEngine(StreamingEngine):
                 yield lane.step
         finally:
             loop.close()
-            # An early close leaves the schedule generator suspended, and
-            # its blockage callback refers back to the lane.
-            lane.run.gen.close()
-            if finish is not None:
-                finish()
             self.power_evals = lane.run.power_evals
             self.power_reuses = lane.run.power_reuses
             steps_done = 0 if lane.step is None else lane.step.index + 1
@@ -1075,17 +1115,6 @@ class RapsEngine(StreamingEngine):
                     for phase, secs in prof.last_run["phases"].items():
                         fam.labels(phase=phase).inc(secs)
 
-    # -- helpers ------------------------------------------------------------------
-
-    def _idle(self) -> PowerResult:
-        """The idle PowerResult seeding every cooling warmup: a pure
-        function of the spec/chain, computed once per engine and reused
-        across runs."""
-        if self._idle_power is None:
-            n = self.power.nodes.total_nodes
-            self._idle_power = self.power.evaluate(np.zeros(n), np.zeros(n))
-        return self._idle_power
-
 
 __all__ = [
     "RapsEngine",
@@ -1100,6 +1129,7 @@ __all__ = [
     "lane_runs",
     "drive_schedule",
     "resident_cooling",
+    "reference_cooling",
     "lane_loop",
     "collect_steps",
     "warm_cooling",

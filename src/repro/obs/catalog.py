@@ -60,8 +60,9 @@ METRICS: dict[str, dict] = {
     },
     "repro_batch_padded_lane_steps_total": {
         "kind": "counter",
-        "help": "Padded (idle) lane-steps: allocated lanes minus active "
-                "lanes, summed over quanta — the vectorization waste.",
+        "help": "Lane-steps a batch did not run: B times the longest "
+                "lane's steps, minus the steps the lanes ran (a finished "
+                "lane leaves the active prefix and costs no work).",
     },
     "repro_batch_shared_lanes_total": {
         "kind": "counter",

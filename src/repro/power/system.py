@@ -194,6 +194,7 @@ class SystemPowerModel:
         self._total_switch_w = float(np.sum(t.switch_power_per_rack_w))
         self._cdu_pump_total_w = spec.power.cdu_pump_power_w * t.num_cdus
         self._rows = 0
+        self._idle: PowerResult | None = None
 
     def _offset_maps(self, K: int) -> tuple[np.ndarray, ...]:
         """Flattened lane-offset (chassis, rack, CDU) maps for at least
@@ -295,6 +296,14 @@ class SystemPowerModel:
             for i in range(K)
         ]
 
+    def idle(self) -> PowerResult:
+        """Every node idle: the evaluation that seeds each cooling
+        warmup, computed once per model."""
+        if self._idle is None:
+            n = self.nodes.total_nodes
+            self._idle = self.evaluate(np.zeros(n), np.zeros(n))
+        return self._idle
+
     def evaluate_uniform(self, cpu_util: float, gpu_util: float) -> PowerResult:
         """Every node at the same utilization (Table III verification)."""
         n = self.nodes.total_nodes
@@ -306,7 +315,7 @@ class SystemPowerModel:
 
     def idle_power_w(self) -> float:
         """System power with all nodes idle (Table III row 1)."""
-        return self.evaluate_uniform(0.0, 0.0).system_power_w
+        return self.idle().system_power_w
 
     def peak_power_w(self) -> float:
         """System power with all nodes at 100 % (Table III row 3)."""

@@ -65,7 +65,6 @@ class Campaign:
         *,
         surrogates=None,
         warm_cache=None,
-        cooling_backend: str = "fused",
     ) -> None:
         self.store = store
         self.cells: list[Scenario] = store.cells()
@@ -73,7 +72,6 @@ class Campaign:
             store.system_spec(),
             surrogates=surrogates,
             warm_cache=warm_cache,
-            cooling_backend=cooling_backend,
         )
 
     # -- construction ----------------------------------------------------------
@@ -88,7 +86,6 @@ class Campaign:
         name: str | None = None,
         surrogates=None,
         warm_cache=None,
-        cooling_backend: str = "fused",
     ) -> "Campaign":
         """Start a new campaign directory from declared scenarios.
 
@@ -100,12 +97,7 @@ class Campaign:
         store = CampaignStore.create(
             path, list(scenarios), twin.spec, name=name
         )
-        return cls(
-            store,
-            surrogates=surrogates,
-            warm_cache=warm_cache,
-            cooling_backend=cooling_backend,
-        )
+        return cls(store, surrogates=surrogates, warm_cache=warm_cache)
 
     @classmethod
     def open(
@@ -114,14 +106,12 @@ class Campaign:
         *,
         surrogates=None,
         warm_cache=None,
-        cooling_backend: str = "fused",
     ) -> "Campaign":
         """Attach to an existing campaign directory."""
         return cls(
             CampaignStore.open(path),
             surrogates=surrogates,
             warm_cache=warm_cache,
-            cooling_backend=cooling_backend,
         )
 
     # -- state -----------------------------------------------------------------

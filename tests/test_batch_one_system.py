@@ -1,12 +1,13 @@
-"""A batch is one system on the fused plant kernel: the guards.
+"""A batch is one system: the guards.
 
 - :class:`~repro.batch.kernel.BatchedPlantKernel` rows share one plant
   layout and one set of plant constants, so plants with different CDU
   counts, or of one layout but different ``CoolingSpec``, are refused;
-- a reference-backend twin's cells never become lanes (lanes step the
-  fused kernel): ``run_batched`` runs them serially, and ``repro
+- a reference-backend twin's cells run as lanes on the reference plant,
+  never on the fused kernel, and equal their solo reference runs; ``repro
   profile`` refuses ``--cooling-backend reference`` in the modes that
-  run lanes (``batched``, and ``serve``, whose workers run lanes).
+  profile the fused kernel (``batched``, and ``serve``, whose workers
+  run fused twins).
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import dataclasses
 
 import pytest
 
-import repro.batch.engine as batch_engine
 from repro.batch import run_batched
 from repro.batch.kernel import BatchedPlantKernel
 from repro.cli import main as cli_main
 from repro.cooling.plant import CoolingPlant
 from repro.exceptions import CoolingModelError
 from repro.scenarios import DigitalTwin, SyntheticScenario
+from repro.scenarios.generated import GeneratedScenario
+from repro.workloads import DiurnalWorkload, FaultInjection
 from tests.conftest import assert_bitidentical, make_small_spec
 
 
@@ -46,21 +48,44 @@ def test_kernel_rejects_mixed_specs_of_one_layout():
         BatchedPlantKernel([CoolingPlant(cooling), CoolingPlant(retuned)])
 
 
-def test_reference_twin_cell_runs_serially(monkeypatch):
+def test_reference_twin_cells_run_as_lanes(monkeypatch):
+    """Three reference-twin cells of mixed durations: two share a
+    wet-bulb (one warm group of two lanes), and one has a CDU blockage.
+    The batch never steps the fused kernel, and every cell equals its
+    solo reference run bit for bit."""
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a reference-backend lane stepped the kernel")
+
+    monkeypatch.setattr(BatchedPlantKernel, "advance", no_kernel)
     spec = make_small_spec()
-    scenario = SyntheticScenario(
-        name="reference-cell", duration_s=600.0, seed=3, wetbulb_c=14.0
-    )
-    serial = scenario.run(DigitalTwin(spec, cooling_backend="reference"))
-
-    def no_lane(*args, **kwargs):
-        raise AssertionError("a reference-backend cell was built as a lane")
-
-    monkeypatch.setattr(batch_engine, "_Lane", no_lane)
-    (batched,) = run_batched(
-        [scenario], DigitalTwin(spec, cooling_backend="reference")
-    )
-    assert_bitidentical(batched, serial, label="reference cell")
+    twin = DigitalTwin(spec, cooling_backend="reference")
+    scenarios = [
+        SyntheticScenario(
+            name="short", duration_s=300.0, seed=3, wetbulb_c=14.0
+        ),
+        SyntheticScenario(
+            name="long", duration_s=600.0, seed=4, wetbulb_c=14.0
+        ),
+        GeneratedScenario(
+            name="blocked",
+            duration_s=450.0,
+            workload=DiurnalWorkload(seed=3, mean_arrival_s=60.0),
+            faults=FaultInjection(
+                seed=3,
+                node_mtbf_s=1e9,
+                cdu_blockage_time_s=200.0,
+                cdu_index=1,
+                cdu_blockage_severity=3.0,
+            ),
+            wetbulb_c=18.0,
+        ),
+    ]
+    batched = run_batched(scenarios, twin)
+    for scenario, result in zip(scenarios, batched):
+        assert_bitidentical(
+            result, scenario.run(twin), label=f"reference {scenario.name}"
+        )
 
 
 @pytest.mark.parametrize("mode", ["batched", "serve"])

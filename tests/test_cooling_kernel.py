@@ -1,7 +1,9 @@
 """Fused-kernel equivalence: the fused backend against the reference oracle.
 
-The fused plant backend (:mod:`repro.cooling.kernel`) claims
-bit-identity with the reference object graph.  These tests hold it to
+The fused plant backend (the one-lane
+:class:`~repro.batch.kernel.BatchedPlantKernel` behind
+``CoolingPlant(backend="fused")``) claims bit-identity with the
+reference object graph.  These tests hold it to
 that claim at every level: per-substep state agreement, full-output
 agreement across the Fig. 7/8 scenario set (synthetic, benchmark
 sequence, variable wet-bulb replay), the CDU-blockage what-if, and

@@ -78,12 +78,12 @@ class TestPowerChangeDetection:
 class TestIdlePowerMemo:
     def test_idle_result_computed_once_per_engine(self, small_spec):
         engine = RapsEngine(small_spec)
-        assert engine._idle_power is None
+        assert engine.power._idle is None
         engine.run([], 600.0)
-        first = engine._idle_power
+        first = engine.power._idle
         assert first is not None
         engine.run([], 600.0)
-        assert engine._idle_power is first  # memo, not recomputed
+        assert engine.power._idle is first  # memo, not recomputed
 
     def test_run_results_stable_across_reuse(self, small_spec):
         engine = RapsEngine(small_spec)

@@ -115,7 +115,7 @@ class TestNanGuard:
 
         spec = frontier_spec()
         power = BatchedPowerModel(spec, [None, None])
-        n = power.lane_group[0].model.nodes.total_nodes
+        n = power.lane_group[0].nodes.total_nodes
         slot_of_node = np.zeros(n, dtype=np.int64)
         ok = np.array([0.5])
         with pytest.raises(PowerModelError, match="\\[0, 1\\]"):

@@ -260,14 +260,17 @@ def test_warm_cache_bypassed_under_chain_overrides(small_spec):
     from repro.core.whatif import _make_chain
 
     cache = WarmStateCache()
-    baseline = RapsEngine(small_spec, warm_cache=cache)
-    assert baseline.warm_cache is cache
     modified = RapsEngine(
         small_spec,
         chain=_make_chain(small_spec, "direct-dc"),
         warm_cache=cache,
     )
-    assert modified.warm_cache is None
+    modified.run([], 300.0)
+    assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
+    RapsEngine(small_spec, warm_cache=cache).run([], 300.0)
+    assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+    RapsEngine(small_spec, warm_cache=cache).run([], 300.0)
+    assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
 
 def test_warm_cache_spec_memo_checks_identity(small_spec):
