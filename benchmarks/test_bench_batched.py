@@ -12,11 +12,18 @@ Guard ratios follow the BENCH_core.json rules: interleaved measurement
 rounds, per-process CPU-time minima (hardware-independent to first
 order), baseline rewritten only on first creation or under
 ``REPRO_BENCH_UPDATE=1``.
+
+Beside the guard, the file records the batched engine's cells/s at
+B = 1, 16 and 64 (``cells_per_s_by_width``, with its git rev): the
+curve the kernel's two facility forms shape (per-lane floats below
+``STACKED_MIN_LANES`` lanes, ``(B,)`` arrays from there).  Those rows
+are recorded, not gated, under the same rewrite rule.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -38,6 +45,9 @@ _BENCH_JSON = bench_json_path("batched")
 
 #: Lanes per batch — the acceptance grid's widest width.
 BATCH = 16
+#: Batch widths of the recorded cells/s curve.
+WIDTHS = (1, 16, 64)
+WIDTH_KEY = "cells_per_s_by_width"
 #: Simulated span per cell — the same 0.5 h cells BENCH_core.json
 #: uses for its campaign-throughput row.  Coupled cells pay an 1800 s
 #: plant warmup, which the serial loop repeats B times and the batch
@@ -45,7 +55,7 @@ BATCH = 16
 CELL_HOURS = 0.5
 
 
-def _scenarios():
+def _scenarios(batch=BATCH):
     """B coupled cells of one campaign row: same plant and weather
     (so the batch shares a single warmup group), distinct workloads."""
     return [
@@ -55,7 +65,7 @@ def _scenarios():
             seed=v,
             wetbulb_c=15.0,
         )
-        for v in range(BATCH)
+        for v in range(batch)
     ]
 
 
@@ -68,8 +78,8 @@ def _timed_serial(spec):
     return time.perf_counter() - t0, cpu, results
 
 
-def _timed_batched(spec):
-    scenarios = _scenarios()
+def _timed_batched(spec, batch=BATCH):
+    scenarios = _scenarios(batch)
     engine = BatchedEngine(scenarios, DigitalTwin(spec))
     t0 = time.perf_counter()
     c0 = time.process_time()
@@ -137,4 +147,39 @@ def test_bench_batched_trajectory(spec):
     # --- machine-independent regression guard vs the committed
     # baseline, then self-seed / refresh the trajectory of record.
     check_ratio(baseline, "batched_vs_serial_speedup", speedup)
+    if baseline and WIDTH_KEY in baseline:
+        doc[WIDTH_KEY] = baseline[WIDTH_KEY]
     record_trajectory(_BENCH_JSON, doc, baseline)
+
+
+@pytest.mark.slow
+def test_bench_batched_cells_per_s_by_width(spec):
+    """Batched cells/s from B = 1 to B = 64, recorded with the git rev.
+
+    Bit-identity first: two lanes of the widest batch equal their solo
+    serial runs.  Each width's wall time is the minimum of two runs.
+    """
+    widest = BatchedEngine(_scenarios(max(WIDTHS)), DigitalTwin(spec)).run()
+    for i, scenario in enumerate(_scenarios(2)):
+        assert_bitidentical(
+            widest[i], scenario.run(DigitalTwin(spec)), label=f"lane {i}"
+        )
+
+    cells_per_s = {}
+    for width in WIDTHS:
+        wall = min(_timed_batched(spec, width)[0] for _ in range(2))
+        cells_per_s[str(width)] = round(width / wall, 3)
+    rows = {
+        "system": spec.name,
+        "cell_hours": CELL_HOURS,
+        "cells_per_s": cells_per_s,
+        "git_rev": git_revision(),
+    }
+    emit("BATCHED CELLS/S BY WIDTH", json.dumps(rows, indent=2))
+
+    baseline = load_baseline(_BENCH_JSON) or {}
+    if WIDTH_KEY not in baseline or os.environ.get("REPRO_BENCH_UPDATE") == "1":
+        baseline[WIDTH_KEY] = rows
+        with open(_BENCH_JSON, "w", encoding="utf-8") as fh:
+            json.dump(baseline, fh, indent=1)
+            fh.write("\n")

@@ -2,9 +2,11 @@
 
 The plant kernel (:mod:`repro.batch.kernel`) holds each plant's CDU
 bank as one row of arrays with a leading batch axis, and its facility
-half (primary and tower loops) as a per-lane record of Python floats
-beside it, with every plant constant held once, so *B* independent
-scenarios of one system advance together.  The
+half (primary and tower loops) beside it — a per-lane record of Python
+floats in a narrow kernel, ``(B,)`` arrays from
+:data:`~repro.batch.kernel.STACKED_MIN_LANES` lanes — with every plant
+constant held once, so *B* independent scenarios of one system advance
+together.  The
 contract is **bit-identity** per lane against the serial engine and the
 reference plant — batching is an overhead eliminator, never a
 different model.

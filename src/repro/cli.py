@@ -225,13 +225,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         with_cooling=not args.no_cooling,
     )
     mode = getattr(args, "mode", "direct")
-    if mode != "direct" and args.cooling_backend != "fused":
-        # The batched profile splits out the fused kernel's phases
-        # (cooling.advance / cooling.records), and service workers run
-        # fused twins.
+    if mode == "serve" and args.cooling_backend != "fused":
+        # Service workers run fused twins.
         raise ExaDigiTError(
-            f"--mode {mode} profiles the fused plant kernel; profile "
-            "--cooling-backend reference with --mode direct"
+            "--mode serve profiles the fused plant kernel; profile "
+            "--cooling-backend reference with --mode direct or batched"
         )
     if mode in ("direct", "batched"):
         from repro.core.profiling import PhaseProfiler
@@ -253,7 +251,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         from repro.batch import BatchedEngine
         from repro.obs import MetricsRegistry, use_registry
 
-        twin = DigitalTwin(args.system)
+        twin = DigitalTwin(args.system, cooling_backend=args.cooling_backend)
         with use_registry(MetricsRegistry()) as reg:
             engine = BatchedEngine([scenario], twin)
             engine.profiler = profiler

@@ -5,14 +5,15 @@
   counts, or of one layout but different ``CoolingSpec``, are refused;
 - a reference-backend twin's cells run as lanes on the reference plant,
   never on the fused kernel, and equal their solo reference runs; ``repro
-  profile`` refuses ``--cooling-backend reference`` in the modes that
-  profile the fused kernel (``batched``, and ``serve``, whose workers
-  run fused twins).
+  profile --mode batched`` profiles such a twin's lanes, and only
+  ``--mode serve`` (whose workers run fused twins) refuses
+  ``--cooling-backend reference``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -88,7 +89,21 @@ def test_reference_twin_cells_run_as_lanes(monkeypatch):
         )
 
 
-@pytest.mark.parametrize("mode", ["batched", "serve"])
+def test_batched_profile_runs_on_the_reference_backend(capsys):
+    rc = cli_main(
+        [
+            "profile", "--system", "marconi100", "--hours", "0.05",
+            "--mode", "batched", "--cooling-backend", "reference",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mode"] == "batched"
+    assert doc["cooling_backend"] == "reference"
+    assert doc["lane_steps"] == doc["steps"] > 0
+
+
+@pytest.mark.parametrize("mode", ["serve"])
 def test_fused_only_profiles_reject_reference_backend(mode, capsys):
     rc = cli_main(
         [

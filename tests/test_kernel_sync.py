@@ -6,7 +6,9 @@ a gather followed by a write-back with no advance must leave every
 CDU-bank field bit-equal, with fresh arrays that alias neither the rows
 nor each other.  The facility half (primary and tower loops, their
 scalar PIDs and staging controllers) lives in the same kernel and must
-round-trip the same way, sharing no object with the graph.
+round-trip the same way, sharing no object with the graph, in both of
+its forms (per-lane records below :data:`STACKED_MIN_LANES` lanes,
+``(B,)`` arrays from there).
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ import gc
 import numpy as np
 import pytest
 
-from repro.batch.kernel import BatchedPlantKernel
+from repro.batch.kernel import (
+    STACKED_MIN_LANES,
+    BatchedPlantKernel,
+    _ScalarFacility,
+    _StackedFacility,
+)
 from repro.cooling.plant import CoolingPlant
 from repro.exceptions import CoolingModelError
 from tests.conftest import make_small_spec
@@ -255,3 +262,43 @@ def test_gather_then_write_back_round_trips_the_facility():
     _scribble_facility(lane)
     kernel.write_back([fresh, lane])
     _assert_same(_facility_fields(lane), before)
+
+
+@pytest.mark.parametrize(
+    "lanes, form",
+    [(2, _ScalarFacility), (STACKED_MIN_LANES, _StackedFacility)],
+    ids=["scalar", "stacked"],
+)
+def test_facility_round_trips_in_both_forms(lanes, form):
+    """A stepped lane and a never-stepped one (``_prev_htws_c`` None,
+    PID ``_has_prev`` False) both come back exactly, types included."""
+    cooling = make_small_spec(num_cdus=N_CDUS, racks_per_cdu=1).cooling
+    fresh = CoolingPlant(cooling)
+    never_stepped = _facility_fields(CoolingPlant(cooling))
+    assert never_stepped["tower._prev_htws_c"] is None
+    assert never_stepped["tower.fan_pid._has_prev"] is False
+    lane = _stepped_plant(cooling)
+    lane.tower.pressure_setpoint_pa *= 0.2
+    heat = np.linspace(1.5e5, 6.0e5, N_CDUS)
+    for _ in range(8):
+        lane.step(heat, 21.0)
+    before = {
+        k: (v.copy() if isinstance(v, np.ndarray) else v)
+        for k, v in _facility_fields(lane).items()
+    }
+    assert before["tower.pump_staging._below_s"] > 0.0
+
+    kernel = BatchedPlantKernel([fresh] * lanes)
+    assert type(kernel.facility) is form
+    kernel.gather(1, lane)
+    target = CoolingPlant(cooling)
+    _scribble_facility(lane)
+    _scribble_facility(target)
+    target.tower._prev_htws_c = 1.0
+    kernel.write_back([target, lane] + [fresh] * (lanes - 2))
+
+    _assert_same(_facility_fields(lane), before)
+    _assert_same(_facility_fields(target), never_stepped)
+    owned = _reachable_ids(kernel)
+    for obj in (*_facility_pids(lane).values(), *_staging(lane).values()):
+        assert id(obj) not in owned
