@@ -24,10 +24,12 @@ adds is the batched half:
 
 Each planned run (:meth:`~repro.scenarios.base.Scenario.plans`) is one
 lane: a what-if is two, the modified one carrying its own conversion
-chain.  Every lane's :class:`~repro.core.engine.StepState` stream is
-**bit-identical** to the matching serial ``scenario.run(twin)`` run;
-the differential test suite (`tests/test_batch_differential.py`)
-enforces exactness across the scenario library.
+chain.  A lane's result is a slice of its result columns, and its
+:class:`~repro.core.engine.StepState` rows are built only for
+``on_step``; both are **bit-identical** to the matching serial
+``scenario.run(twin)`` run; the differential test suite
+(`tests/test_batch_differential.py`) enforces exactness across the
+scenario library.
 
 Shared electrical runs: scheduling and power never read the wet-bulb
 or a cooling output, so each ``run`` builds every distinct workload
@@ -54,14 +56,7 @@ from time import perf_counter
 
 from repro.batch.power import BatchedPowerModel
 from repro.cooling.fmu import CoolingFMU
-from repro.core.engine import (
-    COOLING_SUBSTEP_S,
-    Lane,
-    StepState,
-    collect_steps,
-    lane_loop,
-    lane_runs,
-)
+from repro.core.engine import COOLING_SUBSTEP_S, Lane, lane_loop, lane_runs
 from repro.obs.registry import get_registry
 from repro.scenarios.base import RunPlan, Scenario, WorkloadMemo
 from repro.scenarios.result import ScenarioResult
@@ -112,24 +107,27 @@ class _Lane(Lane):
                 plan.wetbulb,
                 plan.events,
                 fmu,
+                num_cdus=spec.cooling.num_cdus,
                 chain=plan.chain,
             )
-        self.steps: list[StepState] = []
         # The scenario's neighbouring planned runs, and the steps sent.
         self.prev: _Lane | None = None
         self.next: _Lane | None = None
         self.sent = 0
 
-    def forward(self, on_step) -> None:
-        """Send this lane's new steps to ``on_step`` once the scenario's
-        earlier runs are sent in full (a scenario streams in plan order)."""
+    def forward(self, on_step, done: int) -> None:
+        """Send this lane's steps among the first ``done`` quanta that
+        are not sent yet to ``on_step``, as rows, once the scenario's
+        earlier runs are sent in full (a scenario streams in plan
+        order)."""
         if self.prev is not None and self.prev.sent < self.prev.n_steps:
             return
-        for step in self.steps[self.sent:]:
-            on_step(self.index, step)
-        self.sent = len(self.steps)
+        end = min(done, self.n_steps)
+        for k in range(self.sent, end):
+            on_step(self.index, self.state(k))
+        self.sent = end
         if self.next is not None and self.sent == self.n_steps:
-            self.next.forward(on_step)
+            self.next.forward(on_step, done)
 
 
 def _policy(scenario: Scenario, twin: DigitalTwin):
@@ -260,19 +258,20 @@ class BatchedEngine:
         for index, own in runs.items():
             results = []
             for lane in own:
-                jobs, stats = lane.run.jobs, lane.run.scheduler.stats
+                result = lane.result(lane.n_steps)
                 if lane.follower:
-                    # A follower's result owns its jobs and stats.
-                    jobs = [copy.copy(job) for job in jobs]
-                    stats = copy.deepcopy(stats)
-                results.append(
-                    collect_steps(
-                        iter(lane.steps),
-                        jobs=jobs,
-                        num_cdus=twin.spec.cooling.num_cdus,
-                        scheduler_stats=stats,
+                    # A follower's result owns its jobs, stats and
+                    # electrical columns.
+                    result = dataclasses.replace(
+                        result,
+                        jobs=[copy.copy(job) for job in result.jobs],
+                        scheduler_stats=copy.deepcopy(result.scheduler_stats),
+                        **{
+                            name: getattr(result, name).copy()
+                            for name in lane.run.columns
+                        },
                     )
-                )
+                results.append(result)
             out[index] = own[0].scenario._finish(twin, results)
             done += 1
             if progress is not None:
@@ -310,13 +309,12 @@ class BatchedEngine:
             warm_cache=self.twin.warm_cache,
             profiler=self.profiler,
         )
-        for active in loop:
+        for k, active in loop:
             if lanes_gauge is not None:
                 lanes_gauge.set(len(active))
-            for lane in active:
-                lane.steps.append(lane.step)
-                if on_step is not None:
-                    lane.forward(on_step)
+            if on_step is not None:
+                for lane in active:
+                    lane.forward(on_step, k + 1)
         self.power_evals = sum(run.power_evals for run in runs)
         self.power_reuses = sum(run.power_reuses for run in runs)
         self.shared_lanes = len(lanes) - len(runs)

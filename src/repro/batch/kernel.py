@@ -35,9 +35,10 @@ Each way of stepping a plant picks one of two sync rules:
 - **Resident lanes.** The engines (the serial one with one lane, the
   batched one with B) gather every lane once, after warmup or a
   warm-cache restore, and keep its state in the kernel for the run.
-  :meth:`~BatchedPlantKernel.cooling_records` builds each step's
-  cooling record from that state, a CDU blockage goes to the row as
-  well as to the graph (:meth:`~BatchedPlantKernel.set_blockage`), and
+  :meth:`~BatchedPlantKernel.cooling_records` returns each step's
+  cooling record from that state as one column per field, a CDU
+  blockage goes to the row as well as to the graph
+  (:meth:`~BatchedPlantKernel.set_blockage`), and
   :meth:`~BatchedPlantKernel.write_back` syncs the graphs once when the
   run ends.
 
@@ -98,13 +99,18 @@ def _pump_power(rated_w: float, speed: float) -> float:
     return float(rated_w * (0.05 if cube < 0.05 else cube))
 
 
+def _fan_power(fan_w: float, cells: int, fan: float) -> float:
+    """One cell's fan power: the reference's scalar arithmetic, with
+    ``fan**3`` a Python-float pow."""
+    fan = 0.0 if fan < 0.0 else (1.0 if fan > 1.0 else fan)
+    return cells * fan_w * max(fan**3, 0.02) / cells if cells else 0.0
+
+
 def _unit_sums(cols, running, unit_w) -> np.ndarray:
     """Per-lane sums of the reference's per-unit power vectors:
     ``unit_w[b]`` on the first ``running[b]`` of ``cols`` units, 0
     elsewhere."""
-    rows = np.where(
-        cols < np.array(running)[:, None], np.array(unit_w)[:, None], 0.0
-    )
+    rows = np.where(cols < running[:, None], np.array(unit_w)[:, None], 0.0)
     return np.add.reduce(rows, axis=1)
 
 
@@ -185,10 +191,10 @@ class _Facility:
       (sections 7-9) step the bound lanes, with ``demands`` and
       ``mixes`` the per-lane CDU primary-flow and flow-weighted return
       sums as ``(A,)`` arrays;
-    - ``rows(A)`` yields each lane's record fields: HTWPs running,
-      HTWP speed, primary flow, CTWPs running, CTWP speed, cells
-      staged, fan speed, HTW supply, HTW return and CTW supply
-      temperatures, and EHXs staged.
+    - ``columns(A)`` returns the record fields as ``(A,)`` arrays:
+      HTWPs running, HTWP speed, primary flow, CTWPs running, CTWP
+      speed, cells staged, fan speed, HTW supply, HTW return and CTW
+      supply temperatures, and EHXs staged (counts as int64).
     """
 
     def __init__(self, plant) -> None:
@@ -353,14 +359,19 @@ class _ScalarFacility(_Facility):
         self.alpha = self.alpha_for(h)
         return self.htws_col[:A], self.rho_w_col[:A]
 
-    def rows(self, A: int):
-        return [
-            (f.p_n_running, f.p_pump_speed, f.p_total_flow,
-             f.t_n_running, f.t_pump_speed, f.cell_stage.count,
-             f.t_fan_speed, f.p_supply_t, f.p_return_t, f.t_supply_t,
-             f.p_n_ehx)
-            for f in self.lanes[:A]
-        ]
+    def columns(self, A: int):
+        # Two array builds, the counts and the floats, not eleven.
+        lanes = self.lanes[:A]
+        htwps, ctwps, cells, n_ehx = np.array([
+            (f.p_n_running, f.t_n_running, f.cell_stage.count, f.p_n_ehx)
+            for f in lanes
+        ], dtype=np.int64).T
+        speed, flow, t_speed, fan, supply, ret, t_supply = np.array([
+            (f.p_pump_speed, f.p_total_flow, f.t_pump_speed, f.t_fan_speed,
+             f.p_supply_t, f.p_return_t, f.t_supply_t) for f in lanes
+        ], dtype=np.float64).T
+        return [htwps, speed, flow, ctwps, t_speed, cells, fan,
+                supply, ret, t_supply, n_ehx]
 
     # -- helpers (one lane, Python floats) ------------------------------------
 
@@ -735,13 +746,12 @@ class _StackedFacility(_Facility):
         )
         return self.temp[1, :A, None], self.rho_w[:A, None]
 
-    def rows(self, A: int):
-        columns = (
+    def columns(self, A: int):
+        return [c[:A] for c in (
             self.p_n_running, self.sig[3], self.flow[0],
             self.t_n_running, self.sig[1], self.counts[1], self.sig[0],
             self.temp[1], self.temp[0], self.temp[3], self.n_ehx,
-        )
-        return zip(*(c[:A].tolist() for c in columns))
+        )]
 
     # -- substep sections -----------------------------------------------------
 
@@ -1362,19 +1372,19 @@ class BatchedPlantKernel:
 
     # -- outputs --------------------------------------------------------------
 
-    def cooling_records(self, system_power_w, active=None) -> list[dict]:
+    def cooling_records(self, system_power_w, active=None) -> dict:
         """The engine's per-step cooling record for the first ``active``
-        lanes, straight from the resident state.
+        lanes, as columns straight from the resident state.
 
         Exactly the ``DEFAULT_COOLING_RECORD`` fields of
         :meth:`CoolingPlant._snapshot
         <repro.cooling.plant.CoolingPlant._snapshot>` with
-        ``system_power_w[b]`` as lane ``b``'s PUE denominator: the CDU
-        fields as rows of ``(A, n)`` ufunc passes, the facility fields
-        from each lane's facility row with the reference's scalar
-        arithmetic (pump and fan powers included), and the reference's
-        vector sums as one row reduce per quantity.
-        Every call returns fresh arrays.
+        ``system_power_w[b]`` as lane ``b``'s PUE denominator, one
+        ``(A,)`` or ``(A, n)`` array per field, valid until the next
+        :meth:`advance`: the CDU fields as ``(A, n)`` ufunc passes, the
+        facility fields from the form's columns with the reference's
+        scalar arithmetic elementwise (the pump and fan pows per lane),
+        and the reference's vector sums as one row reduce per quantity.
         """
         A = self.batch if active is None else int(active)
         pump_w = self.out50[:A, :self.n].copy()
@@ -1384,68 +1394,51 @@ class BatchedPlantKernel:
         np.maximum(pump_w, 0.05, out=pump_w)
         np.multiply(self.cdu_pump_rated, pump_w, out=pump_w)
         np.multiply(self.cdu_pumps_running, pump_w, out=pump_w)
-        pri_flow = self.pri_flow[:A].copy()
-        pri_return = self.pri_return[:A].copy()
-        cold_t = self.cold_t[:A].copy()
 
         fac = self.facility
-        records = []
-        n_htwp, htwp_w, n_ctwp, ctwp_w, n_cells, fan_w = (
-            [], [], [], [], [], []
-        )
-        for bi, (
-            htwps, speed, p_flow, ctwps, t_speed, cells, fan,
-            p_supply, p_return, t_supply, n_ehx,
-        ) in enumerate(fac.rows(A)):
-            # Primary loop: staged HTWPs and the header pressure.
-            n_htwp.append(htwps)
-            htwp_w.append(
-                _pump_power(fac.htwp_rated, speed) if htwps else 0.0
-            )
-            q = p_flow / max(htwps, 1)
-            head = speed * speed * fac.p_h0 - fac.p_kp * q * q
-            if head < 0.0:
-                head = 0.0
-            # Tower loop: staged CTWPs and cell fans.
-            n_ctwp.append(ctwps)
-            ctwp_w.append(
-                _pump_power(fac.ctwp_rated, t_speed) if ctwps else 0.0
-            )
-            fan = 0.0 if fan < 0.0 else (1.0 if fan > 1.0 else fan)
-            n_cells.append(cells)
-            fan_w.append(
-                cells * fac.cell_fan_w * max(fan**3, 0.02) / cells
-                if cells else 0.0
-            )
-            records.append({
-                "pue": 0.0,
-                "htw_supply_temp_c": p_supply,
-                "htw_return_temp_c": p_return,
-                "htw_supply_pressure_pa": HEADER_STATIC_PA + 0.75 * head,
-                "ctw_supply_temp_c": t_supply,
-                "num_ct_staged": cells,
-                "num_htwp_staged": htwps,
-                "num_ehx_staged": n_ehx,
-                "aux_power_w": 0.0,
-                "cdu_primary_flow_m3s": pri_flow[bi],
-                "cdu_primary_return_temp_c": pri_return[bi],
-                "cdu_secondary_supply_temp_c": cold_t[bi],
-                "cdu_pump_power_w": pump_w[bi],
-            })
+        (htwps, speed, p_flow, ctwps, t_speed, cells, fan,
+         p_supply, p_return, t_supply, n_ehx) = fac.columns(A)
+        # Pump and fan powers: one Python-float pow per lane.
+        htwp_w = [
+            _pump_power(fac.htwp_rated, s) if m else 0.0
+            for m, s in zip(htwps.tolist(), speed.tolist())
+        ]
+        ctwp_w = [
+            _pump_power(fac.ctwp_rated, s) if m else 0.0
+            for m, s in zip(ctwps.tolist(), t_speed.tolist())
+        ]
+        fan_w = [
+            _fan_power(fac.cell_fan_w, m, f)
+            for m, f in zip(cells.tolist(), fan.tolist())
+        ]
+        # Header pressure: the reference's IEEE-exact scalar arithmetic.
+        q = p_flow / np.maximum(htwps, 1)
+        head = speed * speed * fac.p_h0 - fac.p_kp * q * q
+        head = np.where(head < 0.0, 0.0, head)
 
         # Facility aux power (HTWPs + CTWPs + fans) and PUE, elementwise
         # over lanes in the reference's operation order.
-        aux_cep_w = _unit_sums(fac.htwp_cols, n_htwp, htwp_w)
-        aux_cep_w += _unit_sums(fac.ctwp_cols, n_ctwp, ctwp_w)
-        aux_cep_w += _unit_sums(fac.cell_cols, n_cells, fan_w)
+        aux_cep_w = _unit_sums(fac.htwp_cols, htwps, htwp_w)
+        aux_cep_w += _unit_sums(fac.ctwp_cols, ctwps, ctwp_w)
+        aux_cep_w += _unit_sums(fac.cell_cols, cells, fan_w)
         power = np.array(system_power_w, dtype=np.float64)
         pue = np.ones(A)
         np.divide(power + aux_cep_w, power, out=pue, where=power > 0)
-        aux_w = aux_cep_w + np.add.reduce(pump_w, axis=1)
-        for record, p, a in zip(records, pue.tolist(), aux_w.tolist()):
-            record["pue"] = p
-            record["aux_power_w"] = a
-        return records
+        return {
+            "pue": pue,
+            "htw_supply_temp_c": p_supply,
+            "htw_return_temp_c": p_return,
+            "htw_supply_pressure_pa": HEADER_STATIC_PA + 0.75 * head,
+            "ctw_supply_temp_c": t_supply,
+            "num_ct_staged": cells,
+            "num_htwp_staged": htwps,
+            "num_ehx_staged": n_ehx,
+            "aux_power_w": aux_cep_w + np.add.reduce(pump_w, axis=1),
+            "cdu_primary_flow_m3s": self.pri_flow[:A],
+            "cdu_primary_return_temp_c": self.pri_return[:A],
+            "cdu_secondary_supply_temp_c": self.cold_t[:A],
+            "cdu_pump_power_w": pump_w,
+        }
 
 
 __all__ = ["BatchedPlantKernel"]

@@ -18,6 +18,11 @@ per-quantum sequence and syncs the FMUs when the run ends.
 :class:`RapsEngine` is its one-lane call and
 :class:`~repro.batch.engine.BatchedEngine` its B-lane call.
 
+Each quantum's values are written once, into the run's result columns;
+a :class:`SimulationResult` is a slice of them at the steps taken
+(:meth:`Lane.result`) and a :class:`StepState` one row of them, built
+only for a stream consumer (:meth:`Lane.state`).
+
 A 24-hour Frontier replay runs in seconds (the paper's Modelica stack
 takes ~9 minutes with cooling).
 """
@@ -113,9 +118,12 @@ class StepState:
     """One trace quantum (15 s) of engine state, as yielded by
     :meth:`RapsEngine.iter_steps`.
 
-    Scalar power/loss/efficiency values mirror one row of
-    :class:`SimulationResult`; ``cooling`` holds the recorded plant
-    outputs for this quantum (empty when the run is uncoupled).
+    One row of a run's result columns (:meth:`Lane.state`), built only
+    for stream consumers: the scalars are Python floats and ints,
+    ``cdu_power_w`` / ``cdu_heat_w`` and the per-CDU ``cooling``
+    entries are rows of the run's arrays.  ``cooling`` holds the
+    recorded plant outputs for this quantum (empty when the run is
+    uncoupled).
     """
 
     index: int
@@ -376,88 +384,16 @@ def drive_schedule(
         yield k, k * quanta
 
 
-def collect_steps(
-    steps: Iterator[StepState],
-    *,
-    jobs: list[Job],
-    num_cdus: int,
-    scheduler_stats: SchedulerStats,
-    progress=None,
-    stop_when=None,
-) -> SimulationResult:
-    """Assemble streamed :class:`StepState`\\ s into a result.
-
-    The shared collector behind :meth:`RapsEngine.run` and
-    :meth:`~repro.fastpath.engine.SurrogateEngine.run`: both fidelities
-    buffer their streams through this one function, so a surrogate run
-    yields a :class:`SimulationResult` that is indistinguishable in
-    shape from a full-fidelity one.
-    """
-    recorded: list[StepState] = []
-    try:
-        for step in steps:
-            recorded.append(step)
-            if progress is not None:
-                progress(step)
-            if stop_when is not None and stop_when(step):
-                break
-    finally:
-        close = getattr(steps, "close", None)
-        if close is not None:
-            close()
-    if not recorded:
-        raise SimulationError("run produced no steps")
-
-    n = len(recorded)
-    times = np.empty(n)
-    sys_w = np.empty(n)
-    loss_w = np.empty(n)
-    sivoc_w = np.empty(n)
-    rect_w = np.empty(n)
-    eff = np.empty(n)
-    util = np.empty(n)
-    nrun = np.empty(n, dtype=np.int64)
-    cdu_w = np.empty((n, num_cdus))
-    cdu_h = np.empty((n, num_cdus))
-    for k, step in enumerate(recorded):
-        times[k] = step.time_s
-        sys_w[k] = step.system_power_w
-        loss_w[k] = step.loss_w
-        sivoc_w[k] = step.sivoc_loss_w
-        rect_w[k] = step.rectifier_loss_w
-        eff[k] = step.chain_efficiency
-        util[k] = step.utilization
-        nrun[k] = step.num_running
-        cdu_w[k] = step.cdu_power_w
-        cdu_h[k] = step.cdu_heat_w
-    cooling = {
-        key: np.asarray([s.cooling[key] for s in recorded])
-        for key in recorded[0].cooling
-    }
-    return SimulationResult(
-        times_s=times,
-        system_power_w=sys_w,
-        loss_w=loss_w,
-        sivoc_loss_w=sivoc_w,
-        rectifier_loss_w=rect_w,
-        chain_efficiency=eff,
-        utilization=util,
-        num_running=nrun,
-        cdu_power_w=cdu_w,
-        cdu_heat_w=cdu_h,
-        scheduler_stats=scheduler_stats,
-        jobs=jobs,
-        cooling=cooling,
-    )
-
-
 class ElectricalRun:
     """The electrical half of one run in the Algorithm-1 loop.
 
     Holds the scheduler the run drives, its trace pool and the
     :func:`drive_schedule` generator over both, the run's conversion
-    ``chain`` (None: the spec's baseline chain), and the power
-    change-detection fields with the latest :class:`PowerResult`.
+    ``chain`` (None: the spec's baseline chain), the power
+    change-detection fields with the latest :class:`PowerResult`, and
+    the run's result ``columns``: one preallocated array per
+    electrical series of :class:`SimulationResult`, ``(T,)`` or
+    ``(T, num_cdus)``, whose row ``k`` :meth:`record` writes once.
     Nothing here reads the wet-bulb or a cooling output, so lanes that
     differ only in their plant or weather can follow one run
     (:meth:`Lane.attach`); ``on_blockage`` receives the run's
@@ -470,6 +406,7 @@ class ElectricalRun:
         jobs: list[Job],
         duration_s: float,
         *,
+        num_cdus: int,
         events=(),
         chain=None,
         on_blockage=None,
@@ -478,7 +415,20 @@ class ElectricalRun:
             raise SimulationError("duration must be positive")
         self.scheduler = scheduler
         self.jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        self.n_steps = int(np.ceil(duration_s / TRACE_QUANTA_S))
+        self.n_steps = T = int(np.ceil(duration_s / TRACE_QUANTA_S))
+        # In StepState's field order (Lane.state).
+        self.columns = {
+            "times_s": np.arange(T) * TRACE_QUANTA_S,
+            "system_power_w": np.empty(T),
+            "loss_w": np.empty(T),
+            "sivoc_loss_w": np.empty(T),
+            "rectifier_loss_w": np.empty(T),
+            "chain_efficiency": np.empty(T),
+            "utilization": np.empty(T),
+            "num_running": np.empty(T, dtype=np.int64),
+            "cdu_power_w": np.empty((T, num_cdus)),
+            "cdu_heat_w": np.empty((T, num_cdus)),
+        }
         self.pool = _TracePool(self.jobs)
         self.slot_of_node = scheduler.allocator.slot_of_node
         self.chain = chain
@@ -500,18 +450,38 @@ class ElectricalRun:
         self.power_evals = 0
         self.power_reuses = 0
 
+    def record(self, k: int) -> None:
+        """Write quantum ``k``'s row of the electrical columns (the
+        times are written up front)."""
+        result, scheduler, cols = self.result, self.scheduler, self.columns
+        cols["system_power_w"][k] = result.system_power_w
+        cols["loss_w"][k] = result.loss_w
+        cols["sivoc_loss_w"][k] = result.sivoc_loss_w
+        cols["rectifier_loss_w"][k] = result.rectifier_loss_w
+        cols["chain_efficiency"][k] = result.chain_efficiency
+        cols["utilization"][k] = scheduler.utilization
+        cols["num_running"][k] = scheduler.num_running
+        cols["cdu_power_w"][k] = result.cdu_power_w
+        cols["cdu_heat_w"][k] = result.cdu_heat_w
+
+
+def _row_value(value):
+    """A column row entry: a Python number for a scalar, else the row."""
+    return value if value.ndim else value.item()
+
 
 class Lane:
     """One lane of the Algorithm-1 loop (:func:`lane_loop`).
 
-    A lane reads its schedule and power from its :class:`ElectricalRun`
-    ``run`` — its own, built from the arguments here, or another lane's
-    when it follows that run (:meth:`attach`) — and holds what is its
-    alone: the wet-bulb input and the run's latest :class:`StepState`.
-    A coupled lane holds its cooling ``fmu``, and while
+    A lane reads its schedule, power and electrical columns from its
+    :class:`ElectricalRun` ``run`` — its own, built from the arguments
+    here, or another lane's when it follows that run (:meth:`attach`) —
+    and holds what is its alone: the wet-bulb input and its cooling
+    columns.  A coupled lane holds its cooling ``fmu``, and while
     :func:`resident_cooling` keeps its plant resident, the ``kernel``
-    holding it; ``row`` indexes the lane's record in what the loop's
-    cooling section returns (-1: the lane is uncoupled).
+    holding it; ``cooling`` maps each recorded field to the coupled
+    lanes' shared ``(C, T, ...)`` array and ``row`` is the lane's index
+    into it and into the kernel (``{}`` and -1: the lane is uncoupled).
     """
 
     def __init__(
@@ -523,12 +493,14 @@ class Lane:
         events=(),
         fmu: CoolingFMU | None = None,
         *,
+        num_cdus: int,
         chain=None,
     ) -> None:
         run = ElectricalRun(
             scheduler,
             jobs,
             duration_s,
+            num_cdus=num_cdus,
             events=events,
             chain=chain,
             on_blockage=None if fmu is None else self._block,
@@ -557,7 +529,35 @@ class Lane:
         #: The wet-bulb the resident kernel last stepped this lane at.
         self.wetbulb_c = self.wb0
         self.row = -1
-        self.step: StepState | None = None
+        self.cooling: dict[str, np.ndarray] = {}
+
+    def state(self, k: int) -> StepState:
+        """Quantum ``k`` of this lane as a :class:`StepState`: row ``k``
+        of its columns, the scalars as Python numbers."""
+        return StepState(
+            k,
+            *(_row_value(col[k]) for col in self.run.columns.values()),
+            cooling={
+                key: _row_value(block[self.row, k])
+                for key, block in self.cooling.items()
+            },
+        )
+
+    def result(self, steps: int) -> SimulationResult:
+        """This lane's first ``steps`` quanta: slices of its columns,
+        with its run's jobs and scheduler stats."""
+        if steps == 0:
+            raise SimulationError("run produced no steps")
+        run = self.run
+        return SimulationResult(
+            **{name: col[:steps] for name, col in run.columns.items()},
+            scheduler_stats=run.scheduler.stats,
+            jobs=run.jobs,
+            cooling={
+                key: block[self.row, :steps]
+                for key, block in self.cooling.items()
+            },
+        )
 
     def wetbulb_at(self, t_sample: float) -> float:
         if self.wb_cursor is None:
@@ -586,7 +586,7 @@ def lane_loop(
     warm_cache=None,
     detect: bool = True,
     profiler=None,
-) -> Iterator[list[Lane]]:
+) -> Iterator[tuple[int, list[Lane]]]:
     """Algorithm 1 for B lanes, written once: warm, couple, sync.
 
     Before the first quantum it warms the coupled lanes' plants: lanes
@@ -597,16 +597,17 @@ def lane_loop(
     through :func:`resident_cooling`; reference plants step through
     their FMU's ``do_step`` / ``get_state`` (:func:`reference_cooling`).
 
-    Each quantum it advances the schedule of every active electrical
-    run (:func:`lane_runs`), fingerprints the run's trace pool and
-    either reuses its previous power result or evaluates it — the
-    changed runs in one ``evaluate(ids, cpu_rows, gpu_rows, slot_maps)``
-    call, ``ids`` being positions in ``lane_runs(lanes)``, the rows
-    per-slot utilizations and the maps each run's node-to-slot map —
-    then steps cooling, whose records the coupled lanes index by
-    ``row``, sets each active lane's ``step`` and yields the active
-    lanes.  Lanes sharing a run share its schedule and power work; each
-    keeps its own plant, wet-bulb and steps.  When the loop ends —
+    Each quantum ``k`` it advances the schedule of every active
+    electrical run (:func:`lane_runs`), fingerprints the run's trace
+    pool and either reuses its previous power result or evaluates it —
+    the changed runs in one ``evaluate(ids, cpu_rows, gpu_rows,
+    slot_maps)`` call, ``ids`` being positions in ``lane_runs(lanes)``,
+    the rows per-slot utilizations and the maps each run's node-to-slot
+    map — then steps cooling, which writes row ``k`` of the coupled
+    lanes' cooling columns, writes row ``k`` of every live run's
+    electrical columns and yields ``(k, active lanes)``.  Lanes sharing
+    a run share its schedule, power work and electrical columns; each
+    keeps its own plant, wet-bulb and cooling row.  When the loop ends —
     normally, on an error or by an early close — it closes every run's
     schedule generator and syncs the FMUs to the steps taken.
 
@@ -617,13 +618,14 @@ def lane_loop(
     :class:`~repro.batch.engine.BatchedEngine`.  ``detect=False``
     evaluates every quantum (the change-detection oracle); a
     ``profiler`` accumulates the warmup / schedule / power / cooling /
-    collect phases.
+    collect phases (``collect``: the electrical row writes and the
+    consumer's work between yields).
     """
     quanta = TRACE_QUANTA_S
     prof = profiler
     runs = lane_runs(lanes)
-    records = ()
     cool = finish = None
+    done = 0
     try:
         coupled = [lane for lane in lanes if lane.fmu is not None]
         if coupled:
@@ -645,10 +647,23 @@ def lane_loop(
                     cache=warm_cache if first.run.chain is None else None,
                     replicas=[lane.fmu for lane in rest],
                 )
+            # One (C, T, ...) array per recorded field: the per-CDU
+            # fields gain the CDU axis, the staged counts are int64.
+            n_cdus = spec.cooling.num_cdus
+            block = {
+                key: np.empty(
+                    (len(coupled), coupled[0].n_steps)
+                    + ((n_cdus,) if key.startswith("cdu_") else ()),
+                    dtype=np.int64 if key.startswith("num_") else np.float64,
+                )
+                for key in DEFAULT_COOLING_RECORD
+            }
+            for row, lane in enumerate(coupled):
+                lane.row, lane.cooling = row, block
             if coupled[0].fmu.backend == "fused":
-                cool, finish = resident_cooling(coupled, prof)
+                cool, finish = resident_cooling(coupled, block, prof)
             else:
-                cool = reference_cooling(coupled)
+                cool = reference_cooling(coupled, block)
             if prof is not None:
                 prof.add("warmup", perf_counter() - t0)
         n_active = len(lanes)
@@ -706,42 +721,27 @@ def lane_loop(
 
             # --- cooling step (15 s coupling, Algorithm 1 line 23).
             if cool is not None:
-                records = cool(t_sample, active)
+                cool(k, t_sample, active)
                 if prof is not None:
-                    prof.add("cooling", perf_counter() - t0)
+                    t1 = perf_counter()
+                    prof.add("cooling", t1 - t0)
+                    t0 = t1
 
-            for lane in active:
-                run = lane.run
-                result = run.result
-                lane.step = StepState(
-                    index=k,
-                    time_s=t_sample,
-                    system_power_w=result.system_power_w,
-                    loss_w=result.loss_w,
-                    sivoc_loss_w=result.sivoc_loss_w,
-                    rectifier_loss_w=result.rectifier_loss_w,
-                    chain_efficiency=result.chain_efficiency,
-                    utilization=run.scheduler.utilization,
-                    num_running=run.scheduler.num_running,
-                    cdu_power_w=result.cdu_power_w,
-                    cdu_heat_w=result.cdu_heat_w,
-                    cooling=records[lane.row] if lane.row >= 0 else {},
-                )
-            if prof is None:
-                yield active
-            else:
-                t0 = perf_counter()
-                yield active
+            for run in live:
+                run.record(k)
+            done = k + 1
+            yield k, active
+            if prof is not None:
                 prof.add("collect", perf_counter() - t0)
     finally:
         # Release the suspended schedule generators: a coupled lane's
         # blockage callback refers back to the lane, so an open
-        # generator would keep every lane (and its recorded steps)
-        # alive in a cycle.
+        # generator would keep every lane (and its columns) alive in a
+        # cycle.
         for run in runs:
             run.gen.close()
         if finish is not None:
-            finish()
+            finish(done)
 
 
 def warm_cooling(
@@ -795,37 +795,39 @@ def warm_cooling(
         replica._plant.time_s = 0.0
 
 
-def resident_cooling(lanes: list[Lane], profiler=None):
+def resident_cooling(lanes: list[Lane], block: dict, profiler=None):
     """Hold the coupled ``lanes``' warmed plants resident in one kernel.
 
     The cooling half of both engines: the lanes' plants are gathered
-    into one :class:`~repro.batch.kernel.BatchedPlantKernel` (row = lane
-    order, so the active coupled lanes stay a kernel prefix) and stay
-    there for the run.  Returns ``(cool, finish)``: ``cool`` is
-    :func:`lane_loop`'s cooling section — it checks each active lane's
-    wet-bulb as :meth:`CoolingFMU.set_wetbulb
+    into one :class:`~repro.batch.kernel.BatchedPlantKernel` (kernel
+    row = the lane's ``row``, so the active coupled lanes stay a kernel
+    prefix) and stay there for the run.  Returns ``(cool, finish)``:
+    ``cool(k, t_sample, active)`` is :func:`lane_loop`'s cooling
+    section — it checks each active lane's wet-bulb as
+    :meth:`CoolingFMU.set_wetbulb
     <repro.cooling.fmu.CoolingFMU.set_wetbulb>` would, advances the
-    kernel one macro step and returns its cooling records — and
-    ``finish()`` writes every lane back onto its component graph and
-    leaves its FMU (clocks, inputs, outputs, ``last_state``) as if each
-    step had gone through ``do_step``.  A ``profiler`` splits the
-    cooling phase into ``cooling.advance`` (wet-bulb checks and the
-    kernel step) and ``cooling.records``.
+    kernel one macro step and writes the kernel's record columns into
+    column ``k`` of ``block`` — and ``finish(done)`` writes every lane
+    back onto its component graph and leaves its FMU (clocks, inputs,
+    outputs, ``last_state``) as if each of the lane's steps among the
+    first ``done`` quanta had gone through ``do_step``.  A ``profiler``
+    splits the cooling phase into ``cooling.advance`` (wet-bulb checks
+    and the kernel step) and ``cooling.records``.
     """
     from repro.batch.kernel import BatchedPlantKernel
 
     plants = [lane.fmu._plant for lane in lanes]
     kernel = BatchedPlantKernel(plants)
-    for row, lane in enumerate(lanes):
-        lane.kernel, lane.row = kernel, row
+    for lane in lanes:
+        lane.kernel = kernel
     # The substep schedule of CoolingPlant.step (lanes share a substep).
     n_sub = max(1, int(np.ceil(TRACE_QUANTA_S / lanes[0].fmu.substep_s)))
     h = TRACE_QUANTA_S / n_sub
 
-    def cool(t_sample: float, active: list[Lane]) -> list[dict]:
+    def cool(k: int, t_sample: float, active: list[Lane]) -> None:
         rows = [lane for lane in active if lane.row >= 0]
         if not rows:
-            return []
+            return
         t0 = perf_counter() if profiler is not None else 0.0
         for lane in rows:
             lane.wetbulb_c = check_wetbulb(lane.wetbulb_at(t_sample))
@@ -839,48 +841,50 @@ def resident_cooling(lanes: list[Lane], profiler=None):
         if profiler is not None:
             t1 = perf_counter()
             profiler.add("cooling.advance", t1 - t0)
-        records = kernel.cooling_records(
+        columns = kernel.cooling_records(
             [lane.run.result.system_power_w for lane in rows],
             active=len(rows),
         )
+        for key, column in columns.items():
+            block[key][:len(rows), k] = column
         if profiler is not None:
             profiler.add("cooling.records", perf_counter() - t1)
-        return records
 
-    def finish() -> None:
+    def finish(done: int) -> None:
         kernel.write_back(plants)
         for lane, plant in zip(lanes, plants):
-            step, fmu = lane.step, lane.fmu
-            if step is None:
+            steps, fmu = min(lane.n_steps, done), lane.fmu
+            if steps == 0:
                 continue
+            # The lane's last step's heat and power, from its columns.
+            cols = lane.run.columns
+            heat = cols["cdu_heat_w"][steps - 1].copy()
+            power = cols["system_power_w"][steps - 1].item()
             # TRACE_QUANTA_S is integral, so the product is exact.
-            elapsed = (step.index + 1) * TRACE_QUANTA_S
+            elapsed = steps * TRACE_QUANTA_S
             plant.time_s += elapsed
             fmu._time += elapsed
-            fmu.set_cdu_heat(step.cdu_heat_w)
+            fmu.set_cdu_heat(heat)
             fmu.set_wetbulb(lane.wetbulb_c)
-            fmu.set_system_power(step.system_power_w)
-            fmu.last_state = plant._snapshot(
-                step.cdu_heat_w, step.system_power_w
-            )
+            fmu.set_system_power(power)
+            fmu.last_state = plant._snapshot(heat, power)
             fmu._outputs = fmu.last_state.as_output_vector()
             fmu.state = FmuState.STEPPING
 
     return cool, finish
 
 
-def reference_cooling(lanes: list[Lane]):
+def reference_cooling(lanes: list[Lane], block: dict):
     """:func:`lane_loop`'s cooling section for reference-backend plants.
 
-    Each active coupled lane's FMU takes the lane's heat, wet-bulb and
-    system power and steps through ``do_step``, and its ``get_state``
-    is the lane's record, so every FMU is in sync after each step.
+    ``cool(k, t_sample, active)`` steps each active coupled lane's FMU
+    through ``do_step`` with the lane's heat, wet-bulb and system power,
+    and writes its ``get_state`` fields into column ``k`` of ``block``,
+    so every FMU is in sync after each step.
     """
-    for row, lane in enumerate(lanes):
-        lane.row = row
 
-    def cool(t_sample: float, active: list[Lane]) -> list[dict]:
-        records = []
+    def cool(k: int, t_sample: float, active: list[Lane]) -> None:
+        states = []
         for lane in active:
             if lane.row < 0:
                 continue
@@ -889,13 +893,11 @@ def reference_cooling(lanes: list[Lane]):
             fmu.set_wetbulb(lane.wetbulb_at(t_sample))
             fmu.set_system_power(result.system_power_w)
             fmu.do_step(fmu.time, TRACE_QUANTA_S)
-            state = fmu.get_state()
-            # PlantState fields are freshly allocated by each plant
-            # step, so recording can alias them directly.
-            records.append(
-                {key: getattr(state, key) for key in DEFAULT_COOLING_RECORD}
-            )
-        return records
+            states.append(fmu.get_state())
+        if not states:
+            return
+        for key, column in block.items():
+            column[:len(states), k] = [getattr(st, key) for st in states]
 
     return cool
 
@@ -903,10 +905,11 @@ def reference_cooling(lanes: list[Lane]):
 class StreamingEngine:
     """The streaming engine protocol every fidelity implements.
 
-    A subclass provides ``spec``, ``scheduler`` and an ``iter_steps``
-    yielding one :class:`StepState` per trace quantum; :meth:`run`
-    buffers that stream through :func:`collect_steps`, so every fidelity
-    returns a shape-identical :class:`SimulationResult`.
+    A subclass provides ``spec``, ``scheduler`` and ``_lane_steps``,
+    returning the run's :class:`Lane` and an iterator that yields each
+    quantum ``k`` once row ``k`` of the lane's columns is written, so
+    every fidelity returns a shape-identical :class:`SimulationResult`
+    and streams its rows.
     """
 
     def run(
@@ -920,30 +923,66 @@ class StreamingEngine:
         progress=None,
         stop_when=None,
     ) -> SimulationResult:
-        """Run the simulation for ``duration_s`` seconds and collect.
+        """Run the simulation for ``duration_s`` seconds.
 
-        A thin collector over :meth:`iter_steps` — same semantics, whole
-        run buffered into a :class:`SimulationResult`.  ``progress`` is
-        an optional per-step callback receiving each :class:`StepState`;
-        ``stop_when`` is an optional early-stop predicate on the step
-        (the step that triggers it is still recorded, then the run ends).
+        :meth:`iter_steps`' run, returned as a :class:`SimulationResult`.
+        ``progress`` is an optional per-step callback receiving each
+        :class:`StepState`; ``stop_when`` is an optional early-stop
+        predicate on the step (the step that triggers it is still
+        recorded, then the run ends).  Without either, no
+        :class:`StepState` is built.
         """
-        jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        steps = self.iter_steps(
-            jobs,
-            duration_s,
-            wetbulb=wetbulb,
-            warmup_cooling_s=warmup_cooling_s,
-            events=events,
+        lane, steps = self._lane_steps(
+            jobs, duration_s, wetbulb, warmup_cooling_s, events
         )
-        return collect_steps(
-            steps,
-            jobs=jobs,
-            num_cdus=self.spec.cooling.num_cdus,
-            scheduler_stats=self.scheduler.stats,
-            progress=progress,
-            stop_when=stop_when,
+        streamed = progress is not None or stop_when is not None
+        taken = 0
+        try:
+            for taken, k in enumerate(steps, 1):
+                if not streamed:
+                    continue
+                step = lane.state(k)
+                if progress is not None:
+                    progress(step)
+                if stop_when is not None and stop_when(step):
+                    break
+        finally:
+            steps.close()
+        return lane.result(taken)
+
+    def iter_steps(
+        self,
+        jobs: list[Job],
+        duration_s: float,
+        *,
+        wetbulb: TimeSeries | float = 15.0,
+        warmup_cooling_s: float = WARMUP_COOLING_S,
+        events=(),
+    ) -> Iterator[StepState]:
+        """Stream the simulation one trace quantum at a time.
+
+        Yields a :class:`StepState` per 15 s quantum as it is computed,
+        enabling progress callbacks, early-stop predicates, and live
+        dashboard feeds without buffering a whole run.  Closing the
+        generator early is safe; the rows are those of :meth:`run`'s
+        result, bit for bit.
+
+        ``jobs`` are submitted at their ``submit_time``; replay mode uses
+        recorded starts.  ``wetbulb`` may be a constant or a telemetry
+        series.  The cooling plant is pre-warmed at the initial load for
+        ``warmup_cooling_s`` so transients reflect workload changes, not
+        cold-start initialization.  ``events`` is an optional stream of
+        :class:`~repro.core.events.FaultEvent`\\ s (node outages, CDU
+        blockages) applied while the run advances.
+        """
+        lane, steps = self._lane_steps(
+            jobs, duration_s, wetbulb, warmup_cooling_s, events
         )
+        try:
+            for k in steps:
+                yield lane.state(k)
+        finally:
+            steps.close()
 
 
 class RapsEngine(StreamingEngine):
@@ -1029,41 +1068,19 @@ class RapsEngine(StreamingEngine):
 
     # -- main loop ------------------------------------------------------------
 
-    def iter_steps(
-        self,
-        jobs: list[Job],
-        duration_s: float,
-        *,
-        wetbulb: TimeSeries | float = 15.0,
-        warmup_cooling_s: float = WARMUP_COOLING_S,
-        events=(),
-    ) -> Iterator[StepState]:
-        """Stream the simulation one trace quantum at a time.
-
-        Yields a :class:`StepState` per 15 s quantum as it is computed,
-        enabling progress callbacks, early-stop predicates, and live
-        dashboard feeds without buffering a whole run.  Closing the
-        generator early is safe; :meth:`run` is a thin collector over
-        this iterator and the two produce bit-identical series.
-
-        ``jobs`` are submitted at their ``submit_time``; replay mode uses
-        recorded starts.  ``wetbulb`` may be a constant or a telemetry
-        series.  The cooling plant is pre-warmed at the initial load for
-        ``warmup_cooling_s`` so transients reflect workload changes, not
-        cold-start initialization.  ``events`` is an optional stream of
-        :class:`~repro.core.events.FaultEvent`\\ s (node outages, CDU
-        blockages) applied while the run advances.
-
-        The run is the one-lane call of :func:`lane_loop`, with power
+    def _lane_steps(self, jobs, duration_s, wetbulb, warmup_cooling_s, events):
+        """The run as the one-lane call of :func:`lane_loop`, with power
         through :class:`~repro.power.system.SystemPowerModel`; on the
         fused backend the FMU is synced when the run ends (early close
-        included), on the reference backend after every step.
-        """
-        fmu = self.fmu
+        included), on the reference backend after every step."""
         lane = Lane(
-            self.scheduler, jobs, duration_s, wetbulb, events, fmu,
-            chain=self.chain,
+            self.scheduler, jobs, duration_s, wetbulb, events, self.fmu,
+            num_cdus=self.spec.cooling.num_cdus, chain=self.chain,
         )
+        return lane, self._steps(lane, warmup_cooling_s)
+
+    def _steps(self, lane: Lane, warmup_cooling_s: float) -> Iterator[int]:
+        fmu = self.fmu
         prof = self.profiler
         if prof is not None:
             prof.begin_run()
@@ -1083,14 +1100,15 @@ class RapsEngine(StreamingEngine):
             detect=self.power_change_detection,
             profiler=prof,
         )
+        steps_done = 0
         try:
-            for _ in loop:
-                yield lane.step
+            for k, _ in loop:
+                steps_done = k + 1
+                yield k
         finally:
             loop.close()
             self.power_evals = lane.run.power_evals
             self.power_reuses = lane.run.power_reuses
-            steps_done = 0 if lane.step is None else lane.step.index + 1
             if prof is not None:
                 prof.end_run(
                     steps_done,
@@ -1131,6 +1149,5 @@ __all__ = [
     "resident_cooling",
     "reference_cooling",
     "lane_loop",
-    "collect_steps",
     "warm_cooling",
 ]

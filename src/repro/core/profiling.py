@@ -2,8 +2,8 @@
 
 The coupled main loop spends its time in four places per 15 s trace
 quantum — event-driven *scheduling*, the vectorized *power* pipeline,
-the *cooling* plant substeps, and the downstream *collect* consumer
-(result assembly, progress callbacks, transports).  A
+the *cooling* plant substeps, and *collect*: the result-column row
+writes and the downstream consumer (progress callbacks, transports).  A
 :class:`PhaseProfiler` attached to a :class:`~repro.core.engine.RapsEngine`
 (``engine.profiler = PhaseProfiler()``) accumulates wall time per phase
 with near-zero overhead when detached (a single ``is None`` check per

@@ -2,10 +2,11 @@
 
 :class:`SurrogateEngine` is a drop-in execution backend for the
 streaming engine protocol (:class:`~repro.core.engine.StreamingEngine`)
-— the same ``iter_steps()`` → :class:`~repro.core.engine.StepState`
-stream and ``run()`` → :class:`~repro.core.engine.SimulationResult`
-collector as :class:`~repro.core.engine.RapsEngine` — that replaces the
-two expensive physics models with trained surrogates:
+— it fills the same result columns as
+:class:`~repro.core.engine.RapsEngine`, so ``run()`` returns the same
+:class:`~repro.core.engine.SimulationResult` shape and ``iter_steps()``
+streams the same :class:`~repro.core.engine.StepState` rows — and
+replaces the two expensive physics models with trained surrogates:
 
 - *scheduling stays full fidelity*: the event-driven half of
   Algorithm 1 (:func:`~repro.core.engine.drive_schedule`, node-outage
@@ -33,22 +34,13 @@ output set is recorded, and conversion-chain overrides are rejected
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.config.schema import SystemSpec
-from repro.core.engine import (
-    DEFAULT_COOLING_RECORD,
-    WARMUP_COOLING_S,
-    ElectricalRun,
-    StepState,
-    StreamingEngine,
-)
+from repro.core.engine import DEFAULT_COOLING_RECORD, Lane, StreamingEngine
 from repro.exceptions import SimulationError
 from repro.fastpath.bundle import SurrogateBundle
 from repro.scheduler.engine import SchedulerEngine
-from repro.scheduler.job import Job
 from repro.telemetry.dataset import TimeSeries
 from repro.telemetry.schema import TRACE_QUANTA_S
 
@@ -95,28 +87,21 @@ class SurrogateEngine(StreamingEngine):
 
     # -- main loop ------------------------------------------------------------
 
-    def iter_steps(
-        self,
-        jobs: list[Job],
-        duration_s: float,
-        *,
-        wetbulb: TimeSeries | float = 15.0,
-        warmup_cooling_s: float = WARMUP_COOLING_S,
-        events=(),
-    ) -> Iterator[StepState]:
-        """Stream surrogate-fidelity steps, one per 15 s trace quantum.
+    def _lane_steps(self, jobs, duration_s, wetbulb, warmup_cooling_s, events):
+        """The surrogate-fidelity run, one row per 15 s trace quantum.
 
         Protocol-compatible with :meth:`RapsEngine.iter_steps
-        <repro.core.engine.RapsEngine.iter_steps>`.  Internally the run
-        is computed in two vectorized passes — a full scheduling sweep
-        collecting per-quantum slot aggregates, then batched surrogate
-        queries over every quantum at once — and only then streamed, so
-        closing the generator early saves no compute (it already cost
-        milliseconds).  ``warmup_cooling_s`` is accepted for signature
-        compatibility and ignored: the cooling surrogate predicts the
-        *steady-state* response, which is its own warmup.
+        <repro.core.engine.RapsEngine.iter_steps>`.  The run is computed
+        in two vectorized passes — a full scheduling sweep collecting
+        per-quantum slot aggregates, then batched surrogate queries over
+        every quantum at once — straight into the lane's columns, before
+        any step is streamed, so closing a stream early saves no compute
+        (it already cost milliseconds).  ``warmup_cooling_s`` is
+        accepted for signature compatibility and ignored: the cooling
+        surrogate predicts the *steady-state* response, which is its own
+        warmup.
 
-        Cooling records hold the fields of
+        The cooling columns hold the fields of
         :data:`~repro.core.engine.DEFAULT_COOLING_RECORD` the surrogate
         can produce (:data:`SURROGATE_COOLING_OUTPUTS`).
 
@@ -126,73 +111,59 @@ class SurrogateEngine(StreamingEngine):
         events are ignored: the steady-state cooling surrogate has no
         transient plant to block (a documented screening approximation).
         """
+        num_cdus = self.spec.cooling.num_cdus
+        lane = Lane(
+            self.scheduler, jobs, duration_s, events=events,
+            num_cdus=num_cdus,
+        )
+        run = lane.run
+        cols = run.columns
         # --- pass 1: exact scheduling, O(slots) feature extraction.
-        run = ElectricalRun(self.scheduler, jobs, duration_s, events=events)
         n_steps = run.n_steps
         total_nodes = self.spec.total_nodes
         fracs = np.empty(n_steps)
         cpus = np.empty(n_steps)
         gpus = np.empty(n_steps)
-        utils = np.empty(n_steps)
-        nrun = np.empty(n_steps, dtype=np.int64)
         for k, t_sample in run.gen:
             fracs[k], cpus[k], gpus[k] = run.pool.active_aggregates(
                 t_sample, self.quanta, total_nodes
             )
-            utils[k] = self.scheduler.utilization
-            nrun[k] = self.scheduler.num_running
+            cols["utilization"][k] = self.scheduler.utilization
+            cols["num_running"][k] = self.scheduler.num_running
 
         # --- pass 2: batched surrogate physics over all quanta at once.
-        times = np.arange(n_steps, dtype=np.float64) * self.quanta
         power = self.bundle.predict_power_features(fracs, cpus, gpus)
         sys_w = power["system_power_w"]
         loss_w = power["loss_w"]
-        sivoc_w = power["sivoc_loss_w"]
-        rect_w = power["rectifier_loss_w"]
+        cols["system_power_w"][:] = sys_w
+        cols["loss_w"][:] = loss_w
+        cols["sivoc_loss_w"][:] = power["sivoc_loss_w"]
+        cols["rectifier_loss_w"][:] = power["rectifier_loss_w"]
         # eta = P_out / P_in with P_out = P_in - loss; P_in is the
         # conversion-chain input: system power minus switches and pumps.
         chain_in = np.maximum(
             sys_w - self._static_overhead_w(), loss_w
         )
         with np.errstate(divide="ignore", invalid="ignore"):
-            eff = np.where(
+            cols["chain_efficiency"][:] = np.where(
                 chain_in > 0.0, 1.0 - loss_w / chain_in, 1.0
             )
-        num_cdus = self.spec.cooling.num_cdus
-        cdu_w = np.maximum(
+        cdu_w = cols["cdu_power_w"]
+        cdu_w[:] = np.maximum(
             sys_w - self.spec.power.cdu_pump_power_w * num_cdus, 0.0
         )[:, None] / num_cdus * np.ones(num_cdus)
-        cdu_heat = cdu_w * self.spec.power.cooling_efficiency
+        cols["cdu_heat_w"][:] = cdu_w * self.spec.power.cooling_efficiency
 
-        cooling_series: dict[str, np.ndarray] = {}
         if self.with_cooling:
-            wb = self._wetbulb_series(wetbulb, times)
+            wb = self._wetbulb_series(wetbulb, cols["times_s"])
             predicted = self.bundle.predict_cooling(sys_w, wb)
-            record = [
-                name
+            lane.row = 0
+            lane.cooling = {
+                name: np.asarray(predicted[name], dtype=np.float64)[None]
                 for name in DEFAULT_COOLING_RECORD
                 if name in SURROGATE_COOLING_OUTPUTS
-            ]
-            cooling_series = {name: predicted[name] for name in record}
-
-        for k in range(n_steps):
-            yield StepState(
-                index=k,
-                time_s=float(times[k]),
-                system_power_w=float(sys_w[k]),
-                loss_w=float(loss_w[k]),
-                sivoc_loss_w=float(sivoc_w[k]),
-                rectifier_loss_w=float(rect_w[k]),
-                chain_efficiency=float(eff[k]),
-                utilization=float(utils[k]),
-                num_running=int(nrun[k]),
-                cdu_power_w=cdu_w[k],
-                cdu_heat_w=cdu_heat[k],
-                cooling={
-                    name: np.float64(series[k])
-                    for name, series in cooling_series.items()
-                },
-            )
+            }
+        return lane, (k for k in range(n_steps))
 
     # -- helpers ---------------------------------------------------------------
 

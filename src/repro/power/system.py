@@ -23,6 +23,7 @@ runs K lanes (batched scenario runs) through the same arrays in one call;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,9 +142,10 @@ class PowerResult:
         """Total conversion loss P_L (Eq. 2)."""
         return self.sivoc_loss_w + self.rectifier_loss_w
 
-    @property
+    @cached_property
     def compute_output_w(self) -> float:
-        """Total 48 V power delivered to nodes (P_S48V summed)."""
+        """Total 48 V power delivered to nodes (P_S48V summed; summed
+        once per result, which a run reads every quantum it is reused)."""
         return float(np.sum(self.node_power_w))
 
     @property

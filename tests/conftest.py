@@ -72,25 +72,35 @@ RESULT_SERIES = (
 )
 
 
+def _assert_series_identical(actual, expected, label: str) -> None:
+    """Equal values, dtype and shape: a count column turned float, or a
+    row that lost its CDU axis, fails even where its values compare
+    equal."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype, (
+        f"{label}: dtype {actual.dtype} != {expected.dtype}"
+    )
+    assert actual.shape == expected.shape, (
+        f"{label}: shape {actual.shape} != {expected.shape}"
+    )
+    np.testing.assert_array_equal(actual, expected, err_msg=label)
+
+
 def _assert_cooling_bitidentical(actual, expected, label: str) -> None:
     assert set(actual) == set(expected), (
         f"{label}: cooling keys differ: "
         f"{sorted(set(actual) ^ set(expected))}"
     )
     for key in expected:
-        np.testing.assert_array_equal(
-            np.asarray(actual[key], dtype=np.float64),
-            np.asarray(expected[key], dtype=np.float64),
-            err_msg=f"{label}: cooling[{key}]",
+        _assert_series_identical(
+            actual[key], expected[key], f"{label}: cooling[{key}]"
         )
 
 
 def _assert_result_bitidentical(actual, expected, label: str) -> None:
     for name in RESULT_SERIES:
-        np.testing.assert_array_equal(
-            getattr(actual, name),
-            getattr(expected, name),
-            err_msg=f"{label}: {name}",
+        _assert_series_identical(
+            getattr(actual, name), getattr(expected, name), f"{label}: {name}"
         )
     _assert_cooling_bitidentical(actual.cooling, expected.cooling, label)
     assert actual.scheduler_stats == expected.scheduler_stats, (
@@ -98,20 +108,33 @@ def _assert_result_bitidentical(actual, expected, label: str) -> None:
     )
 
 
+def _step_arrays(step) -> dict:
+    """The per-CDU arrays of a step, which its step record leaves out."""
+    arrays = {"cdu_power_w": step.cdu_power_w, "cdu_heat_w": step.cdu_heat_w}
+    for key, value in step.cooling.items():
+        if np.ndim(value):
+            arrays[f"cooling[{key}]"] = value
+    return arrays
+
+
 def _assert_step_streams_bitidentical(actual, expected, label: str) -> None:
     from repro.core.engine import StepState
     from repro.viz.export import step_record
 
-    actual = [
-        step_record(s) if isinstance(s, StepState) else s for s in actual
-    ]
-    expected = [
-        step_record(s) if isinstance(s, StepState) else s for s in expected
-    ]
+    actual, expected = list(actual), list(expected)
     assert len(actual) == len(expected), (
         f"{label}: {len(actual)} steps vs {len(expected)}"
     )
     for k, (a, b) in enumerate(zip(actual, expected)):
+        if isinstance(a, StepState) and isinstance(b, StepState):
+            arrays_a, arrays_b = _step_arrays(a), _step_arrays(b)
+            assert arrays_a.keys() == arrays_b.keys(), f"{label}: step {k}"
+            for name in arrays_b:
+                _assert_series_identical(
+                    arrays_a[name], arrays_b[name], f"{label}: step {k} {name}"
+                )
+        a = step_record(a) if isinstance(a, StepState) else a
+        b = step_record(b) if isinstance(b, StepState) else b
         assert a == b, f"{label}: step {k} differs: {a!r} != {b!r}"
 
 
@@ -217,12 +240,14 @@ def solo_run(scenario, twin):
 
 
 def assert_lanes_match_solo(lanes, twin) -> None:
-    """Every lane's steps equal its solo run's; every coupled lane's
-    FMU state and plant graph too, once the batched run has ended."""
+    """Every lane's steps (the rows of its columns) equal its solo
+    run's; every coupled lane's FMU state and plant graph too, once the
+    batched run has ended."""
     for lane in lanes:
         engine, steps = solo_run(lane.scenario, twin)
         label = f"lane {lane.index} ({lane.scenario.name})"
-        assert_bitidentical(lane.steps, steps, label=label)
+        rows = [lane.state(k) for k in range(lane.n_steps)]
+        assert_bitidentical(rows, steps, label=label)
         if lane.fmu is None:
             continue
         solo = engine.fmu

@@ -4,7 +4,7 @@ Table IV)."""
 import numpy as np
 import pytest
 
-from repro.core.engine import collect_steps
+from repro.core.engine import Lane
 from repro.core.stats import aggregate_daily, format_table4
 from repro.exceptions import ScenarioError, SimulationError
 from repro.scenarios import (
@@ -13,6 +13,7 @@ from repro.scenarios import (
     SyntheticScenario,
     VerificationScenario,
 )
+from repro.scheduler.engine import SchedulerEngine
 from tests.conftest import make_small_spec
 
 
@@ -42,11 +43,10 @@ class TestSimulationFacade:
         assert DigitalTwin(path).spec.name == "mini"
 
     def test_statistics_requires_run(self):
-        # Statistics come from a run's steps; an empty stream is no run.
-        with pytest.raises(SimulationError, match="no steps"):
-            collect_steps(
-                iter(()), jobs=[], num_cdus=1, scheduler_stats=None
-            )
+        # Statistics come from a run's steps; a zero-step result is no run.
+        lane = Lane(SchedulerEngine(16), [], 60.0, num_cdus=1)
+        with pytest.raises(SimulationError, match="run produced no steps"):
+            lane.result(0)
 
     def test_verification_points(self):
         twin = DigitalTwin(make_small_spec())

@@ -120,13 +120,13 @@ def test_stacked_lanes_match_their_reference_plants():
                     plant.tower.pressure_setpoint_pa = design * dp_scale
                 kernel.gather(i, lanes[i])
         kernel.advance(heats, wetbulbs, 3.0, 5, active=active)
-        records = kernel.cooling_records([SYSTEM_W] * active, active=active)
+        columns = kernel.cooling_records([SYSTEM_W] * active, active=active)
         kernel.write_back(lanes)
         for i in range(active):
             state = refs[i].step(heats[i], wetbulbs[i], system_power_w=SYSTEM_W)
-            for key, value in records[i].items():
+            for key, column in columns.items():
                 np.testing.assert_array_equal(
-                    value, getattr(state, key), err_msg=f"step {step} lane {i} {key}"
+                    column[i], getattr(state, key), err_msg=f"step {step} lane {i} {key}"
                 )
             np.testing.assert_array_equal(
                 lanes[i]._snapshot(heats[i], SYSTEM_W).as_output_vector(),
@@ -183,7 +183,11 @@ def test_stacked_form_steps_like_the_scalar_form(monkeypatch):
         wetbulbs = rng.uniform(-5.0, 30.0, active).tolist()
         for kernel in (stacked, scalar):
             kernel.advance(heats, wetbulbs, 3.0, 5, active=active)
-        assert list(stacked.facility.rows(lanes)) == scalar.facility.rows(lanes)
+        for a, b in zip(
+            stacked.facility.columns(lanes), scalar.facility.columns(lanes)
+        ):
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
         for name in ("hot_t", "cold_t", "out50", "integ50", "pri_return"):
             np.testing.assert_array_equal(
                 getattr(stacked, name), getattr(scalar, name), err_msg=name
