@@ -19,6 +19,7 @@ one can silently ratchet the bar.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -89,6 +90,26 @@ def record_trajectory(path: str, doc: dict, baseline: dict | None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
+
+
+def interleaved_minima(variants: dict, rounds: int) -> dict:
+    """Each variant's minimum measurement over ``rounds`` interleaved
+    rounds.
+
+    ``variants`` maps a name to a zero-argument callable that runs the
+    variant once and returns its measurement (seconds).  Each round runs
+    every variant once, after a ``gc.collect()`` per run, rotating which
+    goes first (two variants alternate), so drift on a shared host and
+    the garbage left by earlier runs fall on every variant alike.
+    """
+    names = list(variants)
+    best = dict.fromkeys(names, float("inf"))
+    for r in range(rounds):
+        k = r % len(names)
+        for name in names[k:] + names[:k]:
+            gc.collect()
+            best[name] = min(best[name], variants[name]())
+    return best
 
 
 def pytest_collection_modifyitems(items):

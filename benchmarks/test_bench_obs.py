@@ -10,8 +10,10 @@ sampling overhead (a recording replay vs a merely instrumented one),
 and ``/api/query`` latency — recording the cross-PR trajectory in
 ``benchmarks/BENCH_obs.json``.
 
-Method: the compared variants run in interleaved rounds and the guard
-compares the per-variant *minimum CPU time* (turbo/co-tenant noise
+Method: the compared variants run in interleaved rounds
+(:func:`~benchmarks.conftest.interleaved_minima`: alternating order, a
+``gc.collect()`` before each run) and the guard compares the
+per-variant *minimum CPU time* (turbo/co-tenant noise
 inflates individual rounds upward only, so the minima are the honest
 pair).  The ratio guards are hardware-independent; the committed
 baseline additionally bounds drift via the shared ``check_ratio``
@@ -33,6 +35,7 @@ from benchmarks.conftest import (
     bench_json_path,
     check_ratio,
     emit,
+    interleaved_minima,
     load_baseline,
     record_trajectory,
 )
@@ -45,7 +48,7 @@ from tests.conftest import assert_bitidentical, make_small_spec
 _BENCH_JSON = bench_json_path("obs")
 
 REPLAY_HOURS = 12.0
-ROUNDS = 3
+ROUNDS = 11
 #: The tentpole acceptance envelope: instrumented CPU time may exceed
 #: detached by at most this factor.
 OVERHEAD_BUDGET = 1.02
@@ -86,17 +89,24 @@ def _replay(spec, *, registry=None, profiler=None):
 def test_bench_obs_overhead(spec):
     baseline = load_baseline(_BENCH_JSON)
 
-    detached_cpu: list[float] = []
-    instrumented_cpu: list[float] = []
-    detached_result = instrumented_result = None
     registry = MetricsRegistry()
-    for _ in range(ROUNDS):
-        cpu, detached_result = _replay(spec)
-        detached_cpu.append(cpu)
-        cpu, instrumented_result = _replay(
+    results = {}
+
+    def detached():
+        cpu, results["detached"] = _replay(spec)
+        return cpu
+
+    def instrumented():
+        cpu, results["instrumented"] = _replay(
             spec, registry=registry, profiler=PhaseProfiler()
         )
-        instrumented_cpu.append(cpu)
+        return cpu
+
+    cpu = interleaved_minima(
+        {"detached": detached, "instrumented": instrumented}, ROUNDS
+    )
+    detached_result = results["detached"]
+    instrumented_result = results["instrumented"]
 
     # Instrumentation must never change the numerics.
     assert_bitidentical(
@@ -106,7 +116,7 @@ def test_bench_obs_overhead(spec):
     assert registry.value("repro_engine_runs_total") == ROUNDS
     assert steps == ROUNDS * len(detached_result.times_s)
 
-    ratio = min(instrumented_cpu) / min(detached_cpu)
+    ratio = cpu["instrumented"] / cpu["detached"]
     assert ratio <= OVERHEAD_BUDGET, (
         f"instrumented replay {ratio:.4f}x detached "
         f"(budget {OVERHEAD_BUDGET}x)"
@@ -140,8 +150,8 @@ def test_bench_obs_overhead(spec):
         "system": spec.name,
         "replay_hours": REPLAY_HOURS,
         "rounds": ROUNDS,
-        "detached_cpu_s": round(min(detached_cpu), 3),
-        "instrumented_cpu_s": round(min(instrumented_cpu), 3),
+        "detached_cpu_s": round(cpu["detached"], 3),
+        "instrumented_cpu_s": round(cpu["instrumented"], 3),
         "instrumented_ratio": round(ratio, 4),
         "overhead_budget": OVERHEAD_BUDGET,
         "steps_per_run": int(steps // ROUNDS),
@@ -178,15 +188,15 @@ def _merge_trajectory(path: str, new_keys: dict, baseline: dict | None):
 def test_bench_history_recording_and_query(spec):
     baseline = load_baseline(_BENCH_JSON)
 
-    instrumented_cpu: list[float] = []
-    recording_cpu: list[float] = []
-    instrumented_result = recording_result = None
-    recorder = None
-    for _ in range(ROUNDS):
-        reg = MetricsRegistry()
-        cpu, instrumented_result = _replay(spec, registry=reg)
-        instrumented_cpu.append(cpu)
+    results = {}
 
+    def instrumented():
+        cpu, results["instrumented"] = _replay(
+            spec, registry=MetricsRegistry()
+        )
+        return cpu
+
+    def recording():
         reg = MetricsRegistry()
         rec = MetricsRecorder(reg, interval_s=RECORD_INTERVAL_S)
         stop = threading.Event()
@@ -199,16 +209,22 @@ def test_bench_history_recording_and_query(spec):
         sampler = threading.Thread(target=_sampler, daemon=True)
         sampler.start()
         try:
-            cpu, recording_result = _replay(spec, registry=reg)
+            cpu, results["recording"] = _replay(spec, registry=reg)
         finally:
             stop.set()
             sampler.join()
         # Engine counters fold at the run boundary: one more sample
         # catches the folded totals in the history.
         rec.sample()
-        recording_cpu.append(cpu)
-        recorder = rec
-        registry = reg
+        results["recorder"], results["registry"] = rec, reg
+        return cpu
+
+    cpu = interleaved_minima(
+        {"instrumented": instrumented, "recording": recording}, ROUNDS
+    )
+    instrumented_result = results["instrumented"]
+    recording_result = results["recording"]
+    recorder, registry = results["recorder"], results["registry"]
 
     # The recorder only reads the registry: recording a replay must
     # not change a single bit of its numerics.
@@ -218,7 +234,7 @@ def test_bench_history_recording_and_query(spec):
     assert recorder.samples_total > 0
     assert "repro_engine_steps_total" in recorder.series_names()
 
-    ratio = min(recording_cpu) / min(instrumented_cpu)
+    ratio = cpu["recording"] / cpu["instrumented"]
     assert ratio <= RECORDING_BUDGET, (
         f"recording replay {ratio:.4f}x instrumented "
         f"(budget {RECORDING_BUDGET}x)"

@@ -19,7 +19,8 @@ record of Python floats per lane and steps the tower-control,
 primary-tracking and facility-thermal sections lane by lane, and a wide
 kernel stacks the same state as ``(B,)`` arrays and runs each section as
 ufunc passes over the active lanes.  A plant stepped on its own is the
-one-lane case.
+one-lane case.  One field table (:data:`_FIELDS`) names each facility
+field once; both forms gather, write back and report from it.
 
 Each way of stepping a plant picks one of two sync rules:
 
@@ -65,10 +66,13 @@ kernel is *bit-identical* to the reference graph (kept as the oracle,
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy
 from functools import lru_cache
 from math import ceil, sqrt
+from operator import attrgetter, call
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,40 +118,23 @@ def _unit_sums(cols, running, unit_w) -> np.ndarray:
     return np.add.reduce(rows, axis=1)
 
 
+#: A :class:`PidController`'s gains, output bounds and sign.
+_PID_GAINS = ("kp", "ki", "kd", "u_min", "u_max", "sign")
+
+
 class _ScalarPid:
     """A width-1 :class:`PidController` as Python floats.
 
     Lanes hold shallow copies of one instance built from the first
-    plant, so the gains are shared; :meth:`BatchedPlantKernel.gather`
-    and :meth:`~BatchedPlantKernel.write_back` sync the state.
+    plant, so the gains are shared; the facility field table syncs the
+    state (``integral``, ``prev_error``, ``has_prev``, ``output``).
     """
 
-    __slots__ = (
-        "kp", "ki", "kd", "u_min", "u_max", "sign",
-        "integral", "prev_error", "has_prev", "output",
-    )
+    __slots__ = (*_PID_GAINS, "integral", "prev_error", "has_prev", "output")
 
     def __init__(self, pid) -> None:
-        if pid.width != 1:
-            raise CoolingModelError("scalar PID needs width 1")
-        self.kp = pid.kp
-        self.ki = pid.ki
-        self.kd = pid.kd
-        self.u_min = pid.u_min
-        self.u_max = pid.u_max
-        self.sign = pid.sign
-
-    def pull(self, pid) -> None:
-        self.integral = float(pid._integral[0])
-        self.prev_error = float(pid._prev_error[0])
-        self.has_prev = bool(pid._has_prev)
-        self.output = float(pid.output[0])
-
-    def push(self, pid) -> None:
-        pid._integral = np.array([self.integral])
-        pid._prev_error = np.array([self.prev_error])
-        pid._has_prev = self.has_prev
-        pid.output = np.array([self.output])
+        for name in _PID_GAINS:
+            setattr(self, name, getattr(pid, name))
 
     def update(self, setpoint: float, measurement: float, dt: float) -> float:
         # PidController.update for one channel; every operation is
@@ -175,6 +162,113 @@ class _ScalarPid:
         return u
 
 
+# -- the facility field table ----------------------------------------------------
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+_ARRAY, _OPTIONAL = np.ndarray.item, _optional_float
+
+
+class _Field(NamedTuple):
+    """One primary/tower field: its graph path on the plant, its slot on
+    a :class:`_ScalarFacility` lane record, its ``(array, row)`` place
+    in :class:`_StackedFacility` (row ``None``: a ``(B,)`` array), and
+    its type on the graph as the reader that makes it a Python scalar:
+    ``float``, ``int``, ``bool``, :data:`_ARRAY` (a 1-element float
+    array; ``item`` also checks the size) or :data:`_OPTIONAL` (a float
+    that is ``None`` before the first substep)."""
+
+    path: str
+    slot: str
+    place: tuple
+    kind: object
+
+
+#: The primary/tower state a kernel owns; both facility forms gather,
+#: write back and report from it.
+_SYNCED = (
+    _Field("primary.pumps.n_running", "p_n_running", ("p_n_running", None), int),
+    _Field("primary.n_ehx", "p_n_ehx", ("n_ehx", None), int),
+    _Field("primary.supply.temp_c", "p_supply_t", ("temp", 1), _ARRAY),
+    _Field("primary.return_.temp_c", "p_return_t", ("temp", 0), _ARRAY),
+    _Field("primary.pump_speed", "p_pump_speed", ("sig", 3), float),
+    _Field("primary.total_flow", "p_total_flow", ("flow", 0), float),
+    _Field("primary.ehx_heat_w", "p_ehx_heat", ("ehx_heat", None), float),
+    _Field("tower.pumps.n_running", "t_n_running", ("t_n_running", None), int),
+    _Field("tower.supply.temp_c", "t_supply_t", ("temp", 3), _ARRAY),
+    _Field("tower.return_.temp_c", "t_return_t", ("temp", 2), _ARRAY),
+    _Field("tower.pump_speed", "t_pump_speed", ("sig", 1), float),
+    _Field("tower.total_flow", "t_total_flow", ("flow", 1), float),
+    _Field("tower.fan_speed", "t_fan_speed", ("sig", 0), float),
+    _Field("tower.htws_delay.y", "delay_y", ("sig", 2), float),
+    _Field("tower._prev_htws_c", "prev_htws", ("prev_htws", None), _OPTIONAL),
+    # The tower's two width-1 PIDs (stacked rows 0 and 1).
+    *(
+        _Field(f"tower.{pid}.{attr}", f"{pid}.{slot}", (array, row), kind)
+        for row, pid in enumerate(("fan_pid", "speed_pid"))
+        for attr, slot, array, kind in (
+            ("_integral", "integral", "pid_integ", _ARRAY),
+            ("_prev_error", "prev_error", "pid_prev", _ARRAY),
+            ("_has_prev", "has_prev", "pid_has_prev", bool),
+            ("output", "output", "pid_out", _ARRAY),
+        )
+    ),
+    # The three staging controllers (stacked rows: CTWPs, cells, HTWPs).
+    *(
+        _Field(f"{path}.{attr}", f"{slot}.{attr}", (array, row), kind)
+        for path, slot, row in (
+            ("primary.pump_staging", "p_stage", 2),
+            ("tower.pump_staging", "t_stage", 0),
+            ("tower.cell_staging", "cell_stage", 1),
+        )
+        for attr, array, kind in (
+            ("count", "counts", int),
+            ("_above_s", "above", float),
+            ("_below_s", "below", float),
+        )
+    ),
+)
+#: With the setpoints, which are gathered and never written back.
+_FIELDS = _SYNCED + (
+    _Field("primary.supply_setpoint_c", "p_supply_sp", ("pid_sp", 0), float),
+    _Field("tower.pressure_setpoint_pa", "t_press_sp", ("pid_sp", 1), float),
+)
+_PREV_HTWS = next(i for i, f in enumerate(_SYNCED) if f.kind is _OPTIONAL)
+
+#: The ``columns(A)`` outputs in order, named by their fields' slots
+#: (``cooling_records`` reads them by name).
+_COLUMNS = (
+    "p_n_running", "p_pump_speed", "p_total_flow", "t_n_running",
+    "t_pump_speed", "cell_stage.count", "t_fan_speed", "p_supply_t",
+    "p_return_t", "t_supply_t", "p_n_ehx",
+)
+_COLUMN_FIELDS = [f for s in _COLUMNS for f in _FIELDS if f.slot == s]
+
+_graph_values = attrgetter(*(f.path for f in _FIELDS))
+_graph_readers = tuple(f.kind for f in _FIELDS)
+_graph_owners = attrgetter(*(f.path.rpartition(".")[0] for f in _SYNCED))
+_graph_names = tuple(f.path.rpartition(".")[2] for f in _SYNCED)
+_graph_arrays = [i for i, f in enumerate(_SYNCED) if f.kind is _ARRAY]
+
+
+def _read_graph(plant):
+    """``plant``'s facility fields, in table order, as Python scalars
+    (an iterator)."""
+    return map(call, _graph_readers, _graph_values(plant))
+
+
+def _write_graph(plant, values: list) -> None:
+    """Set ``plant``'s synced facility fields from Python scalars in
+    table order (``values`` is consumed: its arrays are built in place)."""
+    for i in _graph_arrays:
+        values[i] = np.array([values[i]])
+    for _ in map(setattr, _graph_owners(plant), _graph_names, values):
+        pass
+
+
 class _Facility:
     """The facility half of a kernel: the primary and tower loops.
 
@@ -182,7 +276,8 @@ class _Facility:
     and defines the interface both forms implement:
 
     - ``gather(bi, plant)`` / ``write_back(bi, plant)`` sync lane
-      ``bi``'s facility state with ``plant``'s component graph;
+      ``bi``'s facility state with ``plant``'s component graph, field
+      by field over :data:`_FIELDS`;
     - ``bind(A, wetbulb_c, h)`` readies one macro step of the first
       ``A`` lanes and returns the HTW supply temperature and density
       columns (``(A, 1)``) that the CDU thermal section reads;
@@ -191,14 +286,14 @@ class _Facility:
       (sections 7-9) step the bound lanes, with ``demands`` and
       ``mixes`` the per-lane CDU primary-flow and flow-weighted return
       sums as ``(A,)`` arrays;
-    - ``columns(A)`` returns the record fields as ``(A,)`` arrays:
-      HTWPs running, HTWP speed, primary flow, CTWPs running, CTWP
-      speed, cells staged, fan speed, HTW supply, HTW return and CTW
-      supply temperatures, and EHXs staged (counts as int64).
+    - ``columns(A)`` returns the :data:`_COLUMNS` fields, in order, as
+      ``(A,)`` arrays (counts as int64).
     """
 
     def __init__(self, plant) -> None:
         primary, tower = plant.primary, plant.tower
+        if tower.fan_pid.width != 1 or tower.speed_pid.width != 1:
+            raise CoolingModelError("scalar PID needs width 1")
         # --- facility water constants ----------------------------------------
         water = primary.supply.fluid
         self.w_rho_ref = water.rho_ref_kg_m3
@@ -254,20 +349,13 @@ class _Facility:
 
 
 class _LaneState:
-    """One lane's facility state in the scalar form: the primary
-    (``p_``) and tower (``t_``) loop scalars, the tower's two scalar
-    PIDs, and shallow copies of the plant's three
-    :class:`~repro.cooling.control.staging.StagingController` objects
-    (HTWPs, CTWPs, cells)."""
+    """One lane's facility state in the scalar form, a slot per
+    :data:`_FIELDS` slot owner: the primary (``p_``) and tower (``t_``)
+    loop scalars, the tower's two scalar PIDs, and shallow copies of the
+    plant's three :class:`~repro.cooling.control.staging.StagingController`
+    objects (HTWPs, CTWPs, cells)."""
 
-    __slots__ = (
-        "p_supply_sp", "t_press_sp",
-        "p_n_running", "p_n_ehx", "p_supply_t", "p_return_t",
-        "p_pump_speed", "p_total_flow", "p_ehx_heat",
-        "t_n_running", "t_supply_t", "t_return_t", "t_pump_speed",
-        "t_total_flow", "t_fan_speed", "delay_y", "prev_htws",
-        "fan_pid", "speed_pid", "p_stage", "t_stage", "cell_stage",
-    )
+    __slots__ = tuple(dict.fromkeys(f.slot.partition(".")[0] for f in _FIELDS))
 
     def __init__(self, fan_pid, speed_pid, p_stage, t_stage, cell_stage):
         self.fan_pid = copy(fan_pid)
@@ -277,16 +365,12 @@ class _LaneState:
         self.cell_stage = copy(cell_stage)
 
 
-def _pull_stage(mine, theirs) -> None:
-    mine.count = theirs.count
-    mine._above_s = float(theirs._above_s)
-    mine._below_s = float(theirs._below_s)
-
-
-def _push_stage(mine, theirs) -> None:
-    theirs.count = mine.count
-    theirs._above_s = mine._above_s
-    theirs._below_s = mine._below_s
+# A slot is on the lane record itself, or ``owner.name`` on one of its
+# PIDs or staging controllers.
+_slot_owners = [f.slot.rpartition(".")[0] for f in _FIELDS]
+_slot_names = [f.slot.rpartition(".")[2] for f in _FIELDS]
+_slot_values = attrgetter(*(f.slot for f in _SYNCED))
+_column_values = attrgetter(*_COLUMNS)
 
 
 class _ScalarFacility(_Facility):
@@ -302,56 +386,21 @@ class _ScalarFacility(_Facility):
             primary.pump_staging, tower.pump_staging, tower.cell_staging,
         )
         self.lanes = [_LaneState(*controllers) for _ in range(B)]
+        # The object that holds each field's slot, per lane.
+        self.owners = [
+            [getattr(f, o) if o else f for o in _slot_owners]
+            for f in self.lanes
+        ]
         self.htws_col = np.empty((B, 1))
         self.rho_w_col = np.empty((B, 1))
 
     def gather(self, bi: int, plant) -> None:
-        f, primary, tower = self.lanes[bi], plant.primary, plant.tower
-        f.p_supply_sp = float(primary.supply_setpoint_c)
-        f.t_press_sp = float(tower.pressure_setpoint_pa)
-        f.p_n_running = primary.pumps.n_running
-        f.p_n_ehx = primary.n_ehx
-        f.p_supply_t = float(primary.supply.temp_c[0])
-        f.p_return_t = float(primary.return_.temp_c[0])
-        f.p_pump_speed = float(primary.pump_speed)
-        f.p_total_flow = float(primary.total_flow)
-        f.p_ehx_heat = float(primary.ehx_heat_w)
-        f.t_n_running = tower.pumps.n_running
-        f.t_supply_t = float(tower.supply.temp_c[0])
-        f.t_return_t = float(tower.return_.temp_c[0])
-        f.t_pump_speed = float(tower.pump_speed)
-        f.t_total_flow = float(tower.total_flow)
-        f.t_fan_speed = float(tower.fan_speed)
-        f.delay_y = float(tower.htws_delay.y)
-        f.prev_htws = tower._prev_htws_c
-        f.fan_pid.pull(tower.fan_pid)
-        f.speed_pid.pull(tower.speed_pid)
-        _pull_stage(f.p_stage, primary.pump_staging)
-        _pull_stage(f.t_stage, tower.pump_staging)
-        _pull_stage(f.cell_stage, tower.cell_staging)
+        values = _read_graph(plant)
+        for _ in map(setattr, self.owners[bi], _slot_names, values):
+            pass
 
     def write_back(self, bi: int, plant) -> None:
-        f, primary, tower = self.lanes[bi], plant.primary, plant.tower
-        primary.pumps.n_running = f.p_n_running
-        primary.n_ehx = f.p_n_ehx
-        primary.supply.temp_c = np.array([f.p_supply_t])
-        primary.return_.temp_c = np.array([f.p_return_t])
-        primary.pump_speed = f.p_pump_speed
-        primary.total_flow = f.p_total_flow
-        primary.ehx_heat_w = f.p_ehx_heat
-        tower.pumps.n_running = f.t_n_running
-        tower.supply.temp_c = np.array([f.t_supply_t])
-        tower.return_.temp_c = np.array([f.t_return_t])
-        tower.pump_speed = f.t_pump_speed
-        tower.total_flow = f.t_total_flow
-        tower.fan_speed = f.t_fan_speed
-        tower.htws_delay.y = f.delay_y
-        tower._prev_htws_c = f.prev_htws
-        f.fan_pid.push(tower.fan_pid)
-        f.speed_pid.push(tower.speed_pid)
-        _push_stage(f.p_stage, primary.pump_staging)
-        _push_stage(f.t_stage, tower.pump_staging)
-        _push_stage(f.cell_stage, tower.cell_staging)
+        _write_graph(plant, list(_slot_values(self.lanes[bi])))
 
     def bind(self, A: int, wetbulb_c, h: float):
         self.active = self.lanes[:A]
@@ -360,18 +409,12 @@ class _ScalarFacility(_Facility):
         return self.htws_col[:A], self.rho_w_col[:A]
 
     def columns(self, A: int):
-        # Two array builds, the counts and the floats, not eleven.
-        lanes = self.lanes[:A]
-        htwps, ctwps, cells, n_ehx = np.array([
-            (f.p_n_running, f.t_n_running, f.cell_stage.count, f.p_n_ehx)
-            for f in lanes
-        ], dtype=np.int64).T
-        speed, flow, t_speed, fan, supply, ret, t_supply = np.array([
-            (f.p_pump_speed, f.p_total_flow, f.t_pump_speed, f.t_fan_speed,
-             f.p_supply_t, f.p_return_t, f.t_supply_t) for f in lanes
-        ], dtype=np.float64).T
-        return [htwps, speed, flow, ctwps, t_speed, cells, fan,
-                supply, ret, t_supply, n_ehx]
+        # One array build, not eleven; the counts are exact as floats.
+        block = np.array(list(map(_column_values, self.lanes[:A]))).T
+        return [
+            row.astype(np.int64) if f.kind is int else row
+            for row, f in zip(block, _COLUMN_FIELDS)
+        ]
 
     # -- helpers (one lane, Python floats) ------------------------------------
 
@@ -547,20 +590,18 @@ class _StackedFacility(_Facility):
 
     Every ufunc is elementwise, so each lane sees the scalar form's
     operations in the scalar form's order, and no value crosses lanes.
-    Rows group like state so that one call serves several quantities:
+    Rows group like state (each field's place is in :data:`_FIELDS`)
+    so that one call serves several quantities:
 
-    - ``sig``: fan speed, CTWP speed, HTWS delay output, HTWP speed;
-      rows ``[0:2]`` are the two PIDs' outputs and ``[1:4]`` the three
-      staging controllers' signals;
-    - PIDs, ``(2, B)``: row 0 the fan PID, row 1 the CTWP speed PID;
-    - staging, ``(3, B)``: rows CTWPs, cells, HTWPs.  The scalar form
+    - ``sig`` rows ``[0:2]`` are the two PIDs' outputs and ``[1:4]`` the
+      three staging controllers' signals;
+    - the staging rows all update in section 4-5.  The scalar form
       updates the cell and CTWP controllers in section 2; nothing reads
       their counts or timers before section 4-5, and their signals do
       not change in between, so all three update there in one pass;
-    - ``temp``: the primary return and supply and the tower return and
-      supply volumes (``temp3`` is the same memory as ``[loop, volume]``).
-      The four relax factors depend only on each volume's pre-substep
-      temperature and flow, so one ``expm1`` serves them all.
+    - the four ``temp`` volumes' relax factors depend only on each
+      volume's pre-substep temperature and flow, so one ``expm1``
+      serves them all.
 
     Counts index lookup tables built with the scalar form's own
     arithmetic (pump-curve denominators, HTWP capacity, EHXs per cell
@@ -571,21 +612,24 @@ class _StackedFacility(_Facility):
 
     def __init__(self, plant, B: int) -> None:
         super().__init__(plant)
-        primary, tower = plant.primary, plant.tower
-        pids = (tower.fan_pid, tower.speed_pid)
-        if any(pid.width != 1 for pid in pids):
-            raise CoolingModelError("scalar PID needs width 1")
-        stages = (tower.pump_staging, tower.cell_staging, primary.pump_staging)
+        tower = plant.tower
+
+        def controllers(array):
+            # The graph objects behind an array's rows, in row order.
+            rows = sorted(
+                (f.place[1], f.path.rpartition(".")[0])
+                for f in _FIELDS if f.place[0] == array
+            )
+            return [attrgetter(path)(plant) for _, path in rows]
+
+        pids, stages = controllers("pid_integ"), controllers("counts")
 
         def column(objs, attr, dtype=np.float64):
             values = [getattr(o, attr) for o in objs]
             return np.array(values, dtype=dtype)[:, None]
 
         (self.pid_kp, self.pid_ki, self.pid_kd, self.pid_umin,
-         self.pid_umax, self.pid_sign) = (
-            column(pids, a)
-            for a in ("kp", "ki", "kd", "u_min", "u_max", "sign")
-        )
+         self.pid_umax, self.pid_sign) = (column(pids, a) for a in _PID_GAINS)
         self.kd_zero = self.pid_kd == 0.0
         self.st_hi, self.st_lo, self.st_up, self.st_down = (
             column(stages, a)
@@ -620,25 +664,23 @@ class _StackedFacility(_Facility):
         })
 
         # --- resident state --------------------------------------------------
-        self.sig = np.empty((4, B))
-        self.temp3 = np.empty((2, 2, B))
-        self.temp = self.temp3.reshape(4, B)
-        self.flow = np.empty((2, B))  # primary, tower total flow
-        self.pid_sp = np.empty((2, B))  # HTW supply, CT header dp setpoints
-        self.pid_integ = np.empty((2, B))
-        self.pid_prev = np.empty((2, B))
-        self.pid_out = np.empty((2, B))
-        self.pid_has_prev = np.zeros((2, B), dtype=bool)
-        self.counts = np.empty((3, B), dtype=np.int64)
-        self.above = np.empty((3, B))
-        self.below = np.empty((3, B))
-        self.p_n_running = np.empty(B, dtype=np.int64)
-        self.t_n_running = np.empty(B, dtype=np.int64)
-        self.n_ehx = np.empty(B, dtype=np.int64)
-        self.ehx_heat = np.empty(B)
-        # The tower's previous HTWS reading; ``None`` on the graph (a
-        # lane never stepped) is ``htws_seen`` False.
-        self.prev_htws = np.zeros(B)
+        # An array per place in the field table, holding each field's
+        # (B,) row; ``temp3`` is ``temp`` as ``[loop, volume]``.
+        self.state = Counter(array for array, _ in (f.place for f in _FIELDS))
+        for f in _FIELDS:
+            array, row = f.place
+            if row in (None, 0):  # the place's first field allocates it
+                dtype = {int: np.int64, bool: bool}.get(f.kind, np.float64)
+                shape = B if row is None else (self.state[array], B)
+                setattr(self, array, np.zeros(shape, dtype=dtype))
+        self.rows = [
+            getattr(self, array) if row is None else getattr(self, array)[row]
+            for array, row in (f.place for f in _FIELDS)
+        ]
+        self.column_rows = [self.rows[_FIELDS.index(f)] for f in _COLUMN_FIELDS]
+        self.temp3 = self.temp.reshape(2, 2, B)
+        # The tower's previous HTWS reading (``prev_htws``) is ``None``
+        # on the graph of a lane never stepped: ``htws_seen`` False.
         self.htws_seen = np.zeros(B, dtype=bool)
         self.rho_w = np.empty(B)
 
@@ -653,67 +695,19 @@ class _StackedFacility(_Facility):
         self.ci = np.empty(B, dtype=np.int64)
 
     def gather(self, bi: int, plant) -> None:
-        primary, tower = plant.primary, plant.tower
-        self.pid_sp[:, bi] = (
-            primary.supply_setpoint_c, tower.pressure_setpoint_pa
-        )
-        self.sig[:, bi] = (
-            tower.fan_speed, tower.pump_speed, tower.htws_delay.y,
-            primary.pump_speed,
-        )
-        self.temp[:, bi] = (
-            primary.return_.temp_c[0], primary.supply.temp_c[0],
-            tower.return_.temp_c[0], tower.supply.temp_c[0],
-        )
-        self.flow[:, bi] = (primary.total_flow, tower.total_flow)
-        self.p_n_running[bi] = primary.pumps.n_running
-        self.t_n_running[bi] = tower.pumps.n_running
-        self.n_ehx[bi] = primary.n_ehx
-        self.ehx_heat[bi] = primary.ehx_heat_w
-        prev = tower._prev_htws_c
+        values = list(_read_graph(plant))
+        prev = values[_PREV_HTWS]
         self.htws_seen[bi] = prev is not None
-        self.prev_htws[bi] = 0.0 if prev is None else prev
-        for k, pid in enumerate((tower.fan_pid, tower.speed_pid)):
-            self.pid_integ[k, bi] = pid._integral[0]
-            self.pid_prev[k, bi] = pid._prev_error[0]
-            self.pid_has_prev[k, bi] = pid._has_prev
-            self.pid_out[k, bi] = pid.output[0]
-        stages = (tower.pump_staging, tower.cell_staging, primary.pump_staging)
-        for k, stage in enumerate(stages):
-            self.counts[k, bi] = stage.count
-            self.above[k, bi] = stage._above_s
-            self.below[k, bi] = stage._below_s
+        if prev is None:
+            values[_PREV_HTWS] = 0.0
+        for row, value in zip(self.rows, values):
+            row[bi] = value
 
     def write_back(self, bi: int, plant) -> None:
-        primary, tower = plant.primary, plant.tower
-        p_return, p_supply, t_return, t_supply = self.temp[:, bi].tolist()
-        fan, t_speed, delay_y, p_speed = self.sig[:, bi].tolist()
-        primary.pumps.n_running = int(self.p_n_running[bi])
-        primary.n_ehx = int(self.n_ehx[bi])
-        primary.supply.temp_c = np.array([p_supply])
-        primary.return_.temp_c = np.array([p_return])
-        primary.pump_speed = p_speed
-        primary.total_flow, tower.total_flow = self.flow[:, bi].tolist()
-        primary.ehx_heat_w = float(self.ehx_heat[bi])
-        tower.pumps.n_running = int(self.t_n_running[bi])
-        tower.supply.temp_c = np.array([t_supply])
-        tower.return_.temp_c = np.array([t_return])
-        tower.pump_speed = t_speed
-        tower.fan_speed = fan
-        tower.htws_delay.y = delay_y
-        tower._prev_htws_c = (
-            float(self.prev_htws[bi]) if self.htws_seen[bi] else None
-        )
-        for k, pid in enumerate((tower.fan_pid, tower.speed_pid)):
-            pid._integral = np.array([self.pid_integ[k, bi]])
-            pid._prev_error = np.array([self.pid_prev[k, bi]])
-            pid._has_prev = bool(self.pid_has_prev[k, bi])
-            pid.output = np.array([self.pid_out[k, bi]])
-        stages = (tower.pump_staging, tower.cell_staging, primary.pump_staging)
-        for k, stage in enumerate(stages):
-            stage.count = int(self.counts[k, bi])
-            stage._above_s = float(self.above[k, bi])
-            stage._below_s = float(self.below[k, bi])
+        values = [row.item(bi) for row in self.rows[:len(_SYNCED)]]
+        if not self.htws_seen[bi]:
+            values[_PREV_HTWS] = None
+        _write_graph(plant, values)
 
     def bind(self, A: int, wetbulb_c, h: float):
         # A lane's first substep reads its previous HTWS as the current
@@ -736,22 +730,14 @@ class _StackedFacility(_Facility):
             m=[a[:A] for a in self.m], m2=[a[:, :A] for a in self.m2],
             m3=[a[:, :A] for a in self.m3],
             **{
-                name: getattr(self, name)[..., :A] for name in (
-                    "sig", "temp", "flow", "counts", "above", "below",
-                    "pid_sp", "pid_integ", "pid_prev", "pid_out",
-                    "prev_htws", "p_n_running", "t_n_running", "n_ehx",
-                    "ehx_heat", "rho_w", "relax", "ci",
-                )
+                name: getattr(self, name)[..., :A]
+                for name in (*self.state, "rho_w", "relax", "ci")
             },
         )
         return self.temp[1, :A, None], self.rho_w[:A, None]
 
     def columns(self, A: int):
-        return [c[:A] for c in (
-            self.p_n_running, self.sig[3], self.flow[0],
-            self.t_n_running, self.sig[1], self.counts[1], self.sig[0],
-            self.temp[1], self.temp[0], self.temp[3], self.n_ehx,
-        )]
+        return [row[:A] for row in self.column_rows]
 
     # -- substep sections -----------------------------------------------------
 
@@ -1396,8 +1382,9 @@ class BatchedPlantKernel:
         np.multiply(self.cdu_pumps_running, pump_w, out=pump_w)
 
         fac = self.facility
-        (htwps, speed, p_flow, ctwps, t_speed, cells, fan,
-         p_supply, p_return, t_supply, n_ehx) = fac.columns(A)
+        col = dict(zip(_COLUMNS, fac.columns(A)))
+        htwps, speed = col["p_n_running"], col["p_pump_speed"]
+        ctwps, cells = col["t_n_running"], col["cell_stage.count"]
         # Pump and fan powers: one Python-float pow per lane.
         htwp_w = [
             _pump_power(fac.htwp_rated, s) if m else 0.0
@@ -1405,14 +1392,14 @@ class BatchedPlantKernel:
         ]
         ctwp_w = [
             _pump_power(fac.ctwp_rated, s) if m else 0.0
-            for m, s in zip(ctwps.tolist(), t_speed.tolist())
+            for m, s in zip(ctwps.tolist(), col["t_pump_speed"].tolist())
         ]
         fan_w = [
             _fan_power(fac.cell_fan_w, m, f)
-            for m, f in zip(cells.tolist(), fan.tolist())
+            for m, f in zip(cells.tolist(), col["t_fan_speed"].tolist())
         ]
         # Header pressure: the reference's IEEE-exact scalar arithmetic.
-        q = p_flow / np.maximum(htwps, 1)
+        q = col["p_total_flow"] / np.maximum(htwps, 1)
         head = speed * speed * fac.p_h0 - fac.p_kp * q * q
         head = np.where(head < 0.0, 0.0, head)
 
@@ -1426,13 +1413,13 @@ class BatchedPlantKernel:
         np.divide(power + aux_cep_w, power, out=pue, where=power > 0)
         return {
             "pue": pue,
-            "htw_supply_temp_c": p_supply,
-            "htw_return_temp_c": p_return,
+            "htw_supply_temp_c": col["p_supply_t"],
+            "htw_return_temp_c": col["p_return_t"],
             "htw_supply_pressure_pa": HEADER_STATIC_PA + 0.75 * head,
-            "ctw_supply_temp_c": t_supply,
+            "ctw_supply_temp_c": col["t_supply_t"],
             "num_ct_staged": cells,
             "num_htwp_staged": htwps,
-            "num_ehx_staged": n_ehx,
+            "num_ehx_staged": col["p_n_ehx"],
             "aux_power_w": aux_cep_w + np.add.reduce(pump_w, axis=1),
             "cdu_primary_flow_m3s": self.pri_flow[:A],
             "cdu_primary_return_temp_c": self.pri_return[:A],

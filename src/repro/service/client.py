@@ -73,8 +73,7 @@ class _Retryable(Exception):
 class TwinClient:
     """Talk to one :class:`~repro.service.server.TwinServer`.
 
-    ``timeout_s`` is the legacy single knob: when given it sets *both*
-    split timeouts.  ``retry`` defaults to a standard
+    ``retry`` defaults to a standard
     :class:`~repro.service.resilience.RetryPolicy`; pass
     ``RetryPolicy.none()`` for strict fail-fast behavior.  ``client_id``
     is sent as the ``X-Repro-Client`` header (the server's per-client
@@ -88,7 +87,6 @@ class TwinClient:
         *,
         connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
-        timeout_s: float | None = None,
         retry: RetryPolicy | None = None,
         client_id: str | None = None,
     ) -> None:
@@ -99,8 +97,6 @@ class TwinClient:
             raise ExaDigiTError(f"service URL needs host:port, got {url!r}")
         self.host = parts.hostname
         self.port = parts.port
-        if timeout_s is not None:
-            connect_timeout_s = read_timeout_s = timeout_s
         self.connect_timeout_s = float(connect_timeout_s)
         self.read_timeout_s = float(read_timeout_s)
         self.retry = retry if retry is not None else RetryPolicy()

@@ -269,9 +269,8 @@ def test_client_timeout_split_and_compat():
     client = TwinClient("http://127.0.0.1:1")
     assert client.connect_timeout_s == 10.0
     assert client.read_timeout_s == 300.0
-    legacy = TwinClient("http://127.0.0.1:1", timeout_s=5.0)
-    assert legacy.connect_timeout_s == 5.0
-    assert legacy.read_timeout_s == 5.0
+    with pytest.raises(TypeError):
+        TwinClient("http://127.0.0.1:1", timeout_s=5.0)
     split = TwinClient(
         "http://127.0.0.1:1", connect_timeout_s=1.0, read_timeout_s=60.0
     )
