@@ -15,8 +15,9 @@ Results land in ``benchmarks/BENCH_workloads.json``.  As with
 the guard is *ratio*-based (memo-vs-fresh generation speedup), which
 is hardware-independent to first order: a >20 % regression against the
 committed ratio fails the bench.  Ratios come from per-process CPU time
-over interleaved measurement rounds, and the baseline is only rewritten
-on first creation or with ``REPRO_BENCH_UPDATE=1``.
+over interleaved measurement rounds
+(:func:`~benchmarks.conftest.interleaved_minima`), and the baseline is
+only rewritten on first creation or with ``REPRO_BENCH_UPDATE=1``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from benchmarks.conftest import (
     bench_json_path,
     check_ratio,
     emit,
+    interleaved_minima,
     load_baseline,
     record_trajectory,
 )
@@ -48,6 +50,9 @@ GEN_HOURS = 24.0
 #: Memo checkouts per timing sample (a single clone pass is too fast
 #: to time stably on its own).
 CHECKOUTS = 50
+#: Interleaved fresh-generate / memo-checkout rounds (each variant's
+#: minimum is kept).
+ROUNDS = 15
 
 
 def _timed(fn):
@@ -65,33 +70,44 @@ def test_bench_workload_trajectory():
     gen = DiurnalWorkload(seed=0, mean_arrival_s=60.0)
     duration_s = GEN_HOURS * 3600.0
 
-    # Interleaved rounds, per-category minimum: both sides of the guard
-    # ratio see the same machine conditions.
-    fresh_wall = fresh_cpu = np.inf
-    cached_wall = cached_cpu = np.inf
-    jobs = []
-    for _ in range(3):
-        wall, cpu, jobs = _timed(lambda: gen.generate(spec, duration_s))
-        fresh_wall = min(fresh_wall, wall)
-        fresh_cpu = min(fresh_cpu, cpu)
-        memo = WorkloadMemo()
+    memo = WorkloadMemo()
 
-        def checkout():
-            # What a generated plan and its engine do: key, look up, clone.
-            key = ("generated", gen.spec_sha(), duration_s)
-            return memo.checkout(
-                memo.jobs(key, lambda: gen.generate(spec, duration_s))
-            )
+    def checkout():
+        # What a generated plan and its engine do: key, look up, clone.
+        key = ("generated", gen.spec_sha(), duration_s)
+        return memo.checkout(
+            memo.jobs(key, lambda: gen.generate(spec, duration_s))
+        )
 
-        checkout()  # build the template
+    jobs = checkout()  # build the template
 
-        def checkouts():
-            for _ in range(CHECKOUTS):
-                checkout()
+    def checkouts():
+        for _ in range(CHECKOUTS):
+            checkout()
 
-        wall, cpu, _ = _timed(checkouts)
-        cached_wall = min(cached_wall, wall / CHECKOUTS)
-        cached_cpu = min(cached_cpu, cpu / CHECKOUTS)
+    # Interleaved rounds, per-variant minimum: both sides of the guard
+    # ratio see the same machine conditions.  The variants return CPU
+    # time; their wall-time minima are kept beside it.
+    wall = {"fresh": np.inf, "cached": np.inf}
+
+    def variant(name, fn):
+        def timed():
+            seconds, cpu, _ = _timed(fn)
+            wall[name] = min(wall[name], seconds)
+            return cpu
+
+        return timed
+
+    cpu = interleaved_minima(
+        {
+            "fresh": variant("fresh", lambda: gen.generate(spec, duration_s)),
+            "cached": variant("cached", checkouts),
+        },
+        ROUNDS,
+    )
+    fresh_wall, fresh_cpu = wall["fresh"], cpu["fresh"]
+    cached_wall = wall["cached"] / CHECKOUTS
+    cached_cpu = cpu["cached"] / CHECKOUTS
 
     jobs_per_s = len(jobs) / fresh_wall
     cache_speedup = fresh_cpu / cached_cpu

@@ -115,6 +115,22 @@ class _Lane(Lane):
         self.next: _Lane | None = None
         self.sent = 0
 
+    def result(self, steps: int):
+        """:meth:`Lane.result`; a follower's result owns its jobs,
+        stats and electrical columns."""
+        result = super().result(steps)
+        if not self.follower:
+            return result
+        return dataclasses.replace(
+            result,
+            jobs=[copy.copy(job) for job in result.jobs],
+            scheduler_stats=copy.deepcopy(result.scheduler_stats),
+            **{
+                name: getattr(result, name).copy()
+                for name in self.run.columns
+            },
+        )
+
     def forward(self, on_step, done: int) -> None:
         """Send this lane's steps among the first ``done`` quanta that
         are not sent yet to ``on_step``, as rows, once the scenario's
@@ -196,20 +212,19 @@ class BatchedEngine:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(self, *, progress=None, on_step=None) -> list[ScenarioResult]:
+    def run(self, *, on_step=None, on_result=None) -> list[ScenarioResult]:
         """Execute all scenarios; results in input order.
 
-        ``progress`` is an optional ``(done, total)`` callback fired as
-        scenarios finish collection (and per serial fallback).
         ``on_step(index, step)`` streams every
         :class:`~repro.core.engine.StepState` as it is produced, tagged
         with the scenario's caller-order index (the service layer's
         live step transport); each scenario's stream is its serial
         ``progress`` stream, its runs in plan order.
+        ``on_result(index, outcome)`` gets each outcome ``run`` returns
+        once: a lane scenario's right after the quantum its last lane
+        ends in (caller order within a quantum), then each fallback's.
         """
-        total = len(self.scenarios)
-        out: list[ScenarioResult | None] = [None] * total
-        done = 0
+        out: list[ScenarioResult | None] = [None] * len(self.scenarios)
         twin = self.twin
         laneable: list[tuple[int, Scenario]] = []
         fallback: list[int] = []
@@ -247,48 +262,46 @@ class BatchedEngine:
             runs[index] = own
             lanes.extend(own)
 
+        # The quantum each scenario's last lane ends in, caller order.
+        ends: dict[int, list[int]] = {}
+        for index, own in runs.items():
+            end = max(lane.n_steps for lane in own) - 1
+            ends.setdefault(end, []).append(index)
+
+        def hand_over(index: int) -> None:
+            scenario = self.scenarios[index]
+            if index in runs:
+                outcome = scenario._finish(
+                    twin, [lane.result(lane.n_steps) for lane in runs[index]]
+                )
+            else:
+                stream = None if on_step is None else partial(on_step, index)
+                outcome = scenario.run(twin, progress=stream)
+            out[index] = outcome
+            if on_result is not None:
+                on_result(index, outcome)
+
+        def on_quantum(k: int) -> None:
+            for index in ends.get(k, ()):
+                hand_over(index)
+
         if lanes:
-            self._run_lanes(lanes, on_step=on_step)
+            self._run_lanes(lanes, on_step=on_step, on_quantum=on_quantum)
             if prof is not None:
                 prof.end_run(
                     sum(lane.n_steps for lane in lanes),
                     power_evals=self.power_evals,
                     power_reuses=self.power_reuses,
                 )
-        for index, own in runs.items():
-            results = []
-            for lane in own:
-                result = lane.result(lane.n_steps)
-                if lane.follower:
-                    # A follower's result owns its jobs, stats and
-                    # electrical columns.
-                    result = dataclasses.replace(
-                        result,
-                        jobs=[copy.copy(job) for job in result.jobs],
-                        scheduler_stats=copy.deepcopy(result.scheduler_stats),
-                        **{
-                            name: getattr(result, name).copy()
-                            for name in lane.run.columns
-                        },
-                    )
-                results.append(result)
-            out[index] = own[0].scenario._finish(twin, results)
-            done += 1
-            if progress is not None:
-                progress(done, total)
         for index in fallback:
-            out[index] = self.scenarios[index].run(
-                twin,
-                progress=None if on_step is None else partial(on_step, index),
-            )
-            done += 1
-            if progress is not None:
-                progress(done, total)
+            hand_over(index)
         return out  # type: ignore[return-value]
 
     # -- internals ---------------------------------------------------------------
 
-    def _run_lanes(self, lanes: list[_Lane], on_step=None) -> None:
+    def _run_lanes(
+        self, lanes: list[_Lane], on_step=None, on_quantum=None
+    ) -> None:
         # Longest lanes first: active lanes stay a contiguous batch
         # prefix as shorter lanes finish (sort is stable, so equal
         # lengths keep caller order).
@@ -309,12 +322,17 @@ class BatchedEngine:
             warm_cache=self.twin.warm_cache,
             profiler=self.profiler,
         )
-        for k, active in loop:
-            if lanes_gauge is not None:
-                lanes_gauge.set(len(active))
-            if on_step is not None:
-                for lane in active:
-                    lane.forward(on_step, k + 1)
+        try:
+            for k, active in loop:
+                if lanes_gauge is not None:
+                    lanes_gauge.set(len(active))
+                if on_step is not None:
+                    for lane in active:
+                        lane.forward(on_step, k + 1)
+                if on_quantum is not None:
+                    on_quantum(k)
+        finally:
+            loop.close()  # syncs the FMUs now, even if a traceback holds us
         self.power_evals = sum(run.power_evals for run in runs)
         self.power_reuses = sum(run.power_reuses for run in runs)
         self.shared_lanes = len(lanes) - len(runs)
@@ -333,13 +351,13 @@ class BatchedEngine:
             )
 
 
-def run_batched(scenarios, twin, *, progress=None) -> list[ScenarioResult]:
+def run_batched(scenarios, twin) -> list[ScenarioResult]:
     """Execute ``scenarios`` against ``twin`` with the batched engine.
 
     Convenience wrapper over :class:`BatchedEngine`; results come back
     in input order and are bit-identical to ``scenario.run(twin)``.
     """
-    return BatchedEngine(scenarios, twin).run(progress=progress)
+    return BatchedEngine(scenarios, twin).run()
 
 
 __all__ = ["BatchedEngine", "run_batched"]

@@ -35,7 +35,7 @@ class FmuStateSnapshot:
     """One captured FMU state (the FMI 2.0 ``fmi2GetFMUstate`` analog).
 
     Holds the full plant capsule plus the wrapper's clock, inputs, and
-    last outputs, so :meth:`CoolingFMU.set_fmu_state` resumes stepping
+    last step's state, so :meth:`CoolingFMU.set_fmu_state` resumes stepping
     exactly where the capture left off — the mechanism behind the
     serving layer's warm-plant cache (restore a warmed state instead of
     re-running the 1800 s warmup).
@@ -46,7 +46,6 @@ class FmuStateSnapshot:
     cdu_heat: np.ndarray
     wetbulb_c: float
     system_power_w: float | None
-    outputs: np.ndarray
     last_state: PlantState | None
     lifecycle: "FmuState"
 
@@ -97,7 +96,6 @@ class CoolingFMU:
         self._output_names = output_names(
             cooling.num_cdus, cooling.cooling_towers.total_cells
         )
-        self._outputs = np.zeros(len(self._output_names))
         self._index = {name: i for i, name in enumerate(self._output_names)}
         self.last_state: PlantState | None = None
 
@@ -142,7 +140,6 @@ class CoolingFMU:
             cdu_heat=self._cdu_heat.copy(),
             wetbulb_c=self._wetbulb_c,
             system_power_w=self._system_power_w,
-            outputs=self._outputs.copy(),
             last_state=copy.deepcopy(self.last_state),
             lifecycle=self.state,
         )
@@ -167,7 +164,6 @@ class CoolingFMU:
         self._cdu_heat = snapshot.cdu_heat.copy()
         self._wetbulb_c = snapshot.wetbulb_c
         self._system_power_w = snapshot.system_power_w
-        self._outputs = snapshot.outputs.copy()
         self.last_state = copy.deepcopy(snapshot.last_state)
         self.state = snapshot.lifecycle
 
@@ -239,7 +235,6 @@ class CoolingFMU:
             system_power_w=self._system_power_w,
         )
         self.last_state = state
-        self._outputs = state.as_output_vector()
         self._time += step_size
         self.state = FmuState.STEPPING
 
@@ -266,13 +261,17 @@ class CoolingFMU:
     def get_output(self, name: str) -> float:
         """Read one named output from the last completed step."""
         try:
-            return float(self._outputs[self._index[name]])
+            index = self._index[name]
         except KeyError:
             raise FMUError(f"unknown output variable {name!r}") from None
+        return float(self.get_outputs()[index])
 
     def get_outputs(self) -> np.ndarray:
-        """The full 317-value output vector from the last step."""
-        return self._outputs.copy()
+        """The full 317-value output vector from the last step (zeros
+        before the first)."""
+        if self.last_state is None:
+            return np.zeros(len(self._output_names))
+        return self.last_state.as_output_vector()
 
     def get_state(self) -> PlantState:
         """Structured snapshot of the last step."""

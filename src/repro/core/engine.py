@@ -809,7 +809,7 @@ def resident_cooling(lanes: list[Lane], block: dict, profiler=None):
     kernel one macro step and writes the kernel's record columns into
     column ``k`` of ``block`` — and ``finish(done)`` writes every lane
     back onto its component graph and leaves its FMU (clocks, inputs,
-    outputs, ``last_state``) as if each of the lane's steps among the
+    ``last_state``) as if each of the lane's steps among the
     first ``done`` quanta had gone through ``do_step``.  A ``profiler``
     splits the cooling phase into ``cooling.advance`` (wet-bulb checks
     and the kernel step) and ``cooling.records``.
@@ -868,7 +868,6 @@ def resident_cooling(lanes: list[Lane], block: dict, profiler=None):
             fmu.set_wetbulb(lane.wetbulb_c)
             fmu.set_system_power(power)
             fmu.last_state = plant._snapshot(heat, power)
-            fmu._outputs = fmu.last_state.as_output_vector()
             fmu.state = FmuState.STEPPING
 
     return cool, finish

@@ -102,7 +102,8 @@ def run_cells(
     to ``on_result(index, scenario, outcome)`` as it finishes.
 
     ``execution="batched"`` runs the cells as the lanes of one
-    :class:`~repro.batch.engine.BatchedEngine` (``workers`` ignored);
+    :class:`~repro.batch.engine.BatchedEngine` (``workers`` ignored),
+    each outcome handed over as the cell's last lane ends;
     else ``workers > 1`` spreads them over worker processes, each cell
     building its own workload, and the serial path shares one
     :class:`~repro.scenarios.base.WorkloadMemo` across the call.  Every
@@ -114,9 +115,9 @@ def run_cells(
     if execution == "batched":
         from repro.batch import BatchedEngine
 
-        outcomes = BatchedEngine([s for _, s in pending], twin).run()
-        for (index, scenario), outcome in zip(pending, outcomes):
-            on_result(index, scenario, outcome)
+        BatchedEngine([s for _, s in pending], twin).run(
+            on_result=lambda i, outcome: on_result(*pending[i], outcome)
+        )
     elif workers <= 1:
         memo = WorkloadMemo()
         for index, scenario in pending:

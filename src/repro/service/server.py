@@ -104,6 +104,10 @@ from repro.viz.export import encode_step_line
 
 SendLine = Callable[[dict], Awaitable[None]]
 
+#: Finished results the in-memory cache keeps (LRU; the store is the
+#: durable tier).
+RESULT_CACHE_ENTRIES = 128
+
 
 class _ChaosDrop(Exception):
     """Injected mid-stream connection drop (chaos site ``conn_drop``)."""
@@ -161,11 +165,6 @@ class TwinServer:
         no history; an explicit registry instance is used as-is (shared
         registries across servers are allowed, and then share the
         ``/healthz`` counters too).
-    flight_capacity:
-        Ring-buffer size of the :class:`~repro.obs.trace.FlightRecorder`
-        holding the most recent job spans and worker events; the buffer
-        is dumped to ``<store>/flight/`` whenever a worker dies or a
-        health check flips healthy→degraded.
     history_interval:
         Sampling period (seconds) of the
         :class:`~repro.obs.history.MetricsRecorder` background task
@@ -211,13 +210,9 @@ class TwinServer:
         surrogates=None,
         max_attempts: int = 2,
         use_cache: bool = True,
-        warm_entries: int = 8,
-        start_method: str = "spawn",
         max_retained_jobs: int = 4096,
-        result_cache_entries: int = 128,
         execution: str = "processes",
         metrics: bool | MetricsRegistry = True,
-        flight_capacity: int = 512,
         history_interval: float = 1.0,
         alert_rules: str | Path | list | None = None,
         chaos=None,
@@ -253,7 +248,8 @@ class TwinServer:
             if isinstance(metrics, MetricsRegistry)
             else MetricsRegistry()
         )
-        self.flight = FlightRecorder(flight_capacity)
+        #: The last 512 job spans and worker events (the default ring).
+        self.flight = FlightRecorder()
         self.tracer = Tracer(self.flight)
         self.store = (
             ServiceStore(store, self.spec, metrics=self.metrics)
@@ -301,11 +297,8 @@ class TwinServer:
             on_event=self._on_worker_event_threadsafe,
             fidelity=fidelity,
             surrogate_doc=self._surrogate_doc,
-            warm_entries=warm_entries,
-            start_method=start_method,
         )
         self.max_retained_jobs = max_retained_jobs
-        self.result_cache_entries = result_cache_entries
         #: Terminal job ids in completion order (memory-bound eviction).
         self._terminal_order: list[str] = []
         self.chaos = resolve_chaos(chaos)
@@ -940,7 +933,7 @@ class TwinServer:
         if entry is None or entry[0] != job.id:
             return
         try:
-            entry[1].append(record)
+            entry[1].write(record)
         except OSError:
             # Disk trouble mid-stream: drop the writer; _persist falls
             # back to the atomic rewrite (or counts a persist error).
@@ -966,7 +959,7 @@ class TwinServer:
             if entry is not None and entry[0] == job.id:
                 self._live_streams.pop(job.key, None)
                 entry[1].close()
-                stream_ready = entry[1].n_written == len(job.steps)
+                stream_ready = entry[1].count == len(job.steps)
             try:
                 if self.chaos.enabled:
                     if self.chaos.should("slow_io"):
@@ -994,7 +987,7 @@ class TwinServer:
     ) -> None:
         self._result_cache[key] = hit
         self._result_cache.move_to_end(key)
-        while len(self._result_cache) > self.result_cache_entries:
+        while len(self._result_cache) > RESULT_CACHE_ENTRIES:
             self._result_cache.popitem(last=False)
 
     # -- job creation ----------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, IO
+from typing import Any
 
 from repro.exceptions import ScenarioError
 from repro.obs.registry import get_registry
@@ -37,7 +37,11 @@ from repro.scenarios.artifacts import (
 )
 from repro.scenarios.base import Scenario
 from repro.config.schema import SystemSpec
-from repro.viz.export import decode_step_line, encode_step_line
+from repro.viz.export import (
+    StepStreamWriter,
+    decode_step_line,
+    encode_step_line,
+)
 
 STEPS_DIR = "steps"
 CHECKPOINT = "checkpoint.json"
@@ -227,39 +231,19 @@ class ServiceStore:
         return doc if isinstance(doc, dict) else None
 
 
-class LiveStepStream:
+class LiveStepStream(StepStreamWriter):
     """Append-per-step writer for ``steps/<key>.jsonl``.
 
-    Each append is one encoded line plus a flush — durable enough that
-    a SIGKILL loses at most the in-flight line, which the next open's
-    torn-tail heal removes.  ``abort()`` discards the partial stream
-    (used when a job fails or is requeued mid-attempt).
+    Each :meth:`write` is one encoded line plus a flush — durable
+    enough that a SIGKILL loses at most the in-flight line, which the
+    next open's torn-tail heal removes.  ``abort()`` discards the
+    partial stream (used when a job fails or is requeued mid-attempt).
     """
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self.n_written = 0
-        self._fh: IO[str] | None = path.open("w", encoding="utf-8")
-
-    def append(self, record: dict[str, Any]) -> None:
-        if self._fh is None:
-            raise ScenarioError(f"step stream {self.path} is closed")
-        self._fh.write(encode_step_line(record) + "\n")
-        self._fh.flush()
-        self.n_written += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
     def abort(self) -> None:
         """Close and remove the partial stream."""
         self.close()
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
 
 
 __all__ = ["LiveStepStream", "ServiceStore", "CHECKPOINT", "STEPS_DIR"]

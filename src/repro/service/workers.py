@@ -19,10 +19,11 @@ Execution model:
   runs the group through one
   :class:`~repro.batch.engine.BatchedEngine`.  It streams ``step``
   messages back per job id (one per engine quantum) and finishes each
-  member with ``done`` / ``error`` / ``cancelled``.  Cancel requests
-  are polled between steps: a cancelled member is acknowledged at once
-  and its later steps are dropped; the run aborts only once every
-  member is cancelled.  A dead worker surfaces as an ``exit`` event;
+  member with ``done`` (as its last lane ends) / ``error`` /
+  ``cancelled``.  Cancel requests are polled between steps: a
+  cancelled member is acknowledged at once and its later steps are
+  dropped; the run stops once no member is live.  A dead worker
+  surfaces as an ``exit`` event;
   the server requeues its running members (attempt-capped) and
   respawns.
 
@@ -49,6 +50,10 @@ from repro.scenarios.base import Scenario
 from repro.scenarios.twin import DigitalTwin
 from repro.service.warmcache import WarmStateCache
 from repro.viz.export import step_record
+
+#: How worker processes start: a fresh interpreter, never a fork of the
+#: server's threads and event loop.
+START_METHOD = "spawn"
 
 
 class WorkStealingQueue:
@@ -150,7 +155,8 @@ def _drain_control(conn, live: set[str]) -> None:
 
 def _run_group(conn, twin: DigitalTwin, msg: dict[str, Any]) -> None:
     """Run one lane group through :class:`BatchedEngine`, streaming
-    every member's steps under its own job id."""
+    every member's steps under its own job id and finishing each member
+    as its last lane ends."""
     job_ids = [job_id for job_id, _ in msg["jobs"]]
     live = set(job_ids)
     try:
@@ -169,16 +175,16 @@ def _run_group(conn, twin: DigitalTwin, msg: dict[str, Any]) -> None:
                         "record": step_record(step),
                     }
                 )
+            elif not live:
+                # Every member is terminal, so the server may already
+                # have sent the next group: stop before reading it.
+                raise _CancelGroup
             _drain_control(conn, live)
 
-        outcomes = BatchedEngine(scenarios, twin).run(on_step=on_step)
-        # Amortized per-cell cost: the lanes ran together, so each
-        # member's share of the group wall time is the honest figure.
-        elapsed = (time.perf_counter() - t0) / len(job_ids)
-        warm_hit = cache is not None and cache.hits > hits_before
-        for job_id, outcome in zip(job_ids, outcomes):
+        def on_result(index: int, outcome) -> None:
+            job_id = job_ids[index]
             if job_id not in live:
-                continue
+                return
             cell = result_to_cell_doc(0, outcome)
             cell.pop("index", None)
             conn.send(
@@ -186,13 +192,17 @@ def _run_group(conn, twin: DigitalTwin, msg: dict[str, Any]) -> None:
                     "event": "done",
                     "job_id": job_id,
                     "cell": cell,
-                    "elapsed_s": elapsed,
-                    "warm_hit": warm_hit,
+                    "elapsed_s": time.perf_counter() - t0,
+                    "warm_hit": cache is not None and cache.hits > hits_before,
                 }
             )
             live.discard(job_id)  # terminal: never also an error
+
+        BatchedEngine(scenarios, twin).run(
+            on_step=on_step, on_result=on_result
+        )
     except _CancelGroup:
-        pass  # every member's cancel was acknowledged as it arrived
+        pass  # every member is terminal: its done or cancel was sent
     except Exception as exc:  # noqa: BLE001 - report, don't die
         for job_id in job_ids:
             if job_id in live:
@@ -211,7 +221,6 @@ def worker_main(
     spec_json: str,
     fidelity: str = "full",
     surrogate_doc: dict | None = None,
-    warm_entries: int = 8,
 ) -> None:
     """Entry point of one worker process.
 
@@ -220,9 +229,7 @@ def worker_main(
     commands until ``stop`` or pipe EOF.
     """
     spec = loads_system(spec_json)
-    twin = DigitalTwin(
-        spec, fidelity=fidelity, warm_cache=WarmStateCache(warm_entries)
-    )
+    twin = DigitalTwin(spec, fidelity=fidelity, warm_cache=WarmStateCache())
     if surrogate_doc is not None:
         from repro.fastpath.bundle import SurrogateBundle
 
@@ -282,16 +289,13 @@ class WorkerPool:
         on_event: Callable[[int, dict], None],
         fidelity: str = "full",
         surrogate_doc: dict | None = None,
-        warm_entries: int = 8,
-        start_method: str = "spawn",
     ) -> None:
         if n_workers < 1:
             raise ExaDigiTError("need at least one worker")
         self._spec_json = dumps_system(spec, indent=None)
         self._fidelity = fidelity
         self._surrogate_doc = surrogate_doc
-        self._warm_entries = warm_entries
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._on_event = on_event
         self.stopping = False
         self.workers = [WorkerHandle(i) for i in range(n_workers)]
@@ -309,7 +313,6 @@ class WorkerPool:
                 self._spec_json,
                 self._fidelity,
                 self._surrogate_doc,
-                self._warm_entries,
             ),
             daemon=True,
             name=f"twin-worker-{handle.index}",

@@ -194,7 +194,7 @@ class StepStreamWriter:
             self._owns = True
         self.count = 0
 
-    def write(self, step: StepState) -> None:
+    def write(self, step: StepState | dict) -> None:
         self._fh.write(encode_step_line(step) + "\n")
         self._fh.flush()
         self.count += 1

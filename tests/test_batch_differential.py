@@ -333,16 +333,16 @@ def test_warm_cache_shared_across_engines(spec, serial_first):
     assert_bitidentical(second_steps, cold, label=f"{second_name} (hit)")
 
 def test_engine_counters_and_progress(spec):
-    """The batched engine exposes change-detection counters and fires
-    the (done, total) progress callback once per scenario."""
+    """The batched engine exposes change-detection counters and hands
+    each scenario's outcome to ``on_result`` once."""
     scenarios = [
         SyntheticScenario(duration_s=DUR, seed=v, with_cooling=False)
         for v in range(3)
     ]
     engine = BatchedEngine(scenarios, DigitalTwin(spec))
     ticks = []
-    engine.run(progress=lambda done, total: ticks.append((done, total)))
-    assert ticks == [(1, 3), (2, 3), (3, 3)]
+    engine.run(on_result=lambda index, outcome: ticks.append(index))
+    assert ticks == [0, 1, 2]
     assert engine.power_evals > 0
     assert engine.power_reuses > 0
 

@@ -237,15 +237,15 @@ def test_live_step_stream_appends_and_aborts(spec, tmp_path):
     stream = store.open_step_stream("k" * 8)
     records = [{"t_s": float(i), "power_w": i * 10.0} for i in range(3)]
     for record in records:
-        stream.append(record)
-    assert stream.n_written == 3
+        stream.write(record)
+    assert stream.count == 3
     stream.close()
     with pytest.raises(Exception, match="closed"):
-        stream.append(records[0])
+        stream.write(records[0])
     text = store.steps_path("k" * 8).read_text("utf-8")
     assert len(text.splitlines()) == 3 and text.endswith("\n")
     aborted = store.open_step_stream("gone")
-    aborted.append(records[0])
+    aborted.write(records[0])
     aborted.abort()
     assert not store.steps_path("gone").exists()
 
