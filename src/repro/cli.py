@@ -217,7 +217,6 @@ def _snapshot_value(metrics: dict, name: str, **labels) -> float:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     import json
-    from time import perf_counter
 
     scenario = SyntheticScenario(
         duration_s=args.hours * 3600.0,
@@ -225,12 +224,46 @@ def cmd_profile(args: argparse.Namespace) -> int:
         with_cooling=not args.no_cooling,
     )
     mode = getattr(args, "mode", "direct")
+    repeat = args.repeat
     if mode == "serve" and args.cooling_backend != "fused":
         # Service workers run fused twins.
         raise ExaDigiTError(
             "--mode serve profiles the fused plant kernel; profile "
             "--cooling-backend reference with --mode direct or batched"
         )
+    if repeat < 1:
+        raise ExaDigiTError("--repeat must be >= 1")
+    docs = []
+    for _ in range(repeat):
+        doc, profiler = _profile_run(args, scenario, mode)
+        docs.append(doc)
+    if repeat > 1:
+        doc["repeat"] = _repeat_summary(docs)
+    doc["mode"] = mode
+    doc["hours"] = args.hours
+    doc["cooling_backend"] = (
+        None if args.no_cooling else args.cooling_backend
+    )
+    text = json.dumps(doc, indent=2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        if repeat > 1:
+            print(_repeat_table(doc["repeat"]))
+        elif mode != "serve":
+            print(profiler.summary())
+        print(f"\nprofile written to {args.out}")
+    else:
+        print(text)
+    return 0
+
+
+def _profile_run(args, scenario, mode):
+    """One profiled run of ``scenario``: its profile document and the
+    :class:`~repro.core.profiling.PhaseProfiler` (None when serving)."""
+    from time import perf_counter
+
+    profiler = None
     if mode in ("direct", "batched"):
         from repro.core.profiling import PhaseProfiler
 
@@ -310,21 +343,45 @@ def cmd_profile(args: argparse.Namespace) -> int:
             ),
             "system": server.spec.name,
         }
-    doc["mode"] = mode
-    doc["hours"] = args.hours
-    doc["cooling_backend"] = (
-        None if args.no_cooling else args.cooling_backend
+    return doc, profiler
+
+
+def _repeat_summary(docs: list[dict]) -> dict:
+    """Median and spread (max - min) of the wall time and of each
+    phase's seconds over repeated profile documents (a phase missing
+    from a run counts 0 s there)."""
+    import statistics
+
+    names = dict.fromkeys(
+        name for doc in docs for name in doc.get("phases", {})
     )
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if mode != "serve":
-            print(profiler.summary())
-        print(f"\nprofile written to {args.out}")
-    else:
-        print(text)
-    return 0
+    series = {"wall_s": [doc["wall_s"] for doc in docs]}
+    for name in names:
+        series[name] = [
+            doc.get("phases", {}).get(name, {}).get("total_s", 0.0)
+            for doc in docs
+        ]
+    rows = {
+        name: {
+            "median_s": round(statistics.median(values), 6),
+            "spread_s": round(max(values) - min(values), 6),
+            "runs_s": values,
+        }
+        for name, values in series.items()
+    }
+    return {"runs": len(docs), "wall_s": rows.pop("wall_s"), "phases": rows}
+
+
+def _repeat_table(summary: dict) -> str:
+    """Text table of :func:`_repeat_summary`."""
+    lines = [f"{'phase':<16} {'median s':>10} {'spread s':>10}"]
+    lines.append("-" * len(lines[0]))
+    for name, row in [("wall", summary["wall_s"]), *summary["phases"].items()]:
+        lines.append(
+            f"{name:<16} {row['median_s']:>10.4f} {row['spread_s']:>10.4f}"
+        )
+    lines.append(f"runs={summary['runs']}")
+    return "\n".join(lines)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -1330,6 +1387,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="what to profile: the engine hot path directly, the same "
         "scenario through BatchedEngine (registry counters), or an "
         "ephemeral twin service observed through /statusz",
+    )
+    p.add_argument(
+        "--repeat",
+        type=int,
+        default=1,
+        metavar="N",
+        help="profile N fresh runs and add each phase's median and "
+        "spread (max - min) over them (default 1)",
     )
     p.set_defaults(func=cmd_profile)
 

@@ -228,15 +228,21 @@ class _TracePool:
         self.event_count += 1
 
     def _slot_utils(self, now: float, quanta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slot (cpu, gpu) utilization at ``now`` (inactive slots 0)."""
-        idx = np.clip(
-            ((now - self.slot_start) // quanta).astype(np.int64),
-            0,
-            self.slot_len - 1,
-        )
-        flat = self.slot_offset + idx
-        slot_cpu = np.where(self.slot_active, self.cpu[np.minimum(flat, max(self.cpu.size - 1, 0))], 0.0) if self.cpu.size else np.zeros_like(flat, dtype=np.float64)
-        slot_gpu = np.where(self.slot_active, self.gpu[np.minimum(flat, max(self.gpu.size - 1, 0))], 0.0) if self.gpu.size else np.zeros_like(flat, dtype=np.float64)
+        """Per-slot (cpu, gpu) utilization at ``now`` (inactive slots 0).
+
+        Each slot reads its trace at the quantum index clamped to
+        ``[0, len - 1]``; every job's cpu and gpu traces have one length,
+        so one clamped flat index reads both pools."""
+        if not self.cpu.size:
+            zeros = np.zeros(self.slot_start.size)
+            return zeros, zeros.copy()
+        idx = ((now - self.slot_start) // quanta).astype(np.int64)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, self.slot_len - 1, out=idx)
+        idx += self.slot_offset
+        np.minimum(idx, self.cpu.size - 1, out=idx)
+        slot_cpu = np.where(self.slot_active, self.cpu.take(idx), 0.0)
+        slot_gpu = np.where(self.slot_active, self.gpu.take(idx), 0.0)
         return slot_cpu, slot_gpu
 
     def slot_fingerprint(

@@ -9,9 +9,10 @@ and the persistence path can never drift apart:
 
 - :func:`result_metrics` — the raw headline scalars of one engine run
   (the numbers behind a suite comparison row),
-- :func:`result_series_doc` / :func:`series_from_doc` — the per-step
-  scalar series as a JSON-compatible document (Python floats round-trip
-  exactly through JSON, so reload is bit-exact),
+- :func:`result_series` / :func:`result_series_doc` /
+  :func:`series_from_doc` — the per-step scalar series as arrays and as
+  a JSON-compatible document (Python floats round-trip exactly through
+  JSON, so reload is bit-exact),
 - :func:`statistics_to_doc` / :func:`statistics_from_doc` — the
   end-of-run :class:`~repro.core.stats.RunStatistics` report,
 - :func:`comparison_to_doc` / :func:`comparison_from_doc` — the
@@ -75,21 +76,26 @@ def result_metrics(result: SimulationResult | None) -> dict[str, float]:
     }
 
 
-def result_series_doc(result: SimulationResult) -> dict[str, list]:
-    """Per-step scalar series as JSON-compatible lists.
+def result_series(result: SimulationResult) -> dict[str, np.ndarray]:
+    """The persisted per-step scalar series, as arrays.
 
     Covers the :data:`SUMMARY_SERIES` set plus every 1-D cooling series
-    the run recorded.  ``np.ndarray.tolist()`` yields Python floats,
-    which serialize to JSON with full round-trip precision.
+    the run recorded (keyed ``cooling.<name>``).
     """
-    doc: dict[str, list] = {
-        name: getattr(result, name).tolist() for name in SUMMARY_SERIES
-    }
-    for name, series in sorted(result.cooling.items()):
-        arr = np.asarray(series)
+    series = {name: getattr(result, name) for name in SUMMARY_SERIES}
+    for name, values in sorted(result.cooling.items()):
+        arr = np.asarray(values)
         if arr.ndim == 1:
-            doc[f"cooling.{name}"] = arr.tolist()
-    return doc
+            series[f"cooling.{name}"] = arr
+    return series
+
+
+def result_series_doc(result: SimulationResult) -> dict[str, list]:
+    """Per-step scalar series (:func:`result_series`) as JSON-compatible
+    lists.  ``np.ndarray.tolist()`` yields Python floats, which
+    serialize to JSON with full round-trip precision.
+    """
+    return {name: arr.tolist() for name, arr in result_series(result).items()}
 
 
 def series_from_doc(doc: dict[str, list]) -> dict[str, np.ndarray]:
@@ -207,6 +213,7 @@ def comparison_from_doc(doc: dict[str, Any]) -> ScenarioComparison:
 __all__ = [
     "SUMMARY_SERIES",
     "result_metrics",
+    "result_series",
     "result_series_doc",
     "fidelity_rows",
     "format_fidelity_table",

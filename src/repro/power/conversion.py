@@ -49,7 +49,7 @@ class EfficiencyCurve:
     def input_power(self, output_w: np.ndarray | float) -> np.ndarray | float:
         """Input power required to deliver ``output_w``: P_in = P_out/eta."""
         out = np.asarray(output_w, dtype=np.float64)
-        if np.any(out < 0):
+        if (out < 0).any():
             raise PowerModelError("output power must be non-negative")
         return out / self.efficiency(out)
 
@@ -117,8 +117,8 @@ class ChainBase:
     stage, :meth:`rectify`, from per-chassis 380 V bus demand to
     per-chassis input power.
 
-    :meth:`convert_rows` takes ``(K, N)`` node powers and their SIVOC
-    inputs, one row per lane, and gives each row the bits
+    :meth:`convert_rows` takes ``(K, N)`` node powers stacked over their
+    SIVOC inputs, one row per lane, and gives each row the bits
     :meth:`convert` gives it alone: the SIVOC curve and the divisions are
     elementwise (so the caller may run the curve on a slot table and
     gather), the chassis scatter is a lane-offset bincount, and each loss
@@ -151,25 +151,28 @@ class ChainBase:
         ).reshape(K, C)
 
     def convert_rows(
-        self,
-        node_w: np.ndarray,
-        sivoc_in: np.ndarray,
-        chassis_flat: np.ndarray,
-    ) -> tuple[np.ndarray, list[float], list[float]]:
-        """:meth:`convert` over ``(K, N)`` node powers ``node_w`` whose
-        SIVOC inputs are ``sivoc_in`` (``chassis_flat`` as in
-        :meth:`chassis_bus`)."""
-        chassis_bus = self.chassis_bus(sivoc_in, chassis_flat)
+        self, nodes: np.ndarray, chassis_flat: np.ndarray
+    ) -> tuple[np.ndarray, list[float], list[float], list[float]]:
+        """:meth:`convert` over K lanes.  ``nodes`` is ``(2, K, N)``:
+        the node powers over their SIVOC inputs (``chassis_flat`` as in
+        :meth:`chassis_bus`).  Returns the ``(K, C)`` chassis input power
+        and, per lane, the SIVOC loss, the rectifier loss and the 48 V
+        output (the lane's node-power sum)."""
+        chassis_bus = self.chassis_bus(nodes[1], chassis_flat)
         chassis_ac = self.rectify(chassis_bus)
         # Sums along contiguous rows: each row's own pairwise sum.
-        sivoc_loss = sivoc_in.sum(axis=1) - node_w.sum(axis=1)
+        output_w, input_w = nodes.sum(axis=2)
+        sivoc_loss = input_w - output_w
         rect_loss = chassis_ac.sum(axis=1) - chassis_bus.sum(axis=1)
-        return chassis_ac, sivoc_loss.tolist(), rect_loss.tolist()
+        return (
+            chassis_ac, sivoc_loss.tolist(), rect_loss.tolist(),
+            output_w.tolist(),
+        )
 
-    def _node_row(self, node_power_w) -> tuple[np.ndarray, np.ndarray]:
-        """One node-power row and its SIVOC inputs, both ``(1, N)``."""
+    def _node_row(self, node_power_w) -> np.ndarray:
+        """One node-power row over its SIVOC inputs, ``(2, 1, N)``."""
         node_w = np.asarray(node_power_w, dtype=np.float64)[None, :]
-        return node_w, self.sivocs.input_power(node_w)
+        return np.stack((node_w, self.sivocs.input_power(node_w)))
 
     def convert(
         self, node_power_w: np.ndarray
@@ -179,9 +182,8 @@ class ChainBase:
         ``chassis_ac_w`` has one entry per chassis; losses are system
         totals in watts.
         """
-        node_w, sivoc_in = self._node_row(node_power_w)
-        ac, sivoc_loss, rect_loss = self.convert_rows(
-            node_w, sivoc_in, self._chassis_of_node
+        ac, sivoc_loss, rect_loss, _ = self.convert_rows(
+            self._node_row(node_power_w), self._chassis_of_node
         )
         return ac[0], sivoc_loss[0], rect_loss[0]
 

@@ -78,7 +78,7 @@ class SmartRectifierChain(ChainBase):
 
     def rectifiers_active(self, node_power_w: np.ndarray) -> np.ndarray:
         """Rectifiers energized per chassis under staging."""
-        _, sivoc_in = self._node_row(node_power_w)
+        sivoc_in = self._node_row(node_power_w)[1]
         return self._stage(
             self.chassis_bus(sivoc_in, self._chassis_of_node)[0]
         )

@@ -12,8 +12,8 @@ Implements the aggregation of paper Eqs. 3-4 and section III-B2:
 
 Step 1 and the SIVOC half of step 2 depend on a node only through its
 (partition, running-job slot), so they run once per (partition, slot) on
-a slot table; one flat ``take`` each then gathers node powers and SIVOC
-inputs to the nodes.  Everything after is vectorized with ``np.bincount``
+a slot table; one ``take`` then gathers node powers and SIVOC inputs to
+the nodes.  Everything after is vectorized with ``np.bincount``
 scatter-adds over precomputed topology index maps; there is no Python
 loop over nodes, chassis, or racks.  :meth:`SystemPowerModel.evaluate_lanes`
 runs K lanes (batched scenario runs) through the same arrays in one call;
@@ -23,7 +23,6 @@ runs K lanes (batched scenario runs) through the same arrays in one call;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +124,9 @@ class PowerResult:
         System-total conversion losses by stage (Eq. 2 decomposition).
     system_power_w:
         Total facility-side IT power: racks + CDU pumps.
+    compute_output_w:
+        Total 48 V power delivered to nodes (P_S48V summed): the
+        ``node_power_w`` sum the conversion chain takes.
     """
 
     node_power_w: np.ndarray
@@ -136,17 +138,12 @@ class PowerResult:
     switch_power_w: float
     cdu_pump_power_w: float
     system_power_w: float
+    compute_output_w: float
 
     @property
     def loss_w(self) -> float:
         """Total conversion loss P_L (Eq. 2)."""
         return self.sivoc_loss_w + self.rectifier_loss_w
-
-    @cached_property
-    def compute_output_w(self) -> float:
-        """Total 48 V power delivered to nodes (P_S48V summed; summed
-        once per result, which a run reads every quantum it is reused)."""
-        return float(np.sum(self.node_power_w))
 
     @property
     def compute_input_w(self) -> float:
@@ -213,14 +210,14 @@ class SystemPowerModel:
             self._rows = K
         return self._maps
 
-    def _gather(self, cpu_rows, gpu_rows, slot_maps):
-        """``(K, N)`` node powers and SIVOC inputs: Eq. 3 and the SIVOC
-        curve on the slot table, then one flat ``take`` each.  The
-        ``(K, N)`` index is freed on return, before the later stages
-        allocate."""
+    def _gather(self, cpu_rows, gpu_rows, slot_maps) -> np.ndarray:
+        """``(2, K, N)``: the node powers over their SIVOC inputs.  Eq. 3
+        and the SIVOC curve run on the slot table, and one ``take``
+        gathers both to the nodes.  The ``(K, N)`` index is freed on
+        return, before the later stages allocate."""
         table, index = self.nodes.slot_table(cpu_rows, gpu_rows, slot_maps)
-        sivoc_table = self.chain.sivocs.input_power(table)
-        return table.ravel().take(index), sivoc_table.ravel().take(index)
+        both = np.concatenate((table, self.chain.sivocs.input_power(table)))
+        return both.reshape(2, -1).take(index, axis=1)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -255,18 +252,19 @@ class SystemPowerModel:
         Eq. 3 and the SIVOC curve run once per (lane, partition, slot) on
         the concatenated slot table
         (:meth:`~repro.power.components.NodePowerModel.slot_table`), and
-        one flat ``take`` each gathers the ``(K, N)`` node powers and
-        SIVOC inputs.  Every later stage is a lane-offset bincount or a
-        row sum, so each lane gets the bits the K = 1 case gives it
-        alone.  Each lane's ``node_power_w`` is its own array, so a kept
-        result never pins the whole block.
+        one ``take`` gathers the ``(K, N)`` node powers and SIVOC inputs
+        (:meth:`_gather`).  Every later stage is a lane-offset bincount
+        or a row sum, so each lane gets the bits the K = 1 case gives it
+        alone; its 48 V output is the node-power row sum the chain takes.
+        With K > 1 each lane's ``node_power_w`` is its own array, so a
+        kept result never pins the whole block.
         """
         t = self.topology
-        node_w, sivoc_in = self._gather(cpu_rows, gpu_rows, slot_maps)
-        K = node_w.shape[0]
+        nodes = self._gather(cpu_rows, gpu_rows, slot_maps)
+        K = nodes.shape[1]
         chassis_flat, rack_flat, cdu_flat = self._offset_maps(K)
-        chassis_ac, sivoc_loss, rect_loss = self.chain.convert_rows(
-            node_w, sivoc_in, chassis_flat
+        chassis_ac, sivoc_loss, rect_loss, output_w = (
+            self.chain.convert_rows(nodes, chassis_flat)
         )
         rack_w = np.bincount(
             rack_flat[: K * t.num_chassis],
@@ -282,6 +280,7 @@ class SystemPowerModel:
         cdu_heat = cdu_w * self.spec.power.cooling_efficiency
         pump_w = self._cdu_pump_total_w
         system_w = (rack_w.sum(axis=1) + pump_w).tolist()
+        node_w = nodes[0]
         node_rows = [node_w[0]] if K == 1 else [row.copy() for row in node_w]
         return [
             PowerResult(
@@ -294,6 +293,7 @@ class SystemPowerModel:
                 switch_power_w=self._total_switch_w,
                 cdu_pump_power_w=pump_w,
                 system_power_w=system_w[i],
+                compute_output_w=output_w[i],
             )
             for i in range(K)
         ]

@@ -51,7 +51,7 @@ from repro.core.summary import (
     comparison_from_doc,
     comparison_to_doc,
     result_metrics,
-    result_series_doc,
+    result_series,
     series_from_doc,
     statistics_from_doc,
     statistics_to_doc,
@@ -202,7 +202,9 @@ def result_to_cell_doc(index: int, outcome: Any) -> dict[str, Any]:
                 if outcome.comparison is not None
                 else None
             ),
-            "series": {k: v.tolist() for k, v in outcome.series.items()},
+            "series": {
+                k: _nulled_list(v) for k, v in outcome.series.items()
+            },
         }
         return doc
     return {
@@ -220,7 +222,10 @@ def result_to_cell_doc(index: int, outcome: Any) -> dict[str, Any]:
             else None
         ),
         "series": (
-            result_series_doc(outcome.result)
+            {
+                k: _nulled_list(v)
+                for k, v in result_series(outcome.result).items()
+            }
             if outcome.result is not None
             else {}
         ),
@@ -241,6 +246,18 @@ def _nulled_nans(value: Any) -> Any:
     if isinstance(value, list):
         return [_nulled_nans(v) for v in value]
     return value
+
+
+def _nulled_list(values: np.ndarray) -> list:
+    """A 1-D series as a list with its non-finite values as None:
+    :func:`_nulled_nans` of ``values.tolist()``, mapped once per array
+    (and not at all when every value is finite)."""
+    out = values.tolist()
+    finite = np.isfinite(values)
+    if not finite.all():
+        for i in np.flatnonzero(~finite).tolist():
+            out[i] = None
+    return out
 
 
 def _restored_nans(doc: dict[str, Any]) -> dict[str, Any]:
@@ -538,7 +555,11 @@ class CampaignStore:
                         f"extra field {key!r} collides with a cell field"
                     )
             doc.update(extra)
-        line = json.dumps(_nulled_nans(doc), allow_nan=False)
+        # The series lists are strict JSON as built (_nulled_list).
+        strict = {
+            k: v if k == "series" else _nulled_nans(v) for k, v in doc.items()
+        }
+        line = json.dumps(strict, allow_nan=False)
         with StoreLock(self.path):
             heal_newline = False
             if self.results_path.exists() and self.results_path.stat().st_size:

@@ -4,7 +4,9 @@ Maintains a boolean free mask over all nodes plus a per-node slot map
 (which running-job slot occupies each node; -1 when idle).  The slot map
 is what the vectorized power model consumes, so allocation is the single
 writer of node-occupancy state.  Free and down node counts are kept as
-integers beside the masks, so every count query is O(1).
+integers beside the masks, so every count query is O(1).  A node set
+that is one in-range run of indices (what the contiguous policy mostly
+hands out) is read and written as a slice of the masks.
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ class NodeAllocator:
             nodes = self._pick_contiguous(free_idx, count)
         else:
             nodes = free_idx[:count]
-        self._free[nodes] = False
-        self.slot_of_node[nodes] = slot
+        index = _as_run(nodes, int(nodes[0]), int(nodes[-1]))
+        self._free[index] = False
+        self.slot_of_node[index] = slot
         self._num_free -= count
         return nodes
 
@@ -150,36 +153,60 @@ class NodeAllocator:
             return free_idx[s : s + count]
         return free_idx[:count]
 
+    def _index(self, nodes) -> tuple[slice | np.ndarray, int]:
+        """``nodes`` as ``(index into the masks, node count)``: sorted
+        and deduplicated, and a slice when the nodes are one in-range
+        run.  An array that is already strictly increasing (what
+        :meth:`allocate` returns) skips the dedup; an out-of-range index
+        stays an array, so it fails as fancy indexing does."""
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
+            nodes = np.unique(nodes)
+        if not nodes.size:
+            return nodes, 0
+        first, last = int(nodes[0]), int(nodes[-1])
+        if first < 0 or last >= self.total_nodes:
+            return nodes, nodes.size
+        return _as_run(nodes, first, last), nodes.size
+
     def release(self, nodes: np.ndarray) -> None:
         """Return nodes to the free pool (must currently be allocated)."""
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        if np.any(self._free[nodes]):
+        index, n = self._index(nodes)
+        if self._free[index].any():
             raise SchedulingError("releasing nodes that are already free")
-        if np.any(self._down[nodes]):
+        if self._down[index].any():
             raise SchedulingError("releasing nodes that are marked down")
-        self._free[nodes] = True
-        self.slot_of_node[nodes] = -1
-        self._num_free += nodes.size
+        self._free[index] = True
+        self.slot_of_node[index] = -1
+        self._num_free += n
 
     def mark_down(self, nodes: np.ndarray) -> None:
         """Take currently-free nodes out of service."""
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        if np.any(~self._free[nodes]):
+        index, n = self._index(nodes)
+        if not self._free[index].all():
             raise SchedulingError("can only mark free nodes down")
-        self._free[nodes] = False
-        self._down[nodes] = True
-        self._num_free -= nodes.size
-        self._num_down += nodes.size
+        self._free[index] = False
+        self._down[index] = True
+        self._num_free -= n
+        self._num_down += n
 
     def mark_up(self, nodes: np.ndarray) -> None:
         """Return down nodes to service."""
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        if np.any(~self._down[nodes]):
+        index, n = self._index(nodes)
+        if not self._down[index].all():
             raise SchedulingError("can only mark down nodes up")
-        self._down[nodes] = False
-        self._free[nodes] = True
-        self._num_free += nodes.size
-        self._num_down -= nodes.size
+        self._down[index] = False
+        self._free[index] = True
+        self._num_free += n
+        self._num_down -= n
+
+
+def _as_run(nodes: np.ndarray, first, last) -> slice | np.ndarray:
+    """Strictly increasing in-range ``nodes`` from ``first`` to ``last``
+    as a slice when they are one run, else the array itself."""
+    if last - first == nodes.size - 1:
+        return slice(first, last + 1)
+    return nodes
 
 
 __all__ = ["NodeAllocator"]

@@ -203,17 +203,24 @@ class SchedulerEngine:
 
         started: list[Job] = []
         if self.honor_recorded_starts:
-            # Replay: start exactly the jobs whose recorded time has come.
+            # Replay: start exactly the jobs whose recorded time has come,
+            # in queue order, while they fit.  Free nodes only fall within
+            # a tick, so a job larger than the tick's starting free count
+            # cannot start in it and is not considered.
+            free = self.allocator.num_free
             due = [
                 j
-                for j in self.queue.jobs()
-                if j.recorded_start is not None and j.recorded_start <= now
+                for j in self.queue
+                if j.nodes_required <= free
+                and j.recorded_start is not None
+                and j.recorded_start <= now
             ]
             for job in due:
-                if self.allocator.can_allocate(job.nodes_required):
+                if job.nodes_required <= free:
                     self.queue.remove(job.job_id)
                     self._start_job(job, now)
                     started.append(job)
+                    free -= job.nodes_required
         else:
             pending = self.queue.jobs()
             if pending:
@@ -245,8 +252,10 @@ class SchedulerEngine:
         mode only rules out an empty queue or a full machine.
         """
         free = self.allocator.num_free
+        if not free or not self.queue:
+            return False
         if not self.honor_recorded_starts:
-            return free > 0 and len(self.queue) > 0
+            return True
         for job in self.queue:
             if (
                 job.nodes_required <= free

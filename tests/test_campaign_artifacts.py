@@ -162,6 +162,44 @@ class TestArtifactStore:
             live[0].result.system_power_w.tolist()
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_series_roundtrip_through_null(self, tmp_path):
+        """NaN and +-inf series values are written as JSON null (the
+        bytes of nulling the whole document value by value) and reload
+        as NaN; a stored cell re-recorded writes the same line."""
+        from repro.core.summary import result_series_doc
+        from repro.scenarios.artifacts import _nulled_nans, result_to_cell_doc
+
+        spec = make_small_spec()
+        campaign = Campaign.create(
+            tmp_path / "camp",
+            [SyntheticScenario(duration_s=600.0, with_cooling=False)],
+            system=spec,
+        )
+        outcome = campaign.run()[0]
+        series = outcome.result.system_power_w
+        series[1], series[2], series[3] = math.nan, math.inf, -math.inf
+        store = campaign.store
+        store.results_path.unlink()
+        store.record(0, outcome, extra={"note": math.nan})
+        line = store.results_path.read_text().splitlines()[0]
+        doc = result_to_cell_doc(0, outcome)
+        doc["series"] = result_series_doc(outcome.result)
+        doc["note"] = math.nan
+        assert line == json.dumps(_nulled_nans(doc), allow_nan=False)
+        parsed = json.loads(line)
+        assert parsed["series"]["system_power_w"][1:4] == [None] * 3
+        assert parsed["note"] is None
+        stored = campaign.load()[0]
+        reloaded = stored.series["system_power_w"]
+        assert reloaded.dtype == float
+        assert math.isnan(reloaded[1])
+        assert math.isnan(reloaded[2]) and math.isnan(reloaded[3])
+        assert reloaded[4:].tolist() == series[4:].tolist()
+        store.results_path.unlink()
+        store.record(0, stored, extra={"note": math.nan})
+        assert store.results_path.read_text().splitlines()[0] == line
+
     def test_whatif_comparison_roundtrips(self, tmp_path):
         spec = make_small_spec()
         campaign = Campaign.create(

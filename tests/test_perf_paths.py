@@ -220,6 +220,44 @@ class TestProfileCli:
         assert "cooling" not in doc["phases"]
         assert "profile written" in capsys.readouterr().out
 
+    def test_profile_repeat_reports_median_and_spread(self, tmp_path, capsys):
+        out = tmp_path / "prof.json"
+        rc = cli_main(
+            [
+                "profile", "--system", "marconi100", "--hours", "0.05",
+                "--no-cooling", "--repeat", "3", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "median s" in text and "runs=3" in text
+        doc = json.loads(out.read_text())
+        repeat = doc["repeat"]
+        assert repeat["runs"] == 3
+        assert {"schedule", "power", "collect"} <= set(repeat["phases"])
+        for row in [repeat["wall_s"], *repeat["phases"].values()]:
+            runs = row["runs_s"]
+            assert len(runs) == 3
+            assert row["median_s"] == round(sorted(runs)[1], 6)
+            assert row["spread_s"] == round(max(runs) - min(runs), 6)
+        # The document's own phases are the last run's.
+        assert (
+            repeat["phases"]["power"]["runs_s"][-1]
+            == doc["phases"]["power"]["total_s"]
+        )
+        assert doc["steps"] == 12
+
+    def test_profile_repeat_default_and_invalid(self, capsys):
+        rc = cli_main(
+            ["profile", "--system", "marconi100", "--hours", "0.05",
+             "--no-cooling"]
+        )
+        assert rc == 0
+        assert "repeat" not in json.loads(capsys.readouterr().out)
+        rc = cli_main(["profile", "--system", "marconi100", "--repeat", "0"])
+        assert rc == 1
+        assert "--repeat must be >= 1" in capsys.readouterr().err
+
     def test_batched_profile_splits_phases(self, capsys):
         rc = cli_main(
             [

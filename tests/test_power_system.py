@@ -148,3 +148,64 @@ class TestMultiPartitionSystem:
         cpu_nodes = result.node_power_w[: spec.partitions[0].total_nodes]
         gpu_nodes = result.node_power_w[spec.partitions[0].total_nodes:]
         assert cpu_nodes.mean() < gpu_nodes.mean()
+
+
+def _chain(spec, kind):
+    from repro.core.whatif import _make_chain
+
+    return None if kind == "baseline" else _make_chain(spec, kind)
+
+
+def _slot_lanes(spec, K, seed):
+    """K lanes of random per-slot utilizations and node-to-slot maps."""
+    rng = np.random.default_rng(seed)
+    cpu_rows, gpu_rows, slot_maps = [], [], []
+    for _ in range(K):
+        slots = int(rng.integers(1, 60))
+        cpu_rows.append(rng.random(slots))
+        gpu_rows.append(rng.random(slots))
+        slot_maps.append(rng.integers(-1, slots, spec.total_nodes))
+    return cpu_rows, gpu_rows, slot_maps
+
+
+class TestOutputSum:
+    """``compute_output_w`` is the node-power sum the chain takes, and
+    the one gather of node powers and SIVOC inputs has the bits of a
+    flat ``take`` from each table."""
+
+    @pytest.mark.parametrize("system", ["frontier", "setonix"])
+    @pytest.mark.parametrize(
+        "kind", ["baseline", "smart-rectifier", "direct-dc"]
+    )
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_output_is_node_sum_bit_for_bit(self, system, kind, K):
+        from repro.config.loader import load_builtin_system
+
+        spec = load_builtin_system(system)
+        if system == "setonix":
+            assert len(spec.partitions) == 2
+        model = SystemPowerModel(spec, chain=_chain(spec, kind))
+        lanes = _slot_lanes(spec, K, seed=K)
+        results = model.evaluate_lanes(*lanes)
+        table, index = model.nodes.slot_table(*lanes)
+        sivoc_table = model.chain.sivocs.input_power(table)
+        for k, result in enumerate(results):
+            node_w = table.ravel().take(index[k])
+            sivoc_in = sivoc_table.ravel().take(index[k])
+            assert np.array_equal(result.node_power_w, node_w)
+            assert result.compute_output_w == float(
+                np.sum(result.node_power_w)
+            )
+            assert result.sivoc_loss_w == float(
+                np.sum(sivoc_in) - np.sum(node_w)
+            )
+        for result in (
+            model.idle(),
+            model.evaluate_uniform(0.3, 0.8),
+            model.evaluate(
+                *(np.random.default_rng(7).random((2, spec.total_nodes)))
+            ),
+        ):
+            assert result.compute_output_w == float(
+                np.sum(result.node_power_w)
+            )
