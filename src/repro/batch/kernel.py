@@ -22,7 +22,7 @@ ufunc passes over the active lanes.  A plant stepped on its own is the
 one-lane case.  One field table (:data:`_FIELDS`) names each facility
 field once; both forms gather, write back and report from it.
 
-Each way of stepping a plant picks one of two sync rules:
+Each way of stepping a plant picks one of three sync rules:
 
 - **Sync every step.** :meth:`CoolingPlant.step
   <repro.cooling.plant.CoolingPlant.step>` (and so
@@ -33,6 +33,10 @@ Each way of stepping a plant picks one of two sync rules:
   :meth:`~BatchedPlantKernel.write_back` pushes them back.
   Setpoint tuning, ``restore`` and CDU blockages on the graph therefore
   reach the next step.
+- **Settle.** :func:`~repro.cooling.plant.settle` (a fused
+  ``CoolingPlant.warmup``, and every cold plant of an engine's warmup
+  at once) gathers its plants once, advances a fixed number of macro
+  steps at fixed inputs, and writes back once.
 - **Resident lanes.** The engines (the serial one with one lane, the
   batched one with B) gather every lane once, after warmup or a
   warm-cache restore, and keep its state in the kernel for the run.

@@ -26,6 +26,7 @@ from repro.cooling.plant import (
     PlantSnapshot,
     PlantState,
     output_names,
+    settle,
 )
 from repro.exceptions import FMUError
 
@@ -237,6 +238,47 @@ class CoolingFMU:
         self.last_state = state
         self._time += step_size
         self.state = FmuState.STEPPING
+
+    @staticmethod
+    def settle(fmus, steps: int, step_size: float) -> None:
+        """Advance each of ``fmus`` ``steps`` communication steps of
+        ``step_size`` at its current inputs, leaving it as that many
+        :meth:`do_step` calls would: plant state, clocks, ``last_state``
+        and lifecycle.
+
+        Fused units without a stop time settle together, resident in
+        one kernel (:func:`~repro.cooling.plant.settle`: gathered once,
+        written back once); the others, the reference backend among
+        them, step through :meth:`do_step`.
+        """
+        if steps <= 0:
+            return
+        resident = []
+        for fmu in fmus:
+            if fmu._backend != "fused" or fmu._stop_time is not None:
+                for _ in range(steps):
+                    fmu.do_step(fmu._time, step_size)
+                continue
+            fmu._check_running("do_step")
+            if step_size <= 0:
+                raise FMUError("step_size must be positive")
+            resident.append(fmu)
+        if not resident:
+            return
+        settle(
+            [fmu._plant for fmu in resident],
+            [fmu._cdu_heat for fmu in resident],
+            [fmu._wetbulb_c for fmu in resident],
+            step_size,
+            steps,
+        )
+        for fmu in resident:
+            for _ in range(steps):
+                fmu._time += step_size
+            fmu.last_state = fmu._plant._snapshot(
+                fmu._cdu_heat, fmu._system_power_w
+            )
+            fmu.state = FmuState.STEPPING
 
     # -- outputs --------------------------------------------------------------------
 

@@ -181,7 +181,8 @@ class CoolingPlant:
         one call of a one-lane
         :class:`~repro.batch.kernel.BatchedPlantKernel` over flat
         preallocated arrays, syncing it with the component graph every
-        step; ``"reference"`` walks the component object graph substep
+        step (:meth:`warmup` syncs once, see :func:`settle`);
+        ``"reference"`` walks the component object graph substep
         by substep.  The two are bit-identical (the kernel mirrors the
         reference arithmetic operation for operation); the reference
         backend is kept as the oracle the equivalence tests check
@@ -238,6 +239,20 @@ class CoolingPlant:
         """
         if dt is None:
             dt = self.spec.step_seconds
+        cdu_heat_w = self._checked_heat(cdu_heat_w, dt)
+        if self._kernel is not None:
+            settle([self], [cdu_heat_w], [float(wetbulb_c)], dt, 1)
+            return self._snapshot(cdu_heat_w, system_power_w)
+        n_sub = max(1, int(np.ceil(dt / self.substep_s)))
+        h = dt / n_sub
+        for _ in range(n_sub):
+            self._substep(cdu_heat_w, float(wetbulb_c), h)
+        self.time_s += dt
+        return self._snapshot(cdu_heat_w, system_power_w)
+
+    def _checked_heat(self, cdu_heat_w: np.ndarray, dt: float) -> np.ndarray:
+        """``cdu_heat_w`` as a float64 array, once the step's inputs
+        are checked."""
         if dt <= 0:
             raise CoolingModelError("dt must be positive")
         cdu_heat_w = np.asarray(cdu_heat_w, dtype=np.float64)
@@ -247,18 +262,7 @@ class CoolingPlant:
             )
         if not (cdu_heat_w >= 0).all():
             raise CoolingModelError("heat must be non-negative")
-        n_sub = max(1, int(np.ceil(dt / self.substep_s)))
-        h = dt / n_sub
-        kernel = self._kernel
-        if kernel is not None:
-            kernel.gather(0, self)
-            kernel.advance([cdu_heat_w], [float(wetbulb_c)], h, n_sub)
-            kernel.write_back([self])
-        else:
-            for _ in range(n_sub):
-                self._substep(cdu_heat_w, float(wetbulb_c), h)
-        self.time_s += dt
-        return self._snapshot(cdu_heat_w, system_power_w)
+        return cdu_heat_w
 
     def _substep(self, cdu_heat_w: np.ndarray, wetbulb_c: float, h: float) -> None:
         # 1. Controls.
@@ -398,13 +402,52 @@ class CoolingPlant:
     def warmup(
         self, cdu_heat_w: np.ndarray, wetbulb_c: float, duration_s: float = 3600.0
     ) -> PlantState:
-        """Run the plant to (near) steady state at a fixed load."""
-        steps = max(1, int(duration_s / self.spec.step_seconds))
-        state = None
+        """Run the plant to (near) steady state at a fixed load.
+
+        ``max(1, int(duration_s / step))`` macro steps of the spec's
+        coupling step; returns the last one's state.  The fused backend
+        settles resident (:func:`settle`), bit-identical to the
+        reference backend's loop of :meth:`step` calls.
+        """
+        dt = self.spec.step_seconds
+        steps = max(1, int(duration_s / dt))
+        if self._kernel is None:
+            for _ in range(steps):
+                state = self.step(cdu_heat_w, wetbulb_c)
+            return state
+        cdu_heat_w = self._checked_heat(cdu_heat_w, dt)
+        settle([self], [cdu_heat_w], [float(wetbulb_c)], dt, steps)
+        return self._snapshot(cdu_heat_w, None)
+
+
+def settle(plants, cdu_heat_w, wetbulb_c, dt: float, steps: int) -> None:
+    """Advance ``plants`` ``steps`` macro steps of ``dt`` seconds at a
+    fixed heat (checked ``(n,)`` float64 arrays) and wet-bulb per plant.
+
+    Bit-identical to ``steps`` :meth:`CoolingPlant.step` calls on each
+    plant, without their per-step sync: the plants are gathered once
+    into one resident :class:`~repro.batch.kernel.BatchedPlantKernel`
+    (a lone plant's own one-lane kernel), advanced, and written back
+    once.  Each plant's ``time_s`` gains ``dt`` per step, as ``step``
+    adds it.  The plants share one spec and one substep.
+    """
+    if steps <= 0:
+        return
+    n_sub = max(1, int(np.ceil(dt / plants[0].substep_s)))
+    h = dt / n_sub
+    kernel = plants[0]._kernel if len(plants) == 1 else None
+    if kernel is None:
+        from repro.batch.kernel import BatchedPlantKernel
+
+        kernel = BatchedPlantKernel(plants)
+    else:
+        kernel.gather(0, plants[0])
+    for _ in range(steps):
+        kernel.advance(cdu_heat_w, wetbulb_c, h, n_sub)
+    kernel.write_back(plants)
+    for plant in plants:
         for _ in range(steps):
-            state = self.step(cdu_heat_w, wetbulb_c)
-        assert state is not None
-        return state
+            plant.time_s += dt
 
 
 __all__ = [
@@ -412,6 +455,7 @@ __all__ = [
     "PlantState",
     "PlantSnapshot",
     "output_names",
+    "settle",
     "BACKENDS",
     "NUM_OUTPUTS",
 ]

@@ -596,10 +596,10 @@ def lane_loop(
     """Algorithm 1 for B lanes, written once: warm, couple, sync.
 
     Before the first quantum it warms the coupled lanes' plants: lanes
-    sharing (chain, initial wet-bulb) warm once through
+    sharing (chain, initial wet-bulb) form one warm group of
     :func:`warm_cooling` — ``idle(pid)`` giving run ``pid``'s idle
     :class:`PowerResult`, ``warm_cache`` serving the baseline chain only
-    — and share the snapshot.  Fused plants are then held resident
+    — whose cold groups settle together.  Fused plants are then held resident
     through :func:`resident_cooling`; reference plants step through
     their FMU's ``do_step`` / ``get_state`` (:func:`reference_cooling`).
 
@@ -640,19 +640,22 @@ def lane_loop(
             for lane in coupled:
                 key = (id(lane.run.chain), lane.wb0)
                 groups.setdefault(key, []).append(lane)
-            for first, *rest in groups.values():
-                # The cache key has no chain, and a chain override
-                # changes the idle heat the warmup runs at: only the
-                # baseline chain shares warmed state through the cache.
-                warm_cooling(
-                    first.fmu,
-                    spec,
-                    first.wb0,
-                    warmup_s,
-                    partial(idle, runs.index(first.run)),
-                    cache=warm_cache if first.run.chain is None else None,
-                    replicas=[lane.fmu for lane in rest],
-                )
+            # The cache key has no chain, and a chain override changes
+            # the idle heat the warmup runs at: only the baseline chain
+            # shares warmed state through the cache.
+            warm_cooling(
+                [
+                    (
+                        [lane.fmu for lane in group],
+                        group[0].wb0,
+                        partial(idle, runs.index(group[0].run)),
+                        warm_cache if group[0].run.chain is None else None,
+                    )
+                    for group in groups.values()
+                ],
+                spec,
+                warmup_s,
+            )
             # One (C, T, ...) array per recorded field: the per-CDU
             # fields gain the CDU axis, the staged counts are int64.
             n_cdus = spec.cooling.num_cdus
@@ -750,55 +753,64 @@ def lane_loop(
             finish(done)
 
 
-def warm_cooling(
-    fmu: CoolingFMU,
-    spec: SystemSpec,
-    wb0: float,
-    warmup_s: float,
-    idle,
-    *,
-    cache=None,
-    replicas=(),
-) -> None:
-    """Pre-condition ``fmu``'s plant at the idle-load heat.
+def warm_cooling(groups, spec: SystemSpec, warmup_s: float) -> None:
+    """Pre-condition coupled plants at their idle-load heat.
 
-    Warmup is deterministic — idle heat is a pure function of the spec
-    and the plant steps are pure functions of state — so a warmed
-    snapshot stands in for the stepping loop bit for bit.  With a
-    ``cache`` (duck-typed like
-    :class:`~repro.service.warmcache.WarmStateCache`) a snapshot cached
-    for (spec, wet-bulb, warmup, substep) is restored instead of
-    stepping, and a miss stores the freshly warmed state.  ``replicas``
-    are further FMUs of the same spec and wet-bulb that receive the same
-    warmed state.  ``idle()`` returns the idle :class:`PowerResult` and
-    is called only when the plant is stepped.  Every warmed FMU's clock
-    is re-anchored so recorded outputs start at t=0.
+    ``groups`` holds one ``(fmus, wb0, idle, cache)`` per warm group:
+    FMUs of ``spec`` that start from one warmed state at initial
+    wet-bulb ``wb0``, ``idle()`` returning the group's idle
+    :class:`PowerResult` (called only when the group is stepped), and
+    the group's warm cache or None.  Warmup is deterministic — idle
+    heat is a pure function of the spec and chain, and the plant steps
+    are pure functions of state — so a warmed snapshot stands in for
+    the stepping loop bit for bit.  A group with a ``cache`` (duck-typed
+    like :class:`~repro.service.warmcache.WarmStateCache`) looks up the
+    snapshot for (spec, wet-bulb, warmup, substep) once and restores it.
+    Every other group is cold: its first FMU takes the idle inputs, and
+    all cold first FMUs settle together through :meth:`CoolingFMU.settle`
+    (fused: one resident kernel, gathered and written back once).  A
+    cold group then stores its warmed state in its cache and hands it
+    to the group's other FMUs.  Every warmed FMU's clock is re-anchored
+    so recorded outputs start at t=0.
     """
     if warmup_s <= 0:
         return
-    snapshot = None
-    if cache is not None:
-        snapshot = cache.lookup(spec, wb0, warmup_s, fmu.substep_s)
-    if snapshot is None:
+    cold = []
+    for fmus, wb0, idle, cache in groups:
+        fmu = fmus[0]
+        snapshot = None
+        if cache is not None:
+            snapshot = cache.lookup(spec, wb0, warmup_s, fmu.substep_s)
+        if snapshot is not None:
+            _restore_warm(fmus, snapshot)
+            continue
         power = idle()
         fmu.set_cdu_heat(power.cdu_heat_w)
         fmu.set_wetbulb(wb0)
         fmu.set_system_power(power.system_power_w)
-        for _ in range(int(warmup_s / TRACE_QUANTA_S)):
-            fmu.do_step(fmu.time, TRACE_QUANTA_S)
+        cold.append((fmus, wb0, cache))
+    CoolingFMU.settle(
+        [fmus[0] for fmus, _, _ in cold],
+        int(warmup_s / TRACE_QUANTA_S),
+        TRACE_QUANTA_S,
+    )
+    for (fmu, *replicas), wb0, cache in cold:
         fmu._time = 0.0
         fmu._plant.time_s = 0.0
         if cache is None and not replicas:
-            return
+            continue
         snapshot = fmu.get_fmu_state()
         if cache is not None:
             cache.store(spec, wb0, warmup_s, fmu.substep_s, snapshot)
-    else:
-        replicas = (fmu, *replicas)
-    for replica in replicas:
-        replica.set_fmu_state(snapshot)
-        replica._time = 0.0
-        replica._plant.time_s = 0.0
+        _restore_warm(replicas, snapshot)
+
+
+def _restore_warm(fmus, snapshot) -> None:
+    """Give each of ``fmus`` a warmed ``snapshot``, clocks at t=0."""
+    for fmu in fmus:
+        fmu.set_fmu_state(snapshot)
+        fmu._time = 0.0
+        fmu._plant.time_s = 0.0
 
 
 def resident_cooling(lanes: list[Lane], block: dict, profiler=None):

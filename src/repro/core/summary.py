@@ -108,9 +108,11 @@ def series_from_doc(doc: dict[str, list]) -> dict[str, np.ndarray]:
         raise SimulationError("series document must be an object")
     out: dict[str, np.ndarray] = {}
     for name, values in doc.items():
-        if any(v is None for v in values):
-            values = [math.nan if v is None else v for v in values]
-        out[name] = np.asarray(values)
+        series = np.asarray(values)
+        # A None makes the array object-typed; a numeric series is not.
+        if series.dtype == object:
+            series = np.asarray([math.nan if v is None else v for v in values])
+        out[name] = series
     return out
 
 

@@ -200,6 +200,38 @@ class TestArtifactStore:
         store.record(0, stored, extra={"note": math.nan})
         assert store.results_path.read_text().splitlines()[0] == line
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.5, -0.0, 2.0e300, 7.0],
+            [3, 0, -12, 2**40],
+            [1.0, None, 3.5, None],
+            [2, None, 4],
+            [None, None, None],
+            [],
+        ],
+        ids=["float", "int", "float-none", "int-none", "all-none", "empty"],
+    )
+    def test_series_from_doc_matches_the_scan_first_path(self, values):
+        """Series reload with the dtype and bits of the former path,
+        which scanned every value for ``None`` before ``np.asarray``."""
+        import numpy as np
+
+        from repro.core.summary import series_from_doc
+
+        def scan_first(doc):
+            out = {}
+            for name, vals in doc.items():
+                if any(v is None for v in vals):
+                    vals = [math.nan if v is None else v for v in vals]
+                out[name] = np.asarray(vals)
+            return out
+
+        doc = json.loads(json.dumps({"s": values}))
+        got, want = series_from_doc(doc)["s"], scan_first(doc)["s"]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_whatif_comparison_roundtrips(self, tmp_path):
         spec = make_small_spec()
         campaign = Campaign.create(
