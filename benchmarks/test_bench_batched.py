@@ -130,7 +130,6 @@ def test_bench_batched_trajectory(spec):
         "serial_cells_per_s": round(serial_cells_per_s, 3),
         "batched_cells_per_s": round(batched_cells_per_s, 3),
         "power_evals": engine.power_evals,
-        "power_reuses": engine.power_reuses,
         "git_rev": git_revision(),
     }
     emit(

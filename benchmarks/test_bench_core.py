@@ -207,7 +207,6 @@ def test_bench_core_trajectory(spec):
         "coupled_vs_uncoupled_overhead": round(overhead, 2),
         "equivalence_max_rel_err": max_rel,
         "power_evals": fused_engine.power_evals,
-        "power_reuses": fused_engine.power_reuses,
         "campaign_cells": cells,
         "campaign_cell_hours": 0.5,
         "campaign_wall_s": round(campaign_wall, 3),

@@ -3,16 +3,16 @@
 :class:`BatchedEngine` runs B scenario instances through the same
 per-quantum loop as the serial engine, :func:`~repro.core.engine.lane_loop`,
 with B lanes instead of one.  Each lane's schedule and power come from
-an :class:`~repro.core.engine.ElectricalRun` (scheduler, trace pool,
-fault stream and change detection — the event-driven half of
-Algorithm 1, cheap per-run Python), and lanes with equal electrical
+an :class:`~repro.core.engine.ElectricalRun` (scheduler, trace pool
+and fault stream — the event-driven half of Algorithm 1, cheap per-run
+Python), and lanes with equal electrical
 inputs share one (see *shared electrical runs* below); what this module
 adds is the batched half:
 
 - lane ordering: lanes run longest-first, so finished lanes drop off the
   batch tail and the active lanes stay a contiguous prefix;
-- power: the runs whose trace-pool fingerprint changed this quantum are
-  evaluated in one :class:`~repro.batch.power.BatchedPowerModel` call;
+- power: every live run is evaluated each quantum in one
+  :class:`~repro.batch.power.BatchedPowerModel` call;
 - warmup and cooling: :func:`~repro.core.engine.lane_loop` itself, the
   serial engine's driver too: lanes with the same (chain, wet-bulb)
   warm once (``twin.warm_cache`` serving the baseline chain only), and
@@ -200,7 +200,6 @@ class BatchedEngine:
         #: Per-run counters, summed over the electrical runs (lanes
         #: sharing a run count once; bench observability).
         self.power_evals = 0
-        self.power_reuses = 0
         #: Lanes of the last run that followed another lane's
         #: electrical run.
         self.shared_lanes = 0
@@ -291,7 +290,6 @@ class BatchedEngine:
                 prof.end_run(
                     sum(lane.n_steps for lane in lanes),
                     power_evals=self.power_evals,
-                    power_reuses=self.power_reuses,
                 )
         for index in fallback:
             hand_over(index)
@@ -334,7 +332,6 @@ class BatchedEngine:
         finally:
             loop.close()  # syncs the FMUs now, even if a traceback holds us
         self.power_evals = sum(run.power_evals for run in runs)
-        self.power_reuses = sum(run.power_reuses for run in runs)
         self.shared_lanes = len(lanes) - len(runs)
         if reg.enabled:
             lane_steps = sum(lane.n_steps for lane in lanes)

@@ -1,11 +1,11 @@
 """Batched power pipeline: B lanes of nodes -> chassis -> racks -> CDUs.
 
 :class:`BatchedPowerModel` evaluates the whole-system power pipeline
-(:mod:`repro.power.system`) for a *subset* of lanes per call — the
-batched engine's per-run change detection decides which lanes need a
-fresh evaluation each quantum, and only those pay for the pipeline.
-Its lanes are the batch's electrical runs: engine lanes that share a
-run (weather variants of one workload) share its evaluations.
+(:mod:`repro.power.system`) for a set of lanes per call — the batched
+engine passes its live lanes every quantum, and any subset evaluates
+to the same per-lane bits.  Its lanes are the batch's electrical runs:
+engine lanes that share a run (weather variants of one workload) share
+its evaluations.
 
 A batch is one system, so lanes are grouped by conversion chain only:
 lanes on the baseline chain (``None``) share one group — the common
@@ -50,7 +50,7 @@ class BatchedPowerModel:
     def evaluate(
         self, lanes, cpu_rows, gpu_rows, slot_maps
     ) -> list[PowerResult]:
-        """Evaluate the pipeline for the given (changed) lanes.
+        """Evaluate the pipeline for the given lanes.
 
         ``lanes`` are lane indices; ``cpu_rows`` / ``gpu_rows`` the
         matching per-slot utilization arrays and ``slot_maps`` each

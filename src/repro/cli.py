@@ -191,11 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if reg is not None:
         steps = int(reg.value("repro_engine_steps_total") or 0)
         evals = int(reg.value("repro_engine_power_evals_total") or 0)
-        reuses = int(reg.value("repro_engine_power_reuses_total") or 0)
-        print(
-            f"\nengine work: steps={steps} power_evals={evals} "
-            f"power_reuses={reuses}"
-        )
+        print(f"\nengine work: steps={steps} power_evals={evals}")
     if args.export:
         path = export_result(result, args.export)
         print(f"\nseries written to {path}")
@@ -1350,8 +1346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose",
         action="store_true",
-        help="print engine work counters (steps, power evals/reuses) "
-        "after the run",
+        help="print engine work counters (steps, power evals) after the run",
     )
     p.set_defaults(func=cmd_run)
 

@@ -177,11 +177,9 @@ DEFAULT_COOLING_RECORD = (
 class _TracePool:
     """Concatenated utilization traces + per-slot gather state.
 
-    ``event_count`` increments on every slot start/stop, so the engine
-    can fingerprint a quantum as (event count, gathered per-slot trace
-    values): if neither changed since the previous quantum, the power
-    pipeline would reproduce the previous result exactly and can be
-    skipped.
+    :meth:`slot_utils` gathers every slot's (cpu, gpu) utilization at a
+    quantum, the rows the power pipeline evaluates; ``event_count``
+    counts slot starts and stops.
     """
 
     def __init__(self, jobs: list[Job]) -> None:
@@ -227,7 +225,7 @@ class _TracePool:
         self.slot_active[job.slot] = False
         self.event_count += 1
 
-    def _slot_utils(self, now: float, quanta: float) -> tuple[np.ndarray, np.ndarray]:
+    def slot_utils(self, now: float, quanta: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-slot (cpu, gpu) utilization at ``now`` (inactive slots 0).
 
         Each slot reads its trace at the quantum index clamped to
@@ -245,22 +243,6 @@ class _TracePool:
         slot_gpu = np.where(self.slot_active, self.gpu.take(idx), 0.0)
         return slot_cpu, slot_gpu
 
-    def slot_fingerprint(
-        self, now: float, quanta: float
-    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Cheap per-quantum change fingerprint.
-
-        Returns ``(event_count, slot_cpu, slot_gpu)``: the number of
-        slot start/stop events so far plus the gathered per-slot trace
-        values at ``now``.  Two quanta with equal fingerprints have
-        bit-identical node utilizations (no placement change and the
-        same gathered values), so the power evaluation of the first can
-        be reused verbatim for the second — O(slots) to check instead
-        of O(nodes) to recompute.
-        """
-        slot_cpu, slot_gpu = self._slot_utils(now, quanta)
-        return self.event_count, slot_cpu, slot_gpu
-
     def active_aggregates(
         self, now: float, quanta: float, total_nodes: int
     ) -> tuple[float, float, float]:
@@ -271,7 +253,7 @@ class _TracePool:
         :class:`~repro.surrogate.models.PowerSurrogate`.  Used by the
         fast-path :class:`~repro.fastpath.engine.SurrogateEngine`.
         """
-        slot_cpu, slot_gpu = self._slot_utils(now, quanta)
+        slot_cpu, slot_gpu = self.slot_utils(now, quanta)
         nodes = np.where(self.slot_active, self.slot_nodes, 0)
         active = float(nodes.sum())
         if active <= 0:
@@ -395,11 +377,11 @@ class ElectricalRun:
 
     Holds the scheduler the run drives, its trace pool and the
     :func:`drive_schedule` generator over both, the run's conversion
-    ``chain`` (None: the spec's baseline chain), the power
-    change-detection fields with the latest :class:`PowerResult`, and
-    the run's result ``columns``: one preallocated array per
-    electrical series of :class:`SimulationResult`, ``(T,)`` or
-    ``(T, num_cdus)``, whose row ``k`` :meth:`record` writes once.
+    ``chain`` (None: the spec's baseline chain), its latest
+    :class:`PowerResult` and evaluation count, and the run's result
+    ``columns``: one preallocated array per electrical series of
+    :class:`SimulationResult`, ``(T,)`` or ``(T, num_cdus)``, whose row
+    ``k`` :meth:`record` writes once.
     Nothing here reads the wet-bulb or a cooling output, so lanes that
     differ only in their plant or weather can follow one run
     (:meth:`Lane.attach`); ``on_blockage`` receives the run's
@@ -447,14 +429,8 @@ class ElectricalRun:
             events=events,
             on_blockage=on_blockage,
         )
-        # Change detection: the latest PowerResult and the fingerprint
-        # (slot events + gathered per-slot traces) it was computed from.
         self.result: PowerResult | None = None
-        self.last_events = -1
-        self.last_cpu: np.ndarray | None = None
-        self.last_gpu: np.ndarray | None = None
         self.power_evals = 0
-        self.power_reuses = 0
 
     def record(self, k: int) -> None:
         """Write quantum ``k``'s row of the electrical columns (the
@@ -590,7 +566,6 @@ def lane_loop(
     *,
     warmup_s: float = WARMUP_COOLING_S,
     warm_cache=None,
-    detect: bool = True,
     profiler=None,
 ) -> Iterator[tuple[int, list[Lane]]]:
     """Algorithm 1 for B lanes, written once: warm, couple, sync.
@@ -604,11 +579,10 @@ def lane_loop(
     their FMU's ``do_step`` / ``get_state`` (:func:`reference_cooling`).
 
     Each quantum ``k`` it advances the schedule of every active
-    electrical run (:func:`lane_runs`), fingerprints the run's trace
-    pool and either reuses its previous power result or evaluates it —
-    the changed runs in one ``evaluate(ids, cpu_rows, gpu_rows,
-    slot_maps)`` call, ``ids`` being positions in ``lane_runs(lanes)``,
-    the rows per-slot utilizations and the maps each run's node-to-slot
+    electrical run (:func:`lane_runs`) and evaluates every live run's
+    power in one ``evaluate(ids, cpu_rows, gpu_rows, slot_maps)`` call
+    — ``ids`` the live runs' positions in ``lane_runs(lanes)``, the rows
+    their per-slot utilizations and the maps each run's node-to-slot
     map — then steps cooling, which writes row ``k`` of the coupled
     lanes' cooling columns, writes row ``k`` of every live run's
     electrical columns and yields ``(k, active lanes)``.  Lanes sharing
@@ -621,9 +595,8 @@ def lane_loop(
     always a prefix (the batched plant kernel requires it); a run's
     lanes have its length, so the live runs are a prefix too.  One lane
     is :class:`RapsEngine`; B lanes are
-    :class:`~repro.batch.engine.BatchedEngine`.  ``detect=False``
-    evaluates every quantum (the change-detection oracle); a
-    ``profiler`` accumulates the warmup / schedule / power / cooling /
+    :class:`~repro.batch.engine.BatchedEngine`.  A ``profiler``
+    accumulates the warmup / schedule / power / cooling /
     collect phases (``collect``: the electrical row writes and the
     consumer's work between yields).
     """
@@ -692,38 +665,17 @@ def lane_loop(
                 prof.add("schedule", perf_counter() - t0)
                 t0 = perf_counter()
 
-            # --- power at the quantum boundary (vectorized over nodes),
-            # reusing a run's previous result when nothing in its trace
-            # pool changed.
-            changed: list[int] = []
-            cpu_rows: list[np.ndarray] = []
-            gpu_rows: list[np.ndarray] = []
-            slot_maps: list[np.ndarray] = []
-            for pid, run in enumerate(live):
-                events, slot_cpu, slot_gpu = run.pool.slot_fingerprint(
-                    t_sample, quanta
-                )
-                if (
-                    detect
-                    and run.result is not None
-                    and events == run.last_events
-                    and np.array_equal(slot_cpu, run.last_cpu)
-                    and np.array_equal(slot_gpu, run.last_gpu)
-                ):
-                    run.power_reuses += 1
-                    continue
-                changed.append(pid)
-                cpu_rows.append(slot_cpu)
-                gpu_rows.append(slot_gpu)
-                slot_maps.append(run.slot_of_node)
-                run.last_events = events
-                run.last_cpu = slot_cpu
-                run.last_gpu = slot_gpu
-            if changed:
-                results = evaluate(changed, cpu_rows, gpu_rows, slot_maps)
-                for pid, result in zip(changed, results):
-                    runs[pid].result = result
-                    runs[pid].power_evals += 1
+            # --- power at the quantum boundary (vectorized over nodes).
+            utils = [run.pool.slot_utils(t_sample, quanta) for run in live]
+            results = evaluate(
+                range(n_live),
+                [cpu for cpu, _ in utils],
+                [gpu for _, gpu in utils],
+                [run.slot_of_node for run in live],
+            )
+            for run, result in zip(live, results):
+                run.result = result
+                run.power_evals += 1
             if prof is not None:
                 prof.add("power", perf_counter() - t0)
                 t0 = perf_counter()
@@ -1041,6 +993,9 @@ class RapsEngine(StreamingEngine):
         (warmup / schedule / power / cooling / collect).
     """
 
+    # Every quantum evaluates power; perfbench/replays.py still reads this.
+    power_reuses = 0
+
     def __init__(
         self,
         spec: SystemSpec,
@@ -1074,14 +1029,8 @@ class RapsEngine(StreamingEngine):
             )
         self.quanta = TRACE_QUANTA_S
         self.profiler = profiler
-        #: Reuse the previous quantum's PowerResult when the trace-pool
-        #: fingerprint is unchanged (flat traces and idle stretches then
-        #: cost one O(slots) comparison instead of an O(nodes) pipeline).
-        #: Flip off to force a fresh evaluation every quantum.
-        self.power_change_detection = True
-        #: Per-run counters (set as each iter_steps run ends).
+        #: Power evaluations of the last run (set as each run ends).
         self.power_evals = 0
-        self.power_reuses = 0
 
     # -- main loop ------------------------------------------------------------
 
@@ -1114,7 +1063,6 @@ class RapsEngine(StreamingEngine):
             self.spec,
             warmup_s=warmup_cooling_s,
             warm_cache=self.warm_cache,
-            detect=self.power_change_detection,
             profiler=prof,
         )
         steps_done = 0
@@ -1125,13 +1073,8 @@ class RapsEngine(StreamingEngine):
         finally:
             loop.close()
             self.power_evals = lane.run.power_evals
-            self.power_reuses = lane.run.power_reuses
             if prof is not None:
-                prof.end_run(
-                    steps_done,
-                    power_evals=self.power_evals,
-                    power_reuses=self.power_reuses,
-                )
+                prof.end_run(steps_done, power_evals=self.power_evals)
             # Fold this run's bulk counters into the process registry.
             # One call per *run*, never per quantum, so the detached
             # (NullRegistry) cost is a handful of no-op calls.
@@ -1141,9 +1084,6 @@ class RapsEngine(StreamingEngine):
                 reg.counter("repro_engine_steps_total").inc(steps_done)
                 reg.counter("repro_engine_power_evals_total").inc(
                     self.power_evals
-                )
-                reg.counter("repro_engine_power_reuses_total").inc(
-                    self.power_reuses
                 )
                 if prof is not None and prof.last_run is not None:
                     fam = reg.counter("repro_engine_phase_seconds_total")

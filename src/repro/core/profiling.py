@@ -46,16 +46,16 @@ class PhaseProfiler:
     leaves it out), and the batched engine adds ``plan``, the
     scenarios' workload building.  The profiler also tracks run wall time
     (between :meth:`begin_run` / :meth:`end_run`) and the engine's step
-    and power-reuse counters, so one document captures both *where* the
-    time goes and *how much* work change detection avoided.
+    and power-evaluation counters, so one document captures both
+    *where* the time goes and *how much* work was done.
 
     The profiler is **re-entrant safe**: one instance may be attached
     across any number of ``run()`` calls.  ``totals``/``counts``/
     ``steps``/``wall_s`` keep accumulating across runs (the historical
     contract), while :attr:`runs` records one document per completed
-    run — steps, wall time, power counters, and that run's *own* phase
-    seconds — so per-run separation is never lost.  ``end_run``
-    tolerates engines that never evaluated power (both counters default
+    run — steps, wall time, power evaluations, and that run's *own*
+    phase seconds — so per-run separation is never lost.  ``end_run``
+    tolerates engines that never evaluated power (the counter defaults
     to 0, e.g. surrogate-fidelity runs) and being called without a
     matching ``begin_run`` (wall time is then recorded as 0).
     """
@@ -66,7 +66,6 @@ class PhaseProfiler:
         self.steps = 0
         self.wall_s = 0.0
         self.power_evals = 0
-        self.power_reuses = 0
         #: One record per completed run (appended by :meth:`end_run`).
         self.runs: list[dict[str, Any]] = []
         self._run_t0: float | None = None
@@ -83,7 +82,7 @@ class PhaseProfiler:
         self._run_t0 = time.perf_counter()
         self._run_totals_base = dict(self.totals)
 
-    def end_run(self, steps: int, *, power_evals: int = 0, power_reuses: int = 0) -> None:
+    def end_run(self, steps: int, *, power_evals: int = 0) -> None:
         run_wall = 0.0
         if self._run_t0 is not None:
             run_wall = time.perf_counter() - self._run_t0
@@ -91,14 +90,12 @@ class PhaseProfiler:
             self._run_t0 = None
         self.steps += steps
         self.power_evals += power_evals
-        self.power_reuses += power_reuses
         base = self._run_totals_base
         self.runs.append(
             {
                 "steps": steps,
                 "wall_s": run_wall,
                 "power_evals": power_evals,
-                "power_reuses": power_reuses,
                 "phases": {
                     name: total - base.get(name, 0.0)
                     for name, total in self.totals.items()
@@ -139,7 +136,6 @@ class PhaseProfiler:
         )
         doc["unattributed_s"] = round(max(self.wall_s - total_phased, 0.0), 6)
         doc["power_evals"] = self.power_evals
-        doc["power_reuses"] = self.power_reuses
         doc["runs"] = len(self.runs)
         return doc
 
@@ -159,8 +155,7 @@ class PhaseProfiler:
             )
         lines.append(
             f"steps={doc['steps']} wall={doc['wall_s']:.3f}s "
-            f"power_evals={doc['power_evals']} "
-            f"power_reuses={doc['power_reuses']}"
+            f"power_evals={doc['power_evals']}"
         )
         return "\n".join(lines)
 

@@ -38,10 +38,6 @@ METRICS: dict[str, dict] = {
         "kind": "counter",
         "help": "Full vectorized power-pipeline evaluations.",
     },
-    "repro_engine_power_reuses_total": {
-        "kind": "counter",
-        "help": "Power evaluations skipped by change detection.",
-    },
     "repro_engine_phase_seconds_total": {
         "kind": "counter",
         "help": "Wall seconds per engine phase (folded from an attached "

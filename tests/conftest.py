@@ -147,7 +147,7 @@ def assert_bitidentical(actual, expected, *, label: str = "result") -> None:
     :class:`~repro.core.engine.StepState` or step-record dicts).
     Comparisons are ``np.testing.assert_array_equal`` — never a
     tolerance — because every alternate execution path in this repo
-    (fused kernel, change detection, warm plants, parallel workers,
+    (fused kernel, warm plants, parallel workers,
     streamed service jobs, batched lanes) promises the *same bits* as
     the plain serial engine, not merely close ones.
     """

@@ -160,8 +160,9 @@ def test_whatif_shares_its_workload_build_not_its_run(twin, monkeypatch):
 
 def test_generated_weather_grid_shares_one_run(twin):
     """Four wet-bulbs over one generated workload build it once and run
-    one schedule and power stream: three lanes follow, 8 power
-    evaluations in all, and every lane equals its solo run."""
+    one schedule and power stream: three lanes follow, 20 power
+    evaluations in all (one per quantum of the one run), and every lane
+    equals its solo run."""
     scenarios = [
         GeneratedScenario(
             name=f"gen-wb{wb:g}",
@@ -174,7 +175,7 @@ def test_generated_weather_grid_shares_one_run(twin):
     results, engine, reg = _batched(scenarios, twin)
     assert engine.shared_lanes == 3
     assert reg.value("repro_batch_shared_lanes_total") == 3
-    assert engine.power_evals == 8
+    assert engine.power_evals == 20
     _assert_solo(results, scenarios, twin)
 
 
@@ -320,7 +321,7 @@ def test_profiler_reports_plan_and_cooling_split(twin):
         doc["wall_s"] - top, abs=1e-5
     )
     assert engine.shared_lanes == 1
-    assert engine.power_evals + engine.power_reuses == 20
+    assert engine.power_evals == 20
 
 
 def test_profile_cli_reports_shared_lanes(capsys):

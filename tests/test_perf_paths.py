@@ -1,8 +1,7 @@
-"""Hot-path perf machinery: change detection, caches, profiler, CLI.
+"""Hot-path perf machinery: power evaluation, caches, profiler, CLI.
 
-Covers the engine's change-detecting power evaluation (reuse the
-previous ``PowerResult`` when the trace-pool fingerprint is unchanged),
-the per-engine idle-power memo behind the cooling warmup, the release
+Covers the engine's one power evaluation per quantum, the per-engine
+idle-power memo behind the cooling warmup, the release
 of batched lanes when their run ends, the process-local warm-plant cache suite workers attach by default, and the
 :class:`~repro.core.profiling.PhaseProfiler` + ``repro profile`` verb.
 Every optimization is asserted *behaviorally* (counters moved) and
@@ -27,52 +26,27 @@ from repro.scenarios.suite import execute_scenario
 from tests.conftest import assert_bitidentical, make_small_spec
 
 
-class TestPowerChangeDetection:
-    def test_idle_run_reuses_power_result(self, small_spec):
-        """With no jobs, every quantum after the first is a reuse."""
+class TestPowerEveryQuantum:
+    def test_idle_run_evaluates_every_quantum(self, small_spec):
+        """With no jobs, a run evaluates power once per quantum and the
+        idle power stays constant."""
         engine = RapsEngine(small_spec, with_cooling=False)
-        result = engine.run([], 3600.0)
-        assert len(result.times_s) == 240
-        assert engine.power_evals == 1
-        assert engine.power_reuses == 239
-        assert np.all(result.system_power_w == result.system_power_w[0])
+        idle = engine.run([], 3600.0)
+        assert len(idle.times_s) == 240
+        assert engine.power_evals == len(idle.times_s)
+        assert np.all(idle.system_power_w == idle.system_power_w[0])
 
-    def test_reuse_is_bit_identical_to_full_evaluation(self, small_spec):
+    def test_busy_run_sees_trace_changes(self, small_spec):
+        """A varying-utilization workload evaluates power once per
+        quantum, and the power follows the traces as they move."""
+        engine = RapsEngine(small_spec, with_cooling=False)
         twin = DigitalTwin(small_spec)
-        scenario = SyntheticScenario(
-            duration_s=7200.0, seed=3, with_cooling=False
-        )
-        detecting = RapsEngine(small_spec, with_cooling=False)
-        exhaustive = RapsEngine(small_spec, with_cooling=False)
-        exhaustive.power_change_detection = False
-
-        plan = scenario.plan(twin)
-        r_detect = detecting.run(plan.jobs, plan.duration_s)
-        plan = scenario.plan(twin)
-        r_full = exhaustive.run(plan.jobs, plan.duration_s)
-
-        assert detecting.power_reuses > 0
-        assert exhaustive.power_reuses == 0
-        assert detecting.power_evals + detecting.power_reuses == (
-            exhaustive.power_evals
-        )
-        assert_bitidentical(
-            r_detect, r_full, label="change detection vs exhaustive"
-        )
-
-    def test_fingerprint_sees_trace_changes(self, small_spec):
-        """A varying-utilization workload must re-evaluate when traces
-        move — reuse never exceeds the flat/idle stretches."""
-        twin = DigitalTwin(small_spec)
-        scenario = SyntheticScenario(
+        plan = SyntheticScenario(
             duration_s=3600.0, seed=1, with_cooling=False
-        )
-        engine = RapsEngine(small_spec, with_cooling=False)
-        plan = scenario.plan(twin)
-        result = engine.run(plan.jobs, plan.duration_s)
-        assert engine.power_evals > 1
-        # Power varies across the run, so blanket reuse would be wrong.
-        assert len(np.unique(result.system_power_w)) > 1
+        ).plan(twin)
+        busy = engine.run(plan.jobs, plan.duration_s)
+        assert engine.power_evals == len(busy.times_s)
+        assert len(np.unique(busy.system_power_w)) > 1
 
 
 class TestIdlePowerMemo:
@@ -178,13 +152,12 @@ class TestPhaseProfiler:
         engine.run([], 900.0)
         doc = profiler.as_dict()
         assert "cooling" not in doc["phases"]
-        assert doc["power_reuses"] == 59
 
     def test_summary_renders(self):
         profiler = PhaseProfiler()
         profiler.add("power", 0.25)
         profiler.begin_run()
-        profiler.end_run(10, power_evals=4, power_reuses=6)
+        profiler.end_run(10, power_evals=4)
         text = profiler.summary()
         assert "power" in text and "steps=10" in text
 

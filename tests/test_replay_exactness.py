@@ -72,7 +72,7 @@ def test_slot_form_equals_node_form_on_setonix():
     for k, t in drive_schedule(scheduler, pool, jobs, 100, Q, events=events):
         for job in scheduler.running.values():
             slot_users.setdefault(job.slot, set()).add(job.job_id)
-        _, slot_cpu, slot_gpu = pool.slot_fingerprint(t, Q)
+        slot_cpu, slot_gpu = pool.slot_utils(t, Q)
         busy = slot_of_node >= 0
         node_cpu = np.where(busy, slot_cpu[np.maximum(slot_of_node, 0)], 0.0)
         node_gpu = np.where(busy, slot_gpu[np.maximum(slot_of_node, 0)], 0.0)
