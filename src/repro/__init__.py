@@ -126,7 +126,7 @@ from repro.workloads import (
     WorkloadGenerator,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "FRONTIER",

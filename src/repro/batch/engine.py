@@ -42,9 +42,9 @@ A batch is one system: every lane runs on ``twin.spec`` and its
 ``cooling_backend``, so the plant kernel's rows share one CDU count.
 Scenarios a lane cannot represent — surrogate fidelity, or scenario
 classes overriding the run protocol (sweep containers) — fall back to
-``scenario.run(twin)`` serially, so ``run_batched`` accepts any
-scenario list and always returns correct results, in the caller's
-order.
+``scenario.run(twin)`` serially, on the run's workload memo, so
+``run_batched`` accepts any scenario list and always returns correct
+results, in the caller's order.
 """
 
 from __future__ import annotations
@@ -211,7 +211,9 @@ class BatchedEngine:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(self, *, on_step=None, on_result=None) -> list[ScenarioResult]:
+    def run(
+        self, *, on_step=None, on_result=None, workloads=None
+    ) -> list[ScenarioResult]:
         """Execute all scenarios; results in input order.
 
         ``on_step(index, step)`` streams every
@@ -222,6 +224,9 @@ class BatchedEngine:
         ``on_result(index, outcome)`` gets each outcome ``run`` returns
         once: a lane scenario's right after the quantum its last lane
         ends in (caller order within a quantum), then each fallback's.
+        ``workloads`` is the :class:`~repro.scenarios.base.WorkloadMemo`
+        the lanes and fallbacks build through (a fresh one by default),
+        so calls sharing one build each workload once.
         """
         out: list[ScenarioResult | None] = [None] * len(self.scenarios)
         twin = self.twin
@@ -237,7 +242,7 @@ class BatchedEngine:
             prof.begin_run()
         lanes: list[_Lane] = []
         runs: dict[int, list[_Lane]] = {}
-        memo = WorkloadMemo()
+        memo = WorkloadMemo() if workloads is None else workloads
         leaders: dict[tuple, _Lane] = {}
         for index, scenario in laneable:
             t0 = perf_counter()
@@ -275,7 +280,9 @@ class BatchedEngine:
                 )
             else:
                 stream = None if on_step is None else partial(on_step, index)
-                outcome = scenario.run(twin, progress=stream)
+                outcome = scenario.run(
+                    twin, workloads=memo, progress=stream
+                )
             out[index] = outcome
             if on_result is not None:
                 on_result(index, outcome)

@@ -30,6 +30,8 @@ class BatchedPowerModel:
     ``spec`` is the batch's :class:`~repro.config.schema.SystemSpec` and
     ``chains`` the per-lane conversion chains (``None`` entries: the
     baseline chain); lanes sharing a chain share one group.  The
+    groups are built once, here: a batch on one chain (a campaign, a
+    one-lane run) hands its rows straight to its one model.  The
     batched engine gives it one lane per electrical run
     (:class:`~repro.core.engine.ElectricalRun`).
     """
@@ -42,6 +44,9 @@ class BatchedPowerModel:
             if id(chain) not in models:
                 models[id(chain)] = SystemPowerModel(spec, chain=chain)
             self.lane_group.append(models[id(chain)])
+        #: The distinct models, and each lane's position among them.
+        self.models = list(models.values())
+        self._group_of = [self.models.index(m) for m in self.lane_group]
 
     def idle(self, lane: int) -> PowerResult:
         """Lane ``lane``'s warmup idle evaluation (memoised per model)."""
@@ -57,12 +62,15 @@ class BatchedPowerModel:
         lane's node-to-slot map (-1: idle).  Returns one
         :class:`PowerResult` per requested lane, in order.
         """
-        by_group: dict[int, tuple[SystemPowerModel, list[int]]] = {}
+        if len(self.models) == 1:
+            return self.models[0].evaluate_lanes(cpu_rows, gpu_rows, slot_maps)
+        by_group: list[list[int]] = [[] for _ in self.models]
         for pos, lane in enumerate(lanes):
-            model = self.lane_group[lane]
-            by_group.setdefault(id(model), (model, []))[1].append(pos)
+            by_group[self._group_of[lane]].append(pos)
         out: list[PowerResult | None] = [None] * len(lanes)
-        for model, positions in by_group.values():
+        for model, positions in zip(self.models, by_group):
+            if not positions:
+                continue
             results = model.evaluate_lanes(
                 [cpu_rows[pos] for pos in positions],
                 [gpu_rows[pos] for pos in positions],

@@ -126,7 +126,8 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for scenario execution (default 1 = serial)",
+        help="worker processes for scenario execution: serial cells "
+        "spread over them as one-cell lane groups (default 1 = in-process)",
     )
 
 
@@ -135,9 +136,10 @@ def _add_execution_arg(parser: argparse.ArgumentParser) -> None:
         "--execution",
         choices=("serial", "batched"),
         default="serial",
-        help="cell execution backend: serial per-cell runs, or one "
-        "vectorized batched sweep across all pending cells "
-        "(bit-identical results; --workers is ignored when batched)",
+        help="how cells group into batched-engine lane groups: one "
+        "group per cell (serial), or one vectorized group of all "
+        "pending cells (batched; in-process, --workers ignored); "
+        "bit-identical results",
     )
 
 

@@ -84,7 +84,7 @@ from repro.scenarios.library import (
     WhatIfScenario,
 )
 from repro.scenarios.result import ScenarioResult, format_summary_row
-from repro.scenarios.suite import ExperimentSuite, SuiteResult, execute_scenario
+from repro.scenarios.suite import ExperimentSuite, SuiteResult
 from repro.scenarios.twin import FIDELITIES, DigitalTwin, as_twin, resolve_spec
 
 __all__ = [
@@ -107,7 +107,6 @@ __all__ = [
     "format_summary_row",
     "ExperimentSuite",
     "SuiteResult",
-    "execute_scenario",
     "Campaign",
     "CampaignStore",
     "StoredScenarioResult",

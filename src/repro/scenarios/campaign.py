@@ -51,12 +51,13 @@ class Campaign:
     ``surrogates`` optionally supplies the fast-path model bundle (a
     :class:`~repro.fastpath.bundle.SurrogateBundle` or a saved-bundle
     path) that surrogate-fidelity cells run on — shared by the serial
-    path and shipped to worker processes, so parallel campaigns never
-    retrain their own defaults.  ``warm_cache`` attaches a
-    :class:`~repro.service.warmcache.WarmStateCache` to the campaign's
-    twin, so serial coupled cells share one warmed plant; worker
-    processes always keep their own process-local cache (see
-    :func:`~repro.scenarios.suite.execute_scenario`).
+    path and shipped to worker processes in the twin's
+    :meth:`~repro.scenarios.twin.DigitalTwin.recipe`, so parallel
+    campaigns never retrain their own defaults.  ``warm_cache``
+    attaches a :class:`~repro.service.warmcache.WarmStateCache` to the
+    campaign's twin, so in-process coupled cells share one warmed
+    plant; worker processes always keep their own process-local cache
+    (see :func:`~repro.scenarios.twin.rebuild_twin`).
     """
 
     def __init__(
@@ -144,10 +145,12 @@ class Campaign:
 
         Already-completed cells are loaded from the store and never
         re-simulated; the pending ones run through
-        :func:`~repro.scenarios.suite.run_cells` (``workers > 1``:
-        worker processes; ``execution="batched"``: the lanes of one
-        :class:`~repro.batch.engine.BatchedEngine`), each path
-        bit-identical, so the persisted artifacts do not depend on it.
+        :func:`~repro.scenarios.suite.run_cells` as lane groups of
+        :class:`~repro.batch.engine.BatchedEngine` (``"serial"``: one
+        group per cell, spread over worker processes when
+        ``workers > 1``; ``execution="batched"``: one in-process group
+        of every pending cell), each path bit-identical, so the
+        persisted artifacts do not depend on it.
         ``progress(scenario, done, total)`` counts persisted cells,
         so a resumed campaign starts partway through.  ``stop_after``
         limits how many *new* cells run this call (used by tests to

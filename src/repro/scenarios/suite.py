@@ -3,7 +3,9 @@
 An :class:`ExperimentSuite` resolves the system spec once, flattens any
 sweep scenarios into their concrete children, and executes every
 scenario through :func:`run_cells`, the cell executor suites and
-campaigns share (``suite.run(workers=4)`` for worker processes).
+campaigns share: every cell runs in a lane group of one
+:class:`~repro.batch.engine.BatchedEngine` (``suite.run(workers=4)``
+spreads one-cell groups over worker processes).
 Scenarios are declarative and seeded, so every path is bit-identical
 to a direct ``scenario.run(twin)``.
 
@@ -24,61 +26,47 @@ from repro.exceptions import ScenarioError
 from repro.scenarios.base import Scenario, WorkloadMemo
 from repro.scenarios.library import BaseSweepScenario
 from repro.scenarios.result import ScenarioResult
-from repro.scenarios.twin import DigitalTwin, as_twin
+from repro.scenarios.twin import DigitalTwin, as_twin, rebuild_twin
 
 
-#: Per-process warm-plant cache shared by every suite scenario this
-#: worker executes (created lazily on first coupled scenario).
-_WORKER_WARM_CACHE = None
+#: This worker process's twin, rebuilt once from the driving twin's
+#: recipe by the pool initializer (:func:`_start_worker`).
+_worker_twin: DigitalTwin | None = None
 
 
-def _process_warm_cache():
-    """The process-local :class:`~repro.service.warmcache.WarmStateCache`.
-
-    Pool workers are reused across scenarios, so one cache per worker
-    process lets every coupled scenario after the first skip the 1800 s
-    cooling warmup.  Warmup is deterministic (see
-    :func:`~repro.core.engine.warm_cooling`), so cached runs stay
-    bit-identical to serial execution.
-    """
-    global _WORKER_WARM_CACHE
-    if _WORKER_WARM_CACHE is None:
-        from repro.service.warmcache import WarmStateCache
-
-        _WORKER_WARM_CACHE = WarmStateCache()
-    return _WORKER_WARM_CACHE
+def _start_worker(recipe) -> None:
+    """Pool initializer: rebuild the driving twin in this process."""
+    global _worker_twin
+    _worker_twin = rebuild_twin(recipe)
 
 
-def execute_scenario(
-    spec: SystemSpec,
-    scenario: Scenario,
-    surrogate_doc: dict | None = None,
-    cooling_backend: str = "fused",
-) -> ScenarioResult:
-    """Run one scenario against a fresh twin built from ``spec``.
-
-    Module-level so :class:`ProcessPoolExecutor` can pickle it — this
-    is :func:`run_cells`' worker-process entry point.
-
-    ``surrogate_doc`` is the serialized fast-path bundle of the
-    driving twin (:meth:`DigitalTwin.surrogate_doc
-    <repro.scenarios.twin.DigitalTwin.surrogate_doc>`): rebuilding it
-    here keeps surrogate-fidelity cells bit-identical between serial
-    and worker execution — without it a worker would train its own
-    default bundle.  ``cooling_backend`` forwards the driving twin's
-    plant backend, so an explicit oracle (``"reference"``) selection
-    survives into workers.
-    """
-    twin = DigitalTwin(
-        spec,
-        warm_cache=_process_warm_cache(),
-        cooling_backend=cooling_backend,
+def _run_worker_group(group: list[tuple[int, Scenario]]):
+    """Pool task: one lane group on this process's twin; returns its
+    ``(index, outcome)`` pairs."""
+    done: list[tuple[int, ScenarioResult]] = []
+    _run_group(
+        _worker_twin,
+        group,
+        lambda index, _, outcome: done.append((index, outcome)),
     )
-    if surrogate_doc is not None:
-        from repro.fastpath.bundle import SurrogateBundle
+    return done
 
-        twin.use_surrogates(SurrogateBundle.from_doc(surrogate_doc))
-    return scenario.run(twin)
+
+def _run_group(
+    twin: DigitalTwin,
+    group: list[tuple[int, Scenario]],
+    on_result: Callable[[int, Scenario, ScenarioResult], None],
+    workloads: WorkloadMemo | None = None,
+) -> None:
+    """Run one lane group of ``(index, scenario)`` cells through one
+    :class:`~repro.batch.engine.BatchedEngine`, handing each outcome
+    over as the cell's last lane ends."""
+    from repro.batch import BatchedEngine
+
+    BatchedEngine([scenario for _, scenario in group], twin).run(
+        on_result=lambda i, outcome: on_result(*group[i], outcome),
+        workloads=workloads,
+    )
 
 
 def check_execution(execution: str) -> None:
@@ -101,44 +89,37 @@ def run_cells(
     """Run ``(index, scenario)`` cells on ``twin``, handing each outcome
     to ``on_result(index, scenario, outcome)`` as it finishes.
 
-    ``execution="batched"`` runs the cells as the lanes of one
-    :class:`~repro.batch.engine.BatchedEngine` (``workers`` ignored),
-    each outcome handed over as the cell's last lane ends;
-    else ``workers > 1`` spreads them over worker processes, each cell
-    building its own workload, and the serial path shares one
-    :class:`~repro.scenarios.base.WorkloadMemo` across the call.  Every
-    path is bit-identical to ``scenario.run(twin)``.
+    The cells are partitioned into lane groups, each run by one
+    :class:`~repro.batch.engine.BatchedEngine`:
+    ``execution="serial"`` makes one group per cell and ``"batched"``
+    one group of every cell, whose outcomes leave as each cell's last
+    lane ends.  The groups run in order in this process, sharing one
+    :class:`~repro.scenarios.base.WorkloadMemo`, or, with
+    ``workers > 1`` and more than one group, on worker processes, each
+    of which rebuilds ``twin`` once from its
+    :meth:`~repro.scenarios.twin.DigitalTwin.recipe`.  Every path is
+    bit-identical to ``scenario.run(twin)``; a group stops at its first
+    error.
     """
     check_execution(execution)
     if not pending:
         return
-    if execution == "batched":
-        from repro.batch import BatchedEngine
-
-        BatchedEngine([s for _, s in pending], twin).run(
-            on_result=lambda i, outcome: on_result(*pending[i], outcome)
-        )
-    elif workers <= 1:
+    groups = [pending] if execution == "batched" else [[c] for c in pending]
+    if workers <= 1 or len(groups) == 1:
         memo = WorkloadMemo()
-        for index, scenario in pending:
-            on_result(index, scenario, scenario.run(twin, workloads=memo))
-    else:
-        surrogate_doc = twin.surrogate_doc()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending))
-        ) as pool:
-            futures = {
-                pool.submit(
-                    execute_scenario,
-                    twin.spec,
-                    scenario,
-                    surrogate_doc,
-                    twin.cooling_backend,
-                ): (index, scenario)
-                for index, scenario in pending
-            }
-            for future in as_completed(futures):
-                on_result(*futures[future], future.result())
+        for group in groups:
+            _run_group(twin, group, on_result, memo)
+        return
+    scenarios = dict(pending)
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(groups)),
+        initializer=_start_worker,
+        initargs=(twin.recipe(),),
+    ) as pool:
+        futures = [pool.submit(_run_worker_group, group) for group in groups]
+        for future in as_completed(futures):
+            for index, outcome in future.result():
+                on_result(index, scenarios[index], outcome)
 
 
 @dataclass
@@ -239,12 +220,15 @@ class ExperimentSuite:
     ) -> SuiteResult:
         """Execute every scenario; ``workers > 1`` uses process parallelism.
 
-        Cells run through :func:`run_cells`.  Results come back in
-        submission order, bit-identical to a ``workers=1`` run.
+        Cells run through :func:`run_cells` as one-cell lane groups, in
+        this process sharing one workload memo, or spread over
+        ``workers`` processes.  Results come back in submission order,
+        bit-identical to a ``workers=1`` run.
         ``progress(scenario, done, total)`` fires as scenarios finish.
-        Each pool worker keeps a process-local warm-plant cache, so
-        repeated coupled scenarios pay the deterministic 1800 s cooling
-        warmup once per worker: wall-clock changes, results never do.
+        Each worker process rebuilds the twin once, with a
+        process-local warm-plant cache, so repeated coupled scenarios
+        pay the deterministic 1800 s cooling warmup once per worker:
+        wall-clock changes, results never do.
         """
         scenarios = self.expanded()
         if not scenarios:
@@ -303,4 +287,4 @@ class ExperimentSuite:
         return cls(chosen, [Scenario.from_dict(e) for e in entries])
 
 
-__all__ = ["ExperimentSuite", "SuiteResult", "execute_scenario", "run_cells"]
+__all__ = ["ExperimentSuite", "SuiteResult", "run_cells"]

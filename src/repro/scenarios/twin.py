@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.config.loader import load_builtin_system, load_system
+from repro.config.loader import (
+    dumps_system,
+    load_builtin_system,
+    load_system,
+    loads_system,
+)
 from repro.config.schema import SystemSpec
 from repro.cooling.plant import BACKENDS as COOLING_BACKENDS
 from repro.exceptions import ScenarioError
@@ -150,30 +155,49 @@ class DigitalTwin:
         self._bundle_explicit = True
         return self
 
-    def surrogate_doc(self) -> dict | None:
-        """The attached bundle as its JSON document, or None.
+    def recipe(self) -> tuple[str, str, str, dict | None]:
+        """What rebuilds this twin in another process (:func:`rebuild_twin`).
 
-        This is how suites and campaigns ship a trained bundle to
-        worker processes: the document is plain JSON (cheap to pickle)
-        and rebuilds the exact same predictions on the other side.
-        Only an explicitly attached/loaded bundle is shipped — never a
-        train-on-demand default (workers memoize their own).
+        A picklable tuple: the canonical spec JSON, the fidelity, the
+        cooling backend and the attached surrogate bundle's document.
+        Only an explicitly attached/loaded bundle is shipped, never a
+        train-on-demand default (workers memoize their own); datasets
+        and the warm cache stay behind.
         """
-        from repro.fastpath.bundle import SurrogateBundle
-
-        if self._bundle is None and self._bundle_path is not None:
-            self._bundle = SurrogateBundle.load(
-                self._bundle_path, spec=self.spec
-            )
-        if self._bundle is None or not self._bundle_explicit:
-            return None
-        return self._bundle.to_doc()
+        return (
+            dumps_system(self.spec, indent=None),
+            self.fidelity,
+            self.cooling_backend,
+            self.surrogates().to_doc() if self._bundle_explicit else None,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DigitalTwin(spec={self.spec.name!r}, "
             f"fidelity={self.fidelity!r})"
         )
+
+
+def rebuild_twin(recipe: tuple[str, str, str, dict | None]) -> DigitalTwin:
+    """The twin a :meth:`DigitalTwin.recipe` describes, with a fresh
+    process-local :class:`~repro.service.warmcache.WarmStateCache`.
+
+    Worker processes (the cell executor's pool and the service's
+    :class:`~repro.service.workers.WorkerPool`) call it once each, so
+    every coupled cell after a worker's first per wet-bulb skips the
+    cooling warmup; warmup is deterministic, so results never change.
+    """
+    from repro.fastpath.bundle import SurrogateBundle
+    from repro.service.warmcache import WarmStateCache
+
+    spec_json, fidelity, cooling_backend, doc = recipe
+    return DigitalTwin(
+        loads_system(spec_json),
+        fidelity=fidelity,
+        surrogates=None if doc is None else SurrogateBundle.from_doc(doc),
+        warm_cache=WarmStateCache(),
+        cooling_backend=cooling_backend,
+    )
 
 
 def as_twin(obj: DigitalTwin | str | Path | SystemSpec) -> DigitalTwin:
@@ -186,6 +210,7 @@ def as_twin(obj: DigitalTwin | str | Path | SystemSpec) -> DigitalTwin:
 __all__ = [
     "DigitalTwin",
     "as_twin",
+    "rebuild_twin",
     "resolve_spec",
     "FIDELITIES",
     "COOLING_BACKENDS",

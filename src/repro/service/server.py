@@ -88,7 +88,7 @@ from repro.obs.trace import FlightRecorder, Tracer
 from repro.scenarios.artifacts import _nulled_nans, spec_sha256
 from repro.scenarios.base import Scenario
 from repro.scenarios.library import BaseSweepScenario
-from repro.scenarios.twin import FIDELITIES, resolve_spec
+from repro.scenarios.twin import DigitalTwin
 from repro.service import ws as wsproto
 from repro.service.protocol import (
     JobRecord,
@@ -221,10 +221,8 @@ class TwinServer:
         breaker: CircuitBreaker | None = None,
         drain_grace_s: float = 30.0,
     ) -> None:
-        if fidelity not in FIDELITIES:
-            raise ExaDigiTError(
-                f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}"
-            )
+        # Checks the fidelity; the workers rebuild this twin.
+        twin = DigitalTwin(system, fidelity=fidelity, surrogates=surrogates)
         if max_attempts < 1:
             raise ExaDigiTError("max_attempts must be >= 1")
         if execution not in ("processes", "batched"):
@@ -233,7 +231,7 @@ class TwinServer:
                 "(expected 'processes' or 'batched')"
             )
         self.execution = execution
-        self.spec = resolve_spec(system)
+        self.spec = twin.spec
         self.spec_sha = spec_sha256(self.spec)
         self.host = host
         self.port = port
@@ -286,17 +284,14 @@ class TwinServer:
         #: healthy→degraded flight-dump trigger.
         self._check_ok: dict[str, bool] = {}
         self._history_task: asyncio.Task | None = None
-        self._surrogate_doc = self._resolve_surrogates(surrogates)
         self.jobs: dict[str, JobRecord] = {}
         self._job_order: list[str] = []
         self._job_seq = 0
         self.queue = WorkStealingQueue(workers)
         self.pool = WorkerPool(
-            self.spec,
+            twin,
             workers,
             on_event=self._on_worker_event_threadsafe,
-            fidelity=fidelity,
-            surrogate_doc=self._surrogate_doc,
         )
         self.max_retained_jobs = max_retained_jobs
         #: Terminal job ids in completion order (memory-bound eviction).
@@ -463,17 +458,6 @@ class TwinServer:
         if self.alerts is not None:
             self.alerts.evaluate(now)
         self._health_checks()
-
-    def _resolve_surrogates(self, surrogates) -> dict | None:
-        if surrogates is None:
-            return None
-        from repro.fastpath.bundle import SurrogateBundle
-
-        if isinstance(surrogates, SurrogateBundle):
-            surrogates.check_spec(self.spec)
-            return surrogates.to_doc()
-        bundle = SurrogateBundle.load(surrogates, spec=self.spec)
-        return bundle.to_doc()
 
     # -- lifecycle -------------------------------------------------------------
 

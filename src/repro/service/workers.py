@@ -42,13 +42,10 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.batch import BatchedEngine
-from repro.config.loader import dumps_system, loads_system
-from repro.config.schema import SystemSpec
 from repro.exceptions import ExaDigiTError
 from repro.scenarios.artifacts import result_to_cell_doc
 from repro.scenarios.base import Scenario
-from repro.scenarios.twin import DigitalTwin
-from repro.service.warmcache import WarmStateCache
+from repro.scenarios.twin import DigitalTwin, rebuild_twin
 from repro.viz.export import step_record
 
 #: How worker processes start: a fresh interpreter, never a fork of the
@@ -216,24 +213,15 @@ def _run_group(conn, twin: DigitalTwin, msg: dict[str, Any]) -> None:
                 )
 
 
-def worker_main(
-    conn,
-    spec_json: str,
-    fidelity: str = "full",
-    surrogate_doc: dict | None = None,
-) -> None:
+def worker_main(conn, recipe) -> None:
     """Entry point of one worker process.
 
-    Builds the twin once (spec from canonical JSON, optional shared
-    surrogate bundle, fresh warm-plant cache) and then serves ``run``
-    commands until ``stop`` or pipe EOF.
+    Rebuilds the server's twin once from its recipe
+    (:func:`~repro.scenarios.twin.rebuild_twin`: spec, fidelity,
+    cooling backend, shared surrogate bundle and a fresh warm-plant
+    cache) and then serves ``run`` commands until ``stop`` or pipe EOF.
     """
-    spec = loads_system(spec_json)
-    twin = DigitalTwin(spec, fidelity=fidelity, warm_cache=WarmStateCache())
-    if surrogate_doc is not None:
-        from repro.fastpath.bundle import SurrogateBundle
-
-        twin.use_surrogates(SurrogateBundle.from_doc(surrogate_doc))
+    twin = rebuild_twin(recipe)
     conn.send({"event": "hello", "pid": os.getpid()})
     try:
         while True:
@@ -274,6 +262,9 @@ class WorkerHandle:
 class WorkerPool:
     """Spawn, feed, and supervise the worker processes.
 
+    Every worker rebuilds ``twin`` once from its
+    :meth:`~repro.scenarios.twin.DigitalTwin.recipe`.
+
     ``on_event(worker_index, message)`` is invoked from per-worker
     reader threads for every worker message, plus a synthesized
     ``{"event": "exit"}`` when a worker's pipe closes (crash or stop).
@@ -283,18 +274,14 @@ class WorkerPool:
 
     def __init__(
         self,
-        spec: SystemSpec,
+        twin: DigitalTwin,
         n_workers: int,
         *,
         on_event: Callable[[int, dict], None],
-        fidelity: str = "full",
-        surrogate_doc: dict | None = None,
     ) -> None:
         if n_workers < 1:
             raise ExaDigiTError("need at least one worker")
-        self._spec_json = dumps_system(spec, indent=None)
-        self._fidelity = fidelity
-        self._surrogate_doc = surrogate_doc
+        self._recipe = twin.recipe()
         self._ctx = multiprocessing.get_context(START_METHOD)
         self._on_event = on_event
         self.stopping = False
@@ -308,12 +295,7 @@ class WorkerPool:
         parent, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(
-                child,
-                self._spec_json,
-                self._fidelity,
-                self._surrogate_doc,
-            ),
+            args=(child, self._recipe),
             daemon=True,
             name=f"twin-worker-{handle.index}",
         )

@@ -26,13 +26,14 @@ from repro.fastpath.train import _BUNDLE_CACHE, clear_bundle_cache
 from repro.scenarios import (
     Campaign,
     DigitalTwin,
+    ExperimentSuite,
     GridSweepScenario,
     Scenario,
     SyntheticScenario,
     WhatIfScenario,
 )
 from repro.scenarios.artifacts import spec_sha256
-from tests.conftest import make_small_spec
+from tests.conftest import assert_bitidentical, make_small_spec
 
 DURATION_S = 1800.0
 
@@ -304,6 +305,21 @@ def test_surrogate_campaign_parallel_uses_shipped_bundle(
         assert parallel.comparison_table() == serial.comparison_table()
     finally:
         clear_bundle_cache()
+
+
+def test_surrogate_twin_suite_parallel_keeps_twin_fidelity(spec, bundle):
+    """Worker processes run cells at the twin's fidelity: scenarios that
+    do not pin one inherit ``fidelity="surrogate"`` in every worker."""
+    twin = DigitalTwin(spec, fidelity="surrogate", surrogates=bundle)
+    scenarios = [
+        SyntheticScenario(name=f"s{seed}", duration_s=900.0, seed=seed)
+        for seed in (1, 2)
+    ]
+    serial = ExperimentSuite(twin, scenarios).run(workers=1)
+    parallel = ExperimentSuite(twin, scenarios).run(workers=2)
+    for a, b in zip(parallel, serial):
+        assert_bitidentical(a, b, label=f"{a.name} workers=2 vs 1")
+    assert parallel.comparison_table() == serial.comparison_table()
 
 
 def test_multifidelity_campaign_resume(tmp_path, spec, bundle):

@@ -22,7 +22,6 @@ from repro.cli import main as cli_main
 from repro.core.engine import RapsEngine
 from repro.core.profiling import PhaseProfiler
 from repro.scenarios import DigitalTwin, ExperimentSuite, SyntheticScenario
-from repro.scenarios.suite import execute_scenario
 from tests.conftest import assert_bitidentical, make_small_spec
 
 
@@ -97,21 +96,19 @@ class TestSuiteWarmCache:
     def test_worker_entry_point_shares_process_cache(self, small_spec):
         """Two coupled scenarios through the worker entry point: the
         second restores the first's warmed plant."""
-        suite_mod._WORKER_WARM_CACHE = None
+        suite_mod._start_worker(DigitalTwin(small_spec).recipe())
         try:
             for seed in (0, 1):
-                execute_scenario(
-                    small_spec,
-                    SyntheticScenario(duration_s=600.0, seed=seed),
-                    None,
+                suite_mod._run_worker_group(
+                    [(seed, SyntheticScenario(duration_s=600.0, seed=seed))]
                 )
-            cache = suite_mod._WORKER_WARM_CACHE
+            cache = suite_mod._worker_twin.warm_cache
             assert cache is not None
             stats = cache.stats()
             assert stats["misses"] == 1
             assert stats["hits"] == 1
         finally:
-            suite_mod._WORKER_WARM_CACHE = None
+            suite_mod._worker_twin = None
 
     def test_parallel_coupled_suite_matches_serial_bitwise(self, small_spec):
         """workers=2 with warm workers (the default) stays bit-identical

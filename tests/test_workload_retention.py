@@ -13,6 +13,7 @@ import weakref
 
 import pytest
 
+from repro.fastpath import fit_bundle
 from repro.scenarios import (
     DigitalTwin,
     ExperimentSuite,
@@ -90,13 +91,35 @@ def test_worker_group_keeps_no_generated_workload(built):
     assert _dead(built)
 
 
-def test_serial_wetbulb_grid_generates_once(built):
-    sweep = GridSweepScenario(
+def _wetbulb_grid(fidelity="full"):
+    return GridSweepScenario(
         base=GeneratedScenario(
-            duration_s=300.0, workload=DiurnalWorkload(seed=1)
+            duration_s=300.0,
+            workload=DiurnalWorkload(seed=1),
+            fidelity=fidelity,
         ),
         grid={"wetbulb_c": (12.0, 16.0, 20.0, 24.0)},
     )
-    outcome = ExperimentSuite(make_small_spec(), [sweep]).run()
+
+
+def test_serial_wetbulb_grid_generates_once(built):
+    outcome = ExperimentSuite(make_small_spec(), [_wetbulb_grid()]).run()
+    assert len(outcome) == 4
+    assert len(built) == 1
+
+
+def test_serial_surrogate_wetbulb_grid_generates_once(built):
+    spec = make_small_spec()
+    # A small attached bundle: surrogate cells never train a default.
+    bundle = fit_bundle(
+        spec,
+        cooling=True,
+        cooling_grid=3,
+        cooling_degree=2,
+        settle_s=900.0,
+        tail_samples=20,
+    )
+    twin = DigitalTwin(spec, surrogates=bundle)
+    outcome = ExperimentSuite(twin, [_wetbulb_grid("surrogate")]).run()
     assert len(outcome) == 4
     assert len(built) == 1
